@@ -12,6 +12,7 @@ cross-checking the fast graph criteria against brute-force oracles.
 from .errors import (
     BraidscopeError,
     IllegalMoveError,
+    InvariantError,
     ParseError,
     PreconditionError,
     ResourceLimitError,
@@ -53,7 +54,7 @@ from .diagrams import (
     make_tripod_swap,
     reduce_word,
 )
-from .homology import ChainComplex, HomologySummary, chain_complex, homology
+from .homology import ChainComplex, HomologySummary, chain_complex
 from .classifier import (
     ClassificationReport,
     ParticleAssignment,

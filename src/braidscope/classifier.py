@@ -20,17 +20,19 @@ sound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
     CYCLE, CYCLE_TWO_RAYS, HGRAPH, PULSAR, ROSE, STAR, SUN, THETA, TREE,
-    Cycle, Graph, Subgraph, classify_shape, idkey, normalize,
-    simple_cycles, smooth, subdivide_all,
+    Cycle, Graph, Subgraph, classify_shape, connected_components, idkey,
+    normalize, simple_cycles, smooth, subdivide_all,
 )
 
 ORACLE_SMOOTH_VERTEX_CAP = 15
+ASSIGNMENT_CAP = 10**5
 
 
 # -- elementary verdict helpers -----------------------------------------
@@ -71,11 +73,24 @@ class ParticleAssignment:
 
 
 def assignments(g: Graph, n: int) -> tuple:
-    comps = g.components()
+    """Every way to spread n particles over the components, in
+    lexicographic order of the counts.
+
+    Stars and bars: each choice of k-1 bar positions among n+k-1 slots
+    is one composition of n into k parts.
+    """
+    k = len(g.components())
+    if n < 0 or k == 0:
+        return (ParticleAssignment(()),) if n == k == 0 else ()
+    total = math.comb(n + k - 1, k - 1)
+    if total > ASSIGNMENT_CAP:
+        raise ResourceLimitError(
+            f"{total} particle assignments exceed cap {ASSIGNMENT_CAP}")
     outs = []
-    for split in itertools.product(range(n + 1), repeat=len(comps)):
-        if sum(split) == n:
-            outs.append(ParticleAssignment(split))
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        ends = (-1,) + bars + (n + k - 1,)
+        outs.append(ParticleAssignment(
+            tuple(b - a - 1 for a, b in zip(ends, ends[1:]))))
     return tuple(outs)
 
 
@@ -119,22 +134,7 @@ def is_infinite_cyclic(g: Graph, n: int) -> bool:
 
 def _complement_components(g: Graph, banned: frozenset) -> tuple:
     """Vertex sets of the components of g minus a vertex set."""
-    seen = set(banned)
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in seen and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return tuple(comps)
+    return connected_components(g.vertices, g.adjacency, banned)
 
 
 def _component_betti(g: Graph, comp: frozenset) -> int:
@@ -347,40 +347,16 @@ def contains_free_nonabelian(g: Graph, assignment: ParticleAssignment) -> bool:
 # Everything else is read off the components of the complement, whose
 # half-edge stubs survive as subdivision vertices.
 
-class _FastGraph:
-    """Plain-dict adjacency with original-graph bookkeeping."""
-
-    def __init__(self, g: Graph):
-        self.adj = {v: set() for v in g.vertices}
-        for e in g.edges:
-            self.adj[e.u].add(e.v)
-            self.adj[e.v].add(e.u)
-
-    def component_flags(self, banned: set) -> list:
-        """For each component of the complement: (b1, max_degree,
-        vertex count, degree multiset facts needed by the conditions)."""
-        seen = set(banned)
-        out = []
-        for start in self.adj:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in banned and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            edges = sum(1 for x in comp for y in self.adj[x]
-                        if y in comp) // 2
-            seen |= comp
-            degs = [sum(1 for y in self.adj[x] if y in comp) for x in comp]
-            b1 = edges - len(comp) + 1
-            maxdeg = max(degs) if degs else 0
-            deg3plus = sum(1 for d in degs if d >= 3)
-            out.append((b1, maxdeg, deg3plus, len(comp)))
-        return out
+def _component_flags(g: Graph, banned) -> list:
+    """(b1, max degree, vertices of degree >= 3, vertex count) for each
+    component of g minus a vertex set."""
+    adj = g.adjacency
+    out = []
+    for comp in connected_components(g.vertices, adj, banned):
+        degs = [sum(1 for y in adj[x] if y in comp) for x in comp]
+        b1 = sum(degs) // 2 - len(comp) + 1
+        out.append((b1, max(degs), sum(1 for d in degs if d >= 3), len(comp)))
+    return out
 
 
 def _oracle_flags(flags: tuple) -> dict:
@@ -408,7 +384,7 @@ class SubgraphOracle:
     """Exhaustive Λ1/Λ2 search over a doubly subdivided graph.
 
     Witness subgraphs are enumerated once and reused for every particle
-    count; complements are analysed with raw adjacency sets.
+    count; complements are analysed on the cached adjacency.
     """
 
     def __init__(self, g: Graph):
@@ -419,7 +395,6 @@ class SubgraphOracle:
                 f"smoothed graph exceeds {ORACLE_SMOOTH_VERTEX_CAP} vertices")
         self.base = g
         self.g2 = subdivide_all(g, 2)
-        self.fast = _FastGraph(self.g2)
         self._witnesses = None
 
     def _midpoint_toward(self, e, v: str) -> str:
@@ -451,7 +426,7 @@ class SubgraphOracle:
         for kind, removed, info in self.witnesses():
             if kind not in witness_kinds:
                 continue
-            for flags in self.fast.component_flags(removed):
+            for flags in _component_flags(self.g2, removed):
                 if _oracle_flags(flags)[want_key]:
                     return (kind, info, flags)
         return None
@@ -723,15 +698,15 @@ def _combine(per: tuple) -> dict:
 
 
 def _check_consistency(r: AssignmentReport):
-    if r.trivial:
-        assert not r.contains_f2 and not r.contains_f2xz
-        assert r.hyperbolic and r.toral_rel_hyp
-    if r.infinite_cyclic:
-        assert not r.contains_f2 and r.hyperbolic
-    if r.hyperbolic:
-        assert r.toral_rel_hyp
-    if r.contains_f2xz:
-        assert r.contains_f2
+    """Raise InvariantError when the combined verdicts contradict the
+    implications between the properties."""
+    if ((r.trivial and (r.contains_f2 or r.contains_f2xz
+                        or not (r.hyperbolic and r.toral_rel_hyp)))
+            or (r.infinite_cyclic and (r.contains_f2 or not r.hyperbolic))
+            or (r.hyperbolic and not r.toral_rel_hyp)
+            or (r.contains_f2xz and not r.contains_f2)):
+        raise InvariantError(
+            f"inconsistent verdicts for split {list(r.assignment)}")
 
 
 def full_report(g: Graph, n: int, run_oracles: str = "auto") -> ClassificationReport:
@@ -744,9 +719,12 @@ def full_report(g: Graph, n: int, run_oracles: str = "auto") -> ClassificationRe
     g = normalize(g)
     reports = []
     comps = _component_graphs(g)
+    verdicts = {}   # (component index, particles) -> ComponentVerdict
     for assignment in assignments(g, n):
-        per = tuple(_classify_component(c, k)
-                    for c, k in zip(comps, assignment.counts))
+        for i, k in enumerate(assignment.counts):
+            if (i, k) not in verdicts:
+                verdicts[i, k] = _classify_component(comps[i], k)
+        per = tuple(verdicts[i, k] for i, k in enumerate(assignment.counts))
         combined = _combine(per)
         rep = AssignmentReport(assignment.counts, per, **combined)
         _check_consistency(rep)

@@ -4,7 +4,7 @@ Subcommands: analyze, build, word, homology, relhyp-check, table.
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
-violation, 3 resource limit.
+violation, 3 resource limit, 4 failed internal consistency check.
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
@@ -26,7 +26,8 @@ from .classifier import (
 from .complex import DEFAULT_CELL_CAP, build
 from .diagrams import check_legal, cyclically_reduce, diagram, equal
 from .errors import (
-    BraidscopeError, ParseError, PreconditionError, ResourceLimitError,
+    BraidscopeError, InvariantError, ParseError, PreconditionError,
+    ResourceLimitError,
 )
 from .graph import Graph, normalize, subdivide_for
 from .homology import chain_complex, homology
@@ -37,6 +38,7 @@ from .hyperplanes import (
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
+EXIT_INVARIANT = 4
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -160,10 +162,8 @@ def dot_skeleton(x) -> str:
     names = {conf: "C" + "_".join(conf) for (_, conf) in x.cubes[0]}
     for conf in sorted(names):
         lines.append(f'  "{names[conf]}";')
-    for (mids, stat) in sorted(x.cubes[1]):
-        e = x.graph.edge_by_id[mids[0]]
-        a = tuple(sorted(set(stat) | {e.u}, key=lambda t: (len(t), t)))
-        b = tuple(sorted(set(stat) | {e.v}, key=lambda t: (len(t), t)))
+    for key in sorted(x.cubes[1] if len(x.cubes) > 1 else ()):
+        e, a, b = x.edge_ends(key)
         lines.append(f'  "{names[a]}" -- "{names[b]}" [label="{e.id}"];')
     lines.append("}")
     return "\n".join(lines)
@@ -457,6 +457,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InvariantError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except BraidscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

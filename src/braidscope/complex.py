@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from ._util import sorted_ids
 from .errors import PreconditionError, ResourceLimitError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, connected_components, idkey
 
 DEFAULT_CELL_CAP = 10**7
 
@@ -26,11 +25,11 @@ DEFAULT_CELL_CAP = 10**7
 
 
 def cube_key(moving_ids, stationary) -> tuple:
-    return (tuple(sorted_ids(moving_ids)), tuple(sorted_ids(stationary)))
+    return (config_key(moving_ids), config_key(stationary))
 
 
 def config_key(vertices) -> tuple:
-    return tuple(sorted_ids(vertices))
+    return tuple(sorted(vertices, key=idkey))
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class CubeComplex:
     n: int
     max_dim: int
     cubes: tuple           # tuple of dicts, index d -> {key: Cube}
-    component_of: dict = field(compare=False)
 
     # -- views ----------------------------------------------------------
 
@@ -80,7 +78,7 @@ class CubeComplex:
         return len(self.cubes) - 1
 
     def component_count(self) -> int:
-        return len(set(self.component_of.values())) if self.component_of else 0
+        return len(set(self.component_of.values()))
 
     def configurations(self) -> tuple:
         return tuple(k[1] for k in self.cubes[0])
@@ -108,17 +106,30 @@ class CubeComplex:
             occupied.add(edge.u)
         return config_key(occupied)
 
+    def edge_ends(self, key: tuple) -> tuple:
+        """(edge, a, b) for a 1-cube key: its moving edge, the end
+        configuration holding the edge's u end and the one holding v."""
+        (eid,), stat = key
+        e = self.graph.edge_by_id[eid]
+        return (e, config_key(set(stat) | {e.u}), config_key(set(stat) | {e.v}))
+
     @cached_property
     def skeleton(self) -> dict:
         """1-skeleton adjacency: config key -> tuple of (edge, other key)."""
         adj = {k[1]: [] for k in self.cubes[0]}
-        for (mids, stat) in self.cubes[1]:
-            e = self.graph.edge_by_id[mids[0]]
-            a = config_key(set(stat) | {e.u})
-            b = config_key(set(stat) | {e.v})
+        for key in (self.cubes[1] if len(self.cubes) > 1 else ()):
+            e, a, b = self.edge_ends(key)
             adj[a].append((e, b))
             adj[b].append((e, a))
         return {k: tuple(v) for k, v in adj.items()}
+
+    @cached_property
+    def component_of(self) -> dict:
+        """Config key -> index of its 1-skeleton component; components are
+        numbered in the order of their first configuration."""
+        nbrs = {a: [b for _, b in around] for a, around in self.skeleton.items()}
+        return {conf: label for label, comp in
+                enumerate(connected_components(nbrs, nbrs)) for conf in comp}
 
     def euler_characteristic(self) -> int:
         if self.max_dim < self.n:
@@ -137,8 +148,7 @@ class CubeComplex:
                 levels.append({k: c for k, c in level.items() if k != key})
             else:
                 levels.append(dict(level))
-        return CubeComplex(self.graph, self.n, self.max_dim,
-                           tuple(levels), dict(self.component_of))
+        return CubeComplex(self.graph, self.n, self.max_dim, tuple(levels))
 
 
 def _matchings(edges: tuple, size: int):
@@ -207,31 +217,7 @@ def build(g: Graph, n: int, max_dim: Optional[int] = None,
                         f"cell count exceeds cap {cell_cap}")
         levels.append(level)
 
-    # label connected components of the 1-skeleton
-    component_of = {}
-    label = 0
-    adj = {k[1]: [] for k in levels[0]}
-    if len(levels) > 1:
-        for (mids, stat) in levels[1]:
-            e = g.edge_by_id[mids[0]]
-            a = config_key(set(stat) | {e.u})
-            b = config_key(set(stat) | {e.v})
-            adj[a].append(b)
-            adj[b].append(a)
-    for (_, start) in levels[0]:
-        if start in component_of:
-            continue
-        component_of[start] = label
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in component_of:
-                    component_of[y] = label
-                    stack.append(y)
-        label += 1
-
-    return CubeComplex(g, n, top, tuple(levels), component_of)
+    return CubeComplex(g, n, top, tuple(levels))
 
 
 def euler_characteristic(x: CubeComplex) -> int:
@@ -329,15 +315,7 @@ def is_surface(x: CubeComplex) -> SurfaceReport:
         if any(len(nb) != 2 for nb in adj.values()):
             return SurfaceReport(False, (), conf)
         # connected 2-regular graph on k vertices = single k-cycle
-        seen = {moves[0].id}
-        stack = [moves[0].id]
-        while stack:
-            z = stack.pop()
-            for y in adj[z]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != k:
+        if len(connected_components(adj, adj)) != 1:
             return SurfaceReport(False, (), conf)
         lengths.append(k)
     return SurfaceReport(True, tuple(sorted(lengths)), None)

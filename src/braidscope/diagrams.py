@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complex import CubeComplex, config_key
-from .errors import IllegalMoveError, PreconditionError, ResourceLimitError
-from .graph import Cycle, Graph, Subgraph
+from .errors import (
+    IllegalMoveError, InvariantError, PreconditionError, ResourceLimitError,
+)
+from .graph import Cycle, Graph, Subgraph, UnionFind
 
 MAX_BALL_RADIUS = 12
 
@@ -116,7 +118,7 @@ class _Piler:
                     remaining -= 1
                     break
             else:
-                raise AssertionError("piling stuck; dependence data corrupt")
+                raise InvariantError("piling stuck; dependence data corrupt")
         return tuple(out)
 
 
@@ -164,7 +166,7 @@ def reduce_word(w: LegalWord) -> Diagram:
     normal = _piler(w.graph).reduce(w.letters)
     term = replay(w.graph, w.base, normal)
     if term != w.terminus:
-        raise AssertionError("reduction changed the terminus")
+        raise InvariantError("reduction changed the terminus")
     return Diagram(w.graph, w.base, normal, term)
 
 
@@ -314,9 +316,9 @@ def make_rotation(g: Graph, cycle: Cycle, base) -> Diagram:
             break
     out = diagram(g, base, letters)
     if not out.is_spherical():
-        raise AssertionError("rotation did not close up")
+        raise InvariantError("rotation did not close up")
     if len(out) != len(letters):
-        raise AssertionError("rotation word unexpectedly reducible")
+        raise InvariantError("rotation word unexpectedly reducible")
     return out
 
 
@@ -353,10 +355,10 @@ def make_tripod_swap(g: Graph, spine: Sequence[str], spike: str) -> Diagram:
         slide(spine[(n - 1) + k:k - 1:-1])
 
     if config_key(occupied) != base:
-        raise AssertionError("tripod swap did not return to base")
+        raise InvariantError("tripod swap did not return to base")
     out = diagram(g, base, letters)
     if len(out) != len(letters):
-        raise AssertionError("tripod word unexpectedly reducible")
+        raise InvariantError("tripod word unexpectedly reducible")
     return out
 
 
@@ -438,7 +440,7 @@ class CoverBall:
                     cand_index[(u, e.id)] = len(candidates)
                     candidates.append((u, e.id, sign,
                                        x.apply_move(conf, e)))
-            uf = _UnionFindInt(len(candidates))
+            uf = UnionFind()
             if dist >= 1:
                 for z in layers[dist - 1]:
                     ups = [(eid, nbr)
@@ -450,7 +452,7 @@ class CoverBall:
                         ca = cand_index.get((u, eb))
                         cb = cand_index.get((w, ea))
                         if ca is None or cb is None:
-                            raise AssertionError("square candidate missing")
+                            raise InvariantError("square candidate missing")
                         uf.union(ca, cb)
             rep_vertex = {}
             for ci, (u, eid, sign, tproj) in enumerate(candidates):
@@ -462,9 +464,9 @@ class CoverBall:
                     if len(self.proj) > cap:
                         raise ResourceLimitError("cover ball exceeds cap")
                 if self.proj[v] != tproj:
-                    raise AssertionError("identified candidates disagree")
+                    raise InvariantError("identified candidates disagree")
                 if eid in self.edges[u] or eid in self.edges[v]:
-                    raise AssertionError("duplicate color at a cover vertex")
+                    raise InvariantError("duplicate color at a cover vertex")
                 self.edges[u][eid] = (v, sign)
                 self.edges[v][eid] = (u, -sign)
             nxt = sorted(set(rep_vertex.values()))
@@ -494,19 +496,3 @@ class CoverBall:
         for d in self.dist:
             out[d] = out.get(d, 0) + 1
         return out
-
-
-class _UnionFindInt:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb

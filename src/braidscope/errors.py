@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
 The CLI maps these onto exit codes: ParseError -> 1,
-PreconditionError -> 2, ResourceLimitError -> 3.
+PreconditionError -> 2, ResourceLimitError -> 3, InvariantError -> 4.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ class PreconditionError(BraidscopeError):
 
 class ResourceLimitError(BraidscopeError):
     """An enumeration exceeded a configured cap."""
+
+
+class InvariantError(BraidscopeError):
+    """An internal consistency check failed: a computed result contradicts
+    itself, which points to a bug rather than to bad input.  Raised
+    explicitly, so the checks also run under ``python -O``."""
 
 
 class IllegalMoveError(PreconditionError):

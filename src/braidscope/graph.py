@@ -31,6 +31,51 @@ def idkey(x: str):
     return (len(x), x)
 
 
+def connected_components(vertices, adj, banned=()) -> tuple:
+    """Vertex sets of the components of a graph given by adjacency.
+
+    ``adj`` maps each vertex to its neighbours.  Vertices in ``banned``
+    are left out together with their edges.  Components come as
+    frozensets, in the order of their first vertex in ``vertices``.
+    """
+    seen = set(banned)
+    comps = []
+    for start in vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+class UnionFind:
+    """Disjoint sets over hashable items, each a singleton until joined."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        p = self.parent.setdefault(x, x)
+        while p != self.parent[p]:
+            self.parent[p] = self.parent[self.parent[p]]
+            p = self.parent[p]
+        self.parent[x] = p
+        return p
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -42,13 +87,6 @@ class Edge:
 
     def is_loop(self) -> bool:
         return self.u == self.v
-
-    def other(self, x: str) -> str:
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise ValueError(f"{x} is not an endpoint of {self.id}")
 
     def touches(self, other: "Edge") -> bool:
         return bool(self.endpoints() & other.endpoints())
@@ -102,12 +140,18 @@ class Graph:
             d += 2 if e.is_loop() else 1
         return d
 
+    @cached_property
+    def adjacency(self) -> dict:
+        """vertex -> sorted tuple of distinct neighbours (loops left out)."""
+        outs = {v: set() for v in self.vertices}
+        for e in self.edges:
+            if not e.is_loop():
+                outs[e.u].add(e.v)
+                outs[e.v].add(e.u)
+        return {v: tuple(sorted(nb, key=idkey)) for v, nb in outs.items()}
+
     def neighbors(self, v: str) -> tuple:
-        outs = set()
-        for e in self.incidence[v]:
-            outs.add(e.other(v))
-        outs.discard(v)
-        return tuple(sorted(outs, key=idkey))
+        return self.adjacency[v]
 
     def is_simple(self) -> bool:
         seen = set()
@@ -131,23 +175,8 @@ class Graph:
 
     def components(self) -> tuple:
         """Connected components as sorted tuples of vertices."""
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for e in self.incidence[x]:
-                    y = e.other(x)
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(tuple(sorted(comp, key=idkey)))
-        return tuple(comps)
+        return tuple(tuple(sorted(comp, key=idkey)) for comp in
+                     connected_components(self.vertices, self.adjacency))
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -289,17 +318,6 @@ def normalize(g: Graph) -> Graph:
     """
     if g.is_simple():
         return g
-    seen_pairs = set()
-    loops, parallels = [], []
-    for e in g.edges:
-        if e.is_loop():
-            loops.append(e)
-            continue
-        key = frozenset((e.u, e.v))
-        if key in seen_pairs:
-            parallels.append(e)
-        else:
-            seen_pairs.add(key)
     # every member of a parallel family counts as "a parallel edge"
     families = {}
     for e in g.edges:
@@ -348,21 +366,6 @@ def subdivide_all(g: Graph, times: int) -> Graph:
     for e in g.edges:
         out = subdivide_edge(out, e.id, times)
     return out
-
-
-def _distances_from(g: Graph, start: str) -> dict:
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for e in g.incidence[x]:
-                y = e.other(x)
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
-    return dist
 
 
 def _shortest_path(g: Graph, a: str, b: str) -> Optional[list]:
@@ -497,14 +500,6 @@ def smooth(g: Graph) -> Graph:
 
 # -- membership predicates on the smoothed multigraph -------------------
 
-def _loops_at(g: Graph, v: str) -> list:
-    return [e for e in g.incidence[v] if e.is_loop()]
-
-
-def _leaves(g: Graph) -> list:
-    return [v for v in g.vertices if g.degree(v) == 1]
-
-
 def _shape_memberships(m: Graph) -> tuple:
     """All shape classes the smoothed multigraph belongs to, plus details."""
     classes = set()
@@ -626,38 +621,41 @@ def classify_shape(g: Graph) -> Shape:
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
     """All simple cycles of a normalized graph, deterministically ordered.
 
-    Backtracking rooted at the least vertex of each cycle; every cycle is
-    emitted once, in its canonical rotation.  Raises ResourceLimitError
-    beyond `cap` cycles.
+    Iterative backtracking rooted at the least vertex of each cycle, so
+    long cycles need no deep recursion; every cycle is emitted once, in
+    its canonical rotation.  Raises ResourceLimitError beyond `cap`
+    cycles.
     """
     if not g.is_simple():
         raise PreconditionError("simple_cycles expects a normalized graph")
+    adj = g.adjacency
     order = {v: i for i, v in enumerate(g.vertices)}
     found = []
-
-    def extend(start, path, on_path):
-        last = path[-1]
-        for y in g.neighbors(last):
-            if y == start and len(path) >= 3:
-                # canonical direction: second vertex below last vertex
-                if order[path[1]] < order[path[-1]]:
-                    eids = []
-                    for i in range(len(path)):
-                        a, b = path[i], path[(i + 1) % len(path)]
-                        eids.append(g.simple_adjacency[a][b].id)
-                    found.append(Cycle(tuple(path), tuple(eids)))
-                    if len(found) > cap:
-                        raise ResourceLimitError(
-                            f"cycle count exceeds cap {cap}")
-            elif y not in on_path and order[y] > order[start]:
-                path.append(y)
-                on_path.add(y)
-                extend(start, path, on_path)
-                on_path.remove(y)
-                path.pop()
-
     for start in g.vertices:
-        extend(start, [start], {start})
+        path = [start]
+        on_path = {start}
+        pending = [iter(adj[start])]   # unexplored neighbours per path vertex
+        while pending:
+            for y in pending[-1]:
+                if y == start:
+                    # canonical direction: second vertex below last vertex
+                    if len(path) >= 3 and order[path[1]] < order[path[-1]]:
+                        eids = []
+                        for i in range(len(path)):
+                            a, b = path[i], path[(i + 1) % len(path)]
+                            eids.append(g.simple_adjacency[a][b].id)
+                        found.append(Cycle(tuple(path), tuple(eids)))
+                        if len(found) > cap:
+                            raise ResourceLimitError(
+                                f"cycle count exceeds cap {cap}")
+                elif y not in on_path and order[y] > order[start]:
+                    path.append(y)
+                    on_path.add(y)
+                    pending.append(iter(adj[y]))
+                    break
+            else:
+                pending.pop()
+                on_path.remove(path.pop())
     found.sort(key=lambda c: (tuple(sorted(c.vertices, key=idkey)), c.vertices))
     return tuple(found)
 

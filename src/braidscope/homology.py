@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .complex import CubeComplex, cube_key
-from .errors import PreconditionError, ResourceLimitError
+from .errors import InvariantError, PreconditionError, ResourceLimitError
 
 DEFAULT_COLUMN_CAP = 20000
 
@@ -62,7 +62,7 @@ def chain_complex(x: CubeComplex) -> ChainComplex:
         boundaries.append({k: v for k, v in entries.items() if v})
     out = ChainComplex(tuple(bases), tuple(boundaries))
     if not verify_dd_zero(out):
-        raise AssertionError("boundary of a boundary is nonzero")
+        raise InvariantError("boundary of a boundary is nonzero")
     return out
 
 

@@ -21,19 +21,10 @@ from dataclasses import dataclass
 
 from .complex import CubeComplex, build, config_key, cube_key
 from .errors import PreconditionError
-from .graph import Graph, idkey
+from .graph import Graph, UnionFind, idkey
 
 # an oriented complex edge is (edge id, source config); the source holds
 # the origin of the oriented graph edge, the target holds the other end.
-
-
-def _oriented_edges(x: CubeComplex):
-    for (mids, stat) in x.cubes[1]:
-        e = x.graph.edge_by_id[mids[0]]
-        a = config_key(set(stat) | {e.u})
-        b = config_key(set(stat) | {e.v})
-        yield (e, a, b)   # orientation u -> v
-        yield (e, b, a)   # orientation v -> u
 
 
 @dataclass(frozen=True)
@@ -49,24 +40,6 @@ class Hyperplane:
         return len(self.members)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _unoriented(a, b):
     return tuple(sorted((a, b)))
 
@@ -75,11 +48,9 @@ def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
     """Partition complex edges into square-parallelism classes."""
     if x.dim() < 2 and x.n >= 2:
         raise PreconditionError("hyperplane walk needs the 2-skeleton")
-    uf = _UnionFind()
-    for (mids, stat) in x.cubes[1]:
-        e = x.graph.edge_by_id[mids[0]]
-        a = config_key(set(stat) | {e.u})
-        b = config_key(set(stat) | {e.v})
+    uf = UnionFind()
+    for key in x.cubes[1]:
+        e, a, b = x.edge_ends(key)
         uf.find((e.id, a))
         uf.find((e.id, b))
     if len(x.cubes) > 2:
@@ -94,10 +65,8 @@ def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
                     uf.union((move.id, s1), (move.id, s2))
 
     classes = {}
-    for (mids, stat) in x.cubes[1]:
-        e = x.graph.edge_by_id[mids[0]]
-        a = config_key(set(stat) | {e.u})
-        b = config_key(set(stat) | {e.v})
+    for key in x.cubes[1]:
+        e, a, b = x.edge_ends(key)
         root = uf.find((e.id, a))
         classes.setdefault(root, []).append((e.id, a, b))
 

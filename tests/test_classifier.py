@@ -1,19 +1,24 @@
 import itertools
+import os
+import subprocess
+import sys
+import time
 
 import networkx as nx
 import pytest
 
+from braidscope import classifier as C
 from braidscope import families as F
 from braidscope.classifier import (
-    ParticleAssignment, SubgraphOracle, acyl_hyp_status,
-    check_peripheral_collection, contains_f2xz, contains_free_nonabelian,
-    disjoint_cycle_pair, essential_vertex_off_cycle, free_certificate,
-    full_report, is_hyperbolic, is_hyperbolic_by_obstructions,
-    is_infinite_cyclic, is_toral_rel_hyp, is_trivial, oracle_f2xz,
-    oracle_nonhyperbolic,
+    AssignmentReport, ParticleAssignment, SubgraphOracle, acyl_hyp_status,
+    assignments, check_peripheral_collection, contains_f2xz,
+    contains_free_nonabelian, disjoint_cycle_pair, essential_vertex_off_cycle,
+    free_certificate, full_report, is_hyperbolic,
+    is_hyperbolic_by_obstructions, is_infinite_cyclic, is_toral_rel_hyp,
+    is_trivial, oracle_f2xz, oracle_nonhyperbolic,
 )
 from braidscope.complex import build
-from braidscope.errors import ResourceLimitError
+from braidscope.errors import InvariantError, ResourceLimitError
 from braidscope.graph import Graph, Subgraph, subdivide_for
 from braidscope.homology import chain_complex, homology
 
@@ -382,6 +387,59 @@ def test_full_report_disconnected_assignments():
     mixed = split[(1, 1)]
     assert not mixed.hyperbolic and mixed.toral_rel_hyp
     assert mixed.acyl_status == "product_of_infinite_groups"
+
+
+def isolated(k):
+    return Graph.make([str(i) for i in range(k)], [])
+
+
+def test_assignments_keep_the_product_order():
+    for k in range(7):
+        for n in range(6):
+            filtered = tuple(split for split in itertools.product(range(n + 1), repeat=k)
+                             if sum(split) == n)
+            assert tuple(a.counts for a in assignments(isolated(k), n)) == filtered
+    assert assignments(isolated(3), -1) == ()
+
+
+def test_assignments_are_counted_before_they_are_listed():
+    start = time.perf_counter()
+    assert len(assignments(isolated(18), 2)) == 171
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ResourceLimitError):
+        assignments(isolated(30), 10)      # C(39, 29) compositions
+
+
+def test_full_report_classifies_each_component_count_once(monkeypatch):
+    calls = []
+    classify = C._classify_component
+
+    def counting(comp, k):
+        calls.append(k)
+        return classify(comp, k)
+
+    monkeypatch.setattr(C, "_classify_component", counting)
+    tens = Graph.make([f"{c}x{i}" for c in range(10) for i in range(3)],
+                      [(f"{c}e{i}", f"{c}x{i}", f"{c}x{(i + 1) % 3}")
+                       for c in range(10) for i in range(3)])
+    rep = full_report(tens, 4, run_oracles="off")
+    assert len(rep.assignments) == 715 and len(calls) == 50
+    calls.clear()
+    full_report(F.complete_graph(5), 3, run_oracles="off")
+    assert calls == [3]
+
+
+def test_consistency_check_survives_optimize():
+    # a trivial group cannot contain F2; the check must not be an assert
+    forged = AssignmentReport((2,), (), True, False, True, True, "trivial",
+                              "free", True, False)
+    with pytest.raises(InvariantError):
+        C._check_consistency(forged)
+    code = ("from braidscope.classifier import AssignmentReport, _check_consistency\n"
+            f"_check_consistency({forged!r})")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 1 and "InvariantError" in proc.stderr
 
 
 def test_full_report_flags_oracle_skip():

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from braidscope import cli
 from braidscope.cli import main, parse_collection_text, parse_graph_text
-from braidscope.errors import ParseError
+from braidscope.errors import InvariantError, ParseError
 
 P3 = "e e1 1 2\ne e2 2 3\n"
 K5 = "".join(f"e e{u}{v} {u} {v}\n"
@@ -70,11 +71,15 @@ def test_build_command(k5, capsys):
     assert data["npc"] is True
 
 
-def test_build_dot(k5, capsys):
+def test_build_dot(p3, k5, capsys):
     rc = main(["build", "--graph", k5, "-n", "2", "--format", "dot"])
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("graph skeleton {") and '[label="e12"]' in out
+    rc = main(["build", "--graph", p3, "-n", "1", "--max-dim", "0",
+               "--format", "dot"])
+    assert rc == 0
+    assert capsys.readouterr().out == 'graph skeleton {\n  "C1";\n  "C2";\n  "C3";\n}\n'
 
 
 def test_homology_command(k5, capsys):
@@ -141,6 +146,15 @@ def test_exit_codes(p3, k5):
     assert rc == 3 and "resource limit" in err
     rc, _, err = run_cli(["analyze", "--graph", "/no/such/file", "-n", "2"])
     assert rc == 1 and "parse error" in err
+
+
+def test_failed_internal_check_exits_4(k5, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantError("forged contradiction")
+
+    monkeypatch.setattr(cli, "full_report", broken)
+    assert main(["analyze", "--graph", k5, "-n", "2"]) == cli.EXIT_INVARIANT == 4
+    assert "internal check failed: forged contradiction" in capsys.readouterr().err
 
 
 def test_env_cell_cap(p3, k5, tmp_path):

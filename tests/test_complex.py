@@ -121,6 +121,24 @@ def test_product_f_vector_multiplicativity():
     assert per_dim == expected
 
 
+def test_dimension_zero_complex_has_one_component_per_configuration():
+    x = build(F.path_graph(3), 1, max_dim=0)
+    assert x.skeleton == {("1",): (), ("2",): (), ("3",): (), ("4",): ()}
+    assert x.component_count() == 4
+    assert sorted(x.component_of.values()) == [0, 1, 2, 3]
+    y = build(F.complete_graph(4), 2, max_dim=0)
+    assert y.component_count() == len(y.configurations()) == 6
+
+
+def test_edge_ends_follow_the_edge_orientation():
+    x = build(F.path_graph(2), 2)
+    for key in x.cubes[1]:
+        e, a, b = x.edge_ends(key)
+        assert (set(a) ^ set(b)) == {e.u, e.v}
+        assert e.u in a and e.v in b
+        assert (e, b) in x.skeleton[a] and (e, a) in x.skeleton[b]
+
+
 def test_component_count_of_split_configurations():
     # two triangles, two particles: components by particle distribution
     g1 = F.cycle_graph(3)

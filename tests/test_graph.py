@@ -2,13 +2,14 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidscope import families as F
 from braidscope.graph import (
     CYCLE, CYCLE_TWO_RAYS, GENERAL, HGRAPH, PULSAR, ROSE, SEGMENT, STAR,
     SUN, THETA, TREE,
-    Graph, classify_shape, first_betti, normalize, simple_cycles, smooth,
-    subdivide_all, subdivide_for,
+    Graph, UnionFind, classify_shape, connected_components, first_betti,
+    normalize, simple_cycles, smooth, subdivide_all, subdivide_for,
 )
 
 
@@ -190,6 +191,21 @@ def test_cycle_counts():
     assert len(simple_cycles(F.star_graph(3))) == 0
 
 
+def test_cycles_match_networkx():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randint(3, 7))
+        ours = sorted(sorted(c.vertices) for c in simple_cycles(g))
+        theirs = sorted(sorted(c) for c in nx.simple_cycles(to_nx_multigraph(g)))
+        assert ours == theirs
+
+
+def test_long_cycle_needs_no_recursion():
+    # one path vertex per stack frame would pass the default limit of 1000
+    (c,) = simple_cycles(F.cycle_graph(1100))
+    assert len(c) == 1100 and c.vertices[0] == "1"
+
+
 def test_cycle_order_deterministic_and_canonical():
     cycles = simple_cycles(F.complete_graph(4))
     again = simple_cycles(F.complete_graph(4))
@@ -240,3 +256,50 @@ def test_subgraph_disjointness():
     b = g.induced(["4", "5", "6"])
     assert a.vertex_disjoint(b)
     assert not a.vertex_disjoint(g.induced(["3", "4"]))
+
+
+# -- the shared component search and union-find ----------------------------
+
+@st.composite
+def graphs_with_banned(draw):
+    vs = list(range(draw(st.integers(1, 12))))
+    vertex = st.sampled_from(vs)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=24))
+    banned = draw(st.sets(vertex))
+    order = draw(st.permutations(vs))
+    return order, edges, banned
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_banned())
+def test_connected_components_match_networkx(case):
+    order, edges, banned = case
+    adj = {v: [] for v in order}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    comps = connected_components(order, adj, banned)
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(order)
+    nxg.add_edges_from(edges)
+    nxg.remove_nodes_from(banned)
+    assert sorted(map(sorted, comps)) == sorted(map(sorted, nx.connected_components(nxg)))
+    firsts = [min(order.index(v) for v in comp) for comp in comps]
+    assert firsts == sorted(firsts)
+
+
+def test_adjacency_is_cached_sorted_and_loop_free():
+    g = Graph.make(["1", "2", "10"], [("a", "1", "1"), ("b", "1", "10"),
+                                      ("c", "1", "2"), ("d", "2", "1")])
+    assert g.adjacency == {"1": ("2", "10"), "2": ("1",), "10": ("1",)}
+    assert g.neighbors("1") is g.neighbors("1")
+    assert g.components() == (("1", "2", "10"),)
+
+
+def test_union_find_joins_classes():
+    uf = UnionFind()
+    uf.union(1, 2)
+    uf.union(3, 4)
+    uf.union(2, 4)
+    assert len({uf.find(x) for x in (1, 2, 3, 4)}) == 1
+    assert uf.find(5) == 5 and uf.find(1) != uf.find(5)

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from braidscope import families as F
@@ -105,3 +107,9 @@ def test_chain_complex_needs_full_build():
     x = build(F.complete_graph(5), 2, max_dim=1)
     with pytest.raises(PreconditionError):
         chain_complex(x)
+
+
+def test_package_attribute_names_the_submodule():
+    import braidscope.homology as H
+    assert isinstance(H, types.ModuleType)
+    assert H.homology is homology
