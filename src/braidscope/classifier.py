@@ -580,15 +580,17 @@ def check_peripheral_collection(g: Graph, collection: Sequence[Subgraph],
 
 
 def _simple_paths_avoiding(g: Graph, a: str, b: str, banned: set, cap: int):
-    """Simple a-b paths whose interior avoids `banned`."""
+    """Simple a-b paths whose interior avoids `banned`.
+
+    Iterative depth-first search, so long paths need no deep recursion;
+    paths come in the order of a recursive search over sorted neighbours.
+    """
     path = [a]
     on_path = {a}
+    pending = [iter(g.neighbors(a))]   # unexplored neighbours per path vertex
     produced = 0
-
-    def rec():
-        nonlocal produced
-        last = path[-1]
-        for y in g.neighbors(last):
+    while pending:
+        for y in pending[-1]:
             if y == b:
                 yield path + [b]
                 produced += 1
@@ -597,11 +599,11 @@ def _simple_paths_avoiding(g: Graph, a: str, b: str, banned: set, cap: int):
             elif y not in on_path and y not in banned:
                 path.append(y)
                 on_path.add(y)
-                yield from rec()
-                on_path.remove(y)
-                path.pop()
-
-    yield from rec()
+                pending.append(iter(g.neighbors(y)))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
 
 
 # -- aggregation ---------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .graph import Graph, normalize, subdivide_for
-from .homology import chain_complex, homology
+from .homology import chain_complex, check_column_cap, homology
 from .hyperplanes import (
     coloring_graph, hyperplanes_by_components, verify_special_coloring,
 )
@@ -258,6 +258,7 @@ def cmd_homology(args) -> int:
     if args.subdivide:
         g = subdivide_for(g, args.particles)
     x = build(g, args.particles, cell_cap=cell_cap(args))
+    check_column_cap(x.f_vector())
     h = homology(chain_complex(x))
     data = {
         "schema": JSON_SCHEMA_VERSION,

@@ -9,6 +9,19 @@ Smith normal form runs sparsely: unit pivots are eliminated first
 (boundary matrices are +-1 filled and collapse almost entirely), and
 whatever dense residue remains is finished exactly over Python ints
 with minimal-pivot selection, so torsion coefficients come out exact.
+
+:func:`homology` sweeps from the top dimension down and cancels unit
+pairs across dimensions, as coreduction does (Mrozek & Batko,
+"Coreduction homology algorithm", DCG 41, 2009).  Say the sweep of
+d_{d+1} pivots on the d-cells P with the (d+1)-cells Q.  Up to sign,
+the determinant of the minor d_{d+1}[P, Q] is the product of the
+pivots, so it is +-1, and replacing the basis vectors e_p (p in P) of
+C_d by the chains d_{d+1}(q) (q in Q) is a unimodular change of basis
+(the Gaussian-elimination lemma).  In the new basis d_d is zero on the
+chains d_{d+1}(q), since d_d o d_{d+1} = 0, and unchanged on the other
+d-cells.  So d_d has the Smith invariants of its submatrix without the
+columns P, and the sweep of d_d starts from that submatrix.  Only unit
+pivots are handed down; the dense residue's rows stay in.
 """
 
 from __future__ import annotations
@@ -84,24 +97,43 @@ def verify_dd_zero(c: ChainComplex) -> bool:
     return True
 
 
+def check_column_cap(f_vector, column_cap: int = DEFAULT_COLUMN_CAP) -> None:
+    """Refuse a complex whose boundary matrices exceed the Smith-form cap.
+
+    d_d has f_vector[d] columns; dimensions are checked in ascending
+    order, so the message names the lowest dimension over the cap.
+    """
+    for cols_n in f_vector[1:]:
+        if cols_n > column_cap:
+            raise ResourceLimitError(
+                f"{cols_n} columns exceed Smith-form cap {column_cap}")
+
+
 def smith_invariants(entries: dict, shape: tuple,
-                     column_cap: int = DEFAULT_COLUMN_CAP) -> list:
+                     column_cap: int = DEFAULT_COLUMN_CAP,
+                     drop_cols=frozenset(), pivot_rows=None) -> list:
     """Invariant factors of a sparse integer matrix, divisibility-ordered.
 
     Unit pivots are swept first without arithmetic growth; the dense
     leftover is finished with minimal-entry pivoting and the classic
-    divisibility fix-up.
+    divisibility fix-up, which only the residue needs: the ones from the
+    sweep divide everything.
+
+    Columns in `drop_cols` are left out; `shape` still counts them.  For
+    a boundary map d_d, leaving out the unit-pivot rows P of the sweep
+    of d_{d+1} keeps the invariants: the pivots make the minor
+    d_{d+1}[P, Q] unimodular, so the chains d_{d+1}(q) can replace the
+    cells P in a basis of C_d, and d_d sends them to zero (details in
+    the module docstring).  `pivot_rows`, if given, is a set that
+    receives the row of every unit pivot, for the next map down.
     """
     import heapq
 
-    rows_n, cols_n = shape
-    if cols_n > column_cap:
-        raise ResourceLimitError(
-            f"{cols_n} columns exceed Smith-form cap {column_cap}")
+    check_column_cap(shape, column_cap)   # (rows, cols): f-vector of one map
     row = {}
     col = {}
     for (r, c), v in entries.items():
-        if v:
+        if v and c not in drop_cols:
             row.setdefault(r, {})[c] = v
             col.setdefault(c, set()).add(r)
 
@@ -145,6 +177,8 @@ def smith_invariants(entries: dict, shape: tuple,
                 del row[r]
         col.pop(c0, None)
         ones += 1
+        if pivot_rows is not None:
+            pivot_rows.add(r0)
 
     # dense residue
     dense_rows = sorted(row.keys())
@@ -157,10 +191,7 @@ def smith_invariants(entries: dict, shape: tuple,
     for r, cells in row.items():
         for c, v in cells.items():
             m[rmap[r]][cmap[c]] = v
-    factors = [1] * ones + _dense_smith(m)
-    factors = [f for f in factors if f]
-    factors.sort()
-    return _fix_divisibility(factors)
+    return [1] * ones + _fix_divisibility(sorted(_dense_smith(m)))
 
 
 def _dense_smith(m: list) -> list:
@@ -256,11 +287,17 @@ class HomologySummary:
 def homology(c: ChainComplex,
              column_cap: int = DEFAULT_COLUMN_CAP) -> HomologySummary:
     dims = c.dims()
+    check_column_cap(dims, column_cap)
     top = len(dims) - 1
     invariants = [None] * (top + 2)
-    for d in range(1, top + 1):
+    # top down: each sweep's unit-pivot rows are columns the next can drop
+    cancelled = frozenset()
+    for d in range(top, 0, -1):
         shape = (dims[d - 1], dims[d])
-        invariants[d] = smith_invariants(c.boundaries[d], shape, column_cap)
+        pivots = set()
+        invariants[d] = smith_invariants(c.boundaries[d], shape, column_cap,
+                                         drop_cols=cancelled, pivot_rows=pivots)
+        cancelled = pivots
     ranks = []
     torsion = []
     for d in range(top + 1):

@@ -48,8 +48,9 @@ def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
     """Partition complex edges into square-parallelism classes."""
     if x.dim() < 2 and x.n >= 2:
         raise PreconditionError("hyperplane walk needs the 2-skeleton")
+    edges = x.cubes[1] if len(x.cubes) > 1 else {}
     uf = UnionFind()
-    for key in x.cubes[1]:
+    for key in edges:
         e, a, b = x.edge_ends(key)
         uf.find((e.id, a))
         uf.find((e.id, b))
@@ -65,7 +66,7 @@ def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
                     uf.union((move.id, s1), (move.id, s2))
 
     classes = {}
-    for key in x.cubes[1]:
+    for key in edges:
         e, a, b = x.edge_ends(key)
         root = uf.find((e.id, a))
         classes.setdefault(root, []).append((e.id, a, b))
@@ -106,6 +107,8 @@ def hyperplanes_by_components(g: Graph, n: int,
         raise PreconditionError("expects a normalized graph")
     if len(g.vertices) < n:
         raise PreconditionError("not enough vertices for the particles")
+    if n == 0:
+        return ()   # UC_0 is one point: no complex edges, no hyperplanes
     out = []
     for e in g.edges:
         rest = _delete_closed_edge(g, e.id)

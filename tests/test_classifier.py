@@ -451,3 +451,36 @@ def test_full_report_flags_oracle_skip():
     assert "skipped" in rep.oracle_note
     with pytest.raises(ResourceLimitError):
         full_report(g, 2, run_oracles="on")
+
+
+# -- path enumeration ------------------------------------------------------------
+
+def _nx_paths_avoiding(g, a, b, banned):
+    keep = [v for v in g.vertices if v not in banned or v in (a, b)]
+    h = nx.Graph()
+    h.add_nodes_from(keep)
+    for v in keep:   # sorted insertion gives networkx sorted adjacency
+        h.add_edges_from((v, y) for y in g.neighbors(v) if y in h)
+    return [list(p) for p in nx.all_simple_paths(h, a, b)]
+
+
+def test_simple_paths_avoiding_matches_networkx_in_order():
+    import random
+    rng = random.Random(7)
+    checked = 0
+    for g in (F.complete_graph(5), F.complete_bipartite(3, 3),
+              F.theta_graph(2, 3, 3), F.rose_graph(2, 3, rays=1)):
+        for a, b in itertools.permutations(g.vertices, 2):
+            banned = set(rng.sample(g.vertices, 2))
+            ours = list(C._simple_paths_avoiding(g, a, b, banned, 10**6))
+            assert ours == _nx_paths_avoiding(g, a, b, banned), (a, b, banned)
+            checked += len(ours)
+    assert checked > 300
+
+
+def test_simple_paths_avoiding_long_path():
+    g = F.path_graph(1500)
+    paths = list(C._simple_paths_avoiding(g, "1", "1400", set(), 10))
+    assert paths == [[str(i) for i in range(1, 1401)]]
+    with pytest.raises(ResourceLimitError):
+        list(C._simple_paths_avoiding(F.complete_graph(6), "1", "2", set(), 3))

@@ -176,3 +176,78 @@ def test_json_determinism_and_roundtrip(k5):
     data = json.loads(out1)
     again = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     assert again == out1
+
+
+def test_build_zero_particles(tmp_path, capsys):
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text("".join(f"e e{u}{v} {u} {v}\n"
+                             for u in range(1, 5) for v in range(u + 1, 5)))
+    assert main(["build", "--graph", str(gfile), "-n", "0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["f_vector"] == [1]
+    assert data["components"] == 1
+    assert data["hyperplanes"] == 0 and data["hyperplanes_per_color"] == {}
+    assert data["euler_characteristic"] == 1
+    assert data["npc"] is True
+
+
+def test_homology_cap_refused_before_chain_complex(tmp_path, monkeypatch,
+                                                   capsys):
+    # K_8 subdivided for 3 particles has 31416 1-cubes, over the 20000 cap
+    gfile = tmp_path / "k8.txt"
+    gfile.write_text("".join(f"e e{u}{v} {u} {v}\n"
+                             for u in range(1, 9) for v in range(u + 1, 9)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("chain_complex ran on a refused input")
+
+    monkeypatch.setattr(cli, "chain_complex", never)
+    rc = main(["homology", "--subdivide", "--graph", str(gfile), "-n", "3"])
+    assert rc == cli.EXIT_RESOURCE == 3
+    assert capsys.readouterr().err == (
+        "resource limit: 31416 columns exceed Smith-form cap 20000\n")
+
+
+# stdout of `homology --subdivide` as printed before unit pairs were
+# cancelled across dimensions; the cancellation must not change a byte
+GOLDEN_GRAPHS = {
+    "k5": K5,
+    "k33": "".join(f"e e{u}{v} a{u} b{v}\n"
+                   for u in range(1, 4) for v in range(1, 4)),
+    "theta222": "".join(f"e {a}e1 u {a}1\ne {a}e2 {a}1 w\n" for a in "abc"),
+    "star5": "".join(f"e a{i} c l{i}\n" for i in range(1, 6)),
+}
+GOLDEN_HOMOLOGY = [
+    ("k5", 2, "json",
+     b'{"euler_characteristic":-5,"free_ranks":[1,6,0],'
+     b'"groups":["Z","Z^6 + Z/2","0"],"schema":1,"torsion":[[],[2],[]]}\n'),
+    ("k5", 2, "table", b"H_0 = Z\nH_1 = Z^6 + Z/2\nH_2 = 0\n"),
+    ("k33", 3, "json",
+     b'{"euler_characteristic":5,"free_ranks":[1,4,8,0],'
+     b'"groups":["Z","Z^4 + Z/2","Z^8","0"],"schema":1,'
+     b'"torsion":[[],[2],[],[]]}\n'),
+    ("k33", 3, "table", b"H_0 = Z\nH_1 = Z^4 + Z/2\nH_2 = Z^8\nH_3 = 0\n"),
+    ("theta222", 4, "json",
+     b'{"euler_characteristic":-1,"free_ranks":[1,3,1,0,0],'
+     b'"groups":["Z","Z^3","Z","0","0"],"schema":1,'
+     b'"torsion":[[],[],[],[],[]]}\n'),
+    ("theta222", 4, "table",
+     b"H_0 = Z\nH_1 = Z^3\nH_2 = Z\nH_3 = 0\nH_4 = 0\n"),
+    ("star5", 3, "json",
+     b'{"euler_characteristic":-25,"free_ranks":[1,26,0,0],'
+     b'"groups":["Z","Z^26","0","0"],"schema":1,"torsion":[[],[],[],[]]}\n'),
+    ("star5", 3, "table", b"H_0 = Z\nH_1 = Z^26\nH_2 = 0\nH_3 = 0\n"),
+]
+
+
+@pytest.mark.parametrize("name,n,fmt,expected", GOLDEN_HOMOLOGY,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in GOLDEN_HOMOLOGY])
+def test_homology_golden_stdout(tmp_path, name, n, fmt, expected):
+    gfile = tmp_path / f"{name}.txt"
+    gfile.write_text(GOLDEN_GRAPHS[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidscope.cli", "homology", "--subdivide",
+         "--graph", str(gfile), "-n", str(n), "--format", fmt],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == expected

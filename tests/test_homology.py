@@ -1,3 +1,4 @@
+import math
 import types
 
 import pytest
@@ -6,8 +7,10 @@ from braidscope import families as F
 from braidscope.complex import build
 from braidscope.errors import PreconditionError, ResourceLimitError
 from braidscope.graph import subdivide_for
+import braidscope.homology as H
 from braidscope.homology import (
-    chain_complex, homology, smith_invariants, verify_dd_zero,
+    check_column_cap, chain_complex, homology, smith_invariants,
+    verify_dd_zero,
 )
 
 
@@ -110,6 +113,129 @@ def test_chain_complex_needs_full_build():
 
 
 def test_package_attribute_names_the_submodule():
-    import braidscope.homology as H
     assert isinstance(H, types.ModuleType)
     assert H.homology is homology
+
+
+# -- unit pairs cancelled across dimensions ------------------------------------
+
+CANCEL_FAMILIES = [
+    ("K3", F.complete_graph(3)), ("K4", F.complete_graph(4)),
+    ("K5", F.complete_graph(5)), ("K6", F.complete_graph(6)),
+    ("K33", F.complete_bipartite(3, 3)),
+    ("star3", F.star_graph(3)), ("star5", F.star_graph(5)),
+    ("rose2", F.rose_graph(2, 3)), ("rose3+2", F.rose_graph(3, 3, rays=2)),
+    ("theta222", F.theta_graph(2, 2, 2)),
+]
+# the reference sweeps every matrix in full; above this many cells it
+# would dominate the suite (K5, K6, K33 and the rose with rays at n=4)
+REFERENCE_CELL_BUDGET = 25000
+
+
+def _cancel_fixtures(cell_budget=REFERENCE_CELL_BUDGET, particles=(1, 2, 3, 4)):
+    for name, g in CANCEL_FAMILIES:
+        for n in particles:
+            try:
+                x = build(subdivide_for(g, n), n, cell_cap=cell_budget)
+            except ResourceLimitError:
+                continue
+            yield name, g, n, chain_complex(x)
+
+
+def reference_homology(c):
+    """Free ranks and torsion from one full Smith form per dimension."""
+    dims = c.dims()
+    inv = [[]] + [smith_invariants(c.boundaries[d], (dims[d - 1], dims[d]))
+                  for d in range(1, len(dims))] + [[]]
+    free = tuple(dims[d] - len(inv[d]) - len(inv[d + 1])
+                 for d in range(len(dims)))
+    torsion = tuple(tuple(f for f in inv[d + 1] if f > 1)
+                    for d in range(len(dims)))
+    return free, torsion
+
+
+def gal_euler(g, n):
+    """Coefficient of t^n in prod_v (1 + (1 - deg v) t) / (1 - t)^|E|."""
+    poly = [1]
+    for v in g.vertices:
+        a = 1 - g.degree(v)
+        poly = [p + a * q for p, q in zip(poly + [0], [0] + poly)]
+    e = len(g.edges)
+    return sum(poly[k] * math.comb(e + n - k - 1, n - k)
+               for k in range(min(n, len(poly) - 1) + 1))
+
+
+def test_cancellation_matches_full_sweeps_and_gal():
+    seen = 0
+    for name, g, n, c in _cancel_fixtures():
+        h = homology(c)
+        assert (h.free_ranks, h.torsion) == reference_homology(c), (name, n)
+        assert h.euler() == gal_euler(g, n), (name, n)
+        seen += 1
+    assert seen == 36
+
+
+def test_dropping_a_non_pivot_column_is_caught(monkeypatch):
+    # a hand-off with one row too many must break the equality above on
+    # some fixture, or that test could not see a wrong cancellation
+    real = H.smith_invariants
+
+    def leaky(entries, shape, column_cap=H.DEFAULT_COLUMN_CAP,
+              drop_cols=frozenset(), pivot_rows=None):
+        out = real(entries, shape, column_cap, drop_cols, pivot_rows)
+        if pivot_rows is not None:
+            spare = [r for r in range(shape[0]) if r not in pivot_rows]
+            if spare:
+                pivot_rows.add(spare[0])
+        return out
+
+    monkeypatch.setattr(H, "smith_invariants", leaky)
+    wrong = []
+    for name, g, n, c in _cancel_fixtures(2000, (2, 3, 4)):
+        h = homology(c)
+        monkeypatch.undo()
+        if (h.free_ranks, h.torsion) != reference_homology(c):
+            wrong.append((name, n))
+        monkeypatch.setattr(H, "smith_invariants", leaky)
+    assert wrong
+
+
+def test_sweep_reports_unit_pivot_rows():
+    # K5 at n=2: every pivot row is a real row of d2, and
+    # dropping those columns from d1 leaves its invariants unchanged
+    c = chain_complex(build(F.complete_graph(5), 2))
+    rows = set()
+    inv2 = smith_invariants(c.boundaries[2], (30, 15), pivot_rows=rows)
+    assert len(rows) == inv2.count(1) and rows <= set(range(30))
+    assert (smith_invariants(c.boundaries[1], (10, 30), drop_cols=rows)
+            == smith_invariants(c.boundaries[1], (10, 30)))
+
+
+def test_divisibility_fix_up_skips_the_unit_pivots(monkeypatch):
+    diag = {(i, i): 1 for i in range(5000)}
+    diag.update({(5000, 5000): 2, (5001, 5001): 4, (5002, 5002): 6})
+    lengths = []
+    real = H._fix_divisibility
+
+    def counting(factors):
+        lengths.append(len(factors))
+        return real(factors)
+
+    monkeypatch.setattr(H, "_fix_divisibility", counting)
+    assert smith_invariants(diag, (5003, 5003)) == [1] * 5000 + [2, 2, 12]
+    assert lengths == [3]
+
+
+def test_column_cap_checked_before_any_sweep(monkeypatch):
+    calls = []
+    monkeypatch.setattr(H, "smith_invariants",
+                        lambda *a, **k: calls.append(a) or [])
+    c = chain_complex(build(F.complete_graph(5), 2))   # dims (10, 30, 15)
+    # ascending order: dimension 1 is named although the sweep starts at 2
+    with pytest.raises(ResourceLimitError,
+                       match="^30 columns exceed Smith-form cap 10$"):
+        homology(c, column_cap=10)
+    assert calls == []
+    check_column_cap((10**6, 30, 15), 30)   # rows are not capped
+    with pytest.raises(ResourceLimitError, match="^31 columns"):
+        check_column_cap((1, 31), 30)
