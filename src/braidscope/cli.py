@@ -4,7 +4,9 @@ Subcommands: analyze, build, word, homology, relhyp-check, table.
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
-violation, 3 resource limit, 4 failed internal consistency check.
+violation, 3 resource limit, 4 failed internal consistency check or
+any other unexpected exception (one ``internal error:`` line on stderr,
+no traceback).
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
@@ -464,6 +466,9 @@ def main(argv=None) -> int:
     except BraidscopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:  # a bug: report it in one line, exit 4
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -2,16 +2,26 @@
 
 A 0-cube is an n-element set of vertices; a d-cube is a set of d
 pairwise disjoint moving edges plus n-d stationary vertices avoiding
-them.  Cubes are addressed by that (moving, stationary) label, which
-makes face lookups, hyperplane walks and boundary maps direct
-dictionary reads.  A finished complex is immutable.
+them.  A finished complex is immutable.
+
+Cubes are stored as integers.  Bit i of a vertex mask stands for
+``g.vertices[i]`` and bit i of an edge mask for ``g.edges[i]`` (both in
+idkey order, so the set bits of a mask, lowest first, give its ids
+sorted).  A configuration is a vertex mask and the d-cubes are the keys
+``(moving-edge mask, stationary-vertex mask)`` of ``levels[d]``.  The
+facet of (m, s) that leaves edge b's particle at end w is
+``(m ^ b, s | w)``; edges touch when their vertex masks meet; edge e
+moves at c when ``emask[e] & c`` is neither 0 nor ``emask[e]``.  The
+public views (``cubes``, ``configurations``, ``skeleton``,
+``component_of``, ``edge_ends``, ``has_cube``, ``moves_at``, ...) and
+:class:`Cube` decode to sorted id tuples on demand.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -20,11 +30,9 @@ from .graph import Edge, Graph, connected_components, idkey
 
 DEFAULT_CELL_CAP = 10**7
 
-# cube key: (tuple of moving edge ids, tuple of stationary vertex ids),
-# both sorted by idkey.
-
 
 def cube_key(moving_ids, stationary) -> tuple:
+    """String cube label: both id tuples sorted by idkey."""
     return (config_key(moving_ids), config_key(stationary))
 
 
@@ -32,14 +40,18 @@ def config_key(vertices) -> tuple:
     return tuple(sorted(vertices, key=idkey))
 
 
+def bits(mask: int):
+    """The set bits of a mask as ints, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Cube:
     moving: tuple          # Edge objects, sorted by id
     stationary: tuple      # vertex ids, sorted
-
-    @property
-    def dimension(self) -> int:
-        return len(self.moving)
 
     @property
     def key(self) -> tuple:
@@ -62,113 +74,168 @@ class Cube:
         return tuple(outs)
 
 
+class BitIndex:
+    """Bit masks for the vertices and edges of one graph."""
+
+    def __init__(self, g: Graph):
+        self.vbit = {v: 1 << i for i, v in enumerate(g.vertices)}
+        self.ebit = {e.id: 1 << i for i, e in enumerate(g.edges)}
+        self.vname = {b: v for v, b in self.vbit.items()}
+        self.edge = {self.ebit[e.id]: e for e in g.edges}
+        self.ends = {b: (self.vbit[e.u], self.vbit[e.v])
+                     for b, e in self.edge.items()}
+        self.emask = {b: u | v for b, (u, v) in self.ends.items()}
+        self.incident = {b: [] for b in self.vname}  # (edge bit, other end)
+        for b, (u, v) in self.ends.items():
+            self.incident[u].append((b, v))
+            self.incident[v].append((b, u))
+
+    def ids(self, conf: int) -> tuple:
+        return tuple(self.vname[b] for b in bits(conf))
+
+    def cube(self, key: tuple) -> Cube:
+        return Cube(tuple(self.edge[b] for b in bits(key[0])), self.ids(key[1]))
+
+    @staticmethod
+    def mask(ids, bit: dict) -> Optional[int]:
+        """OR of the bits of `ids`; None if one is unknown or repeated."""
+        out = 0
+        for i in ids:
+            b = bit.get(i)
+            if b is None or out & b:
+                return None
+            out |= b
+        return out
+
+    def encode(self, label: tuple) -> Optional[tuple]:
+        m, s = self.mask(label[0], self.ebit), self.mask(label[1], self.vbit)
+        return None if m is None or s is None else (m, s)
+
+    def moves(self, conf: int) -> list:
+        """(edge bit, vertex mask) of the edges with exactly one end in
+        conf, by ascending bit."""
+        return sorted((b, self.emask[b]) for v in bits(conf)
+                      for b, w in self.incident[v] if not w & conf)
+
+
 @dataclass(frozen=True)
 class CubeComplex:
     graph: Graph
     n: int
     max_dim: int
-    cubes: tuple           # tuple of dicts, index d -> {key: Cube}
+    levels: tuple          # per dimension: dict, cube key -> None
+    index: BitIndex = field(repr=False, compare=False)
 
-    # -- views ----------------------------------------------------------
+    # -- integer views --------------------------------------------------
+
+    def level(self, d: int) -> dict:
+        """The d-cube keys; empty above the top dimension."""
+        return self.levels[d] if d < len(self.levels) else {}
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """1-skeleton: config mask -> list of (edge bit, other config mask)."""
+        adj = {s: [] for (_, s) in self.levels[0]}
+        for (m, s) in self.level(1):
+            u, v = self.index.ends[m]
+            adj[s | u].append((m, s | v))
+            adj[s | v].append((m, s | u))
+        return adj
+
+    @cached_property
+    def components(self) -> tuple:
+        """1-skeleton components as frozensets of config masks, in the
+        order of their first configuration."""
+        nbrs = {a: [b for _, b in around] for a, around in self.adjacency.items()}
+        return connected_components(nbrs, nbrs)
+
+    # -- string views ---------------------------------------------------
+
+    @cached_property
+    def cubes(self) -> tuple:
+        """Per dimension: cube label -> Cube."""
+        return tuple({c.key: c for c in map(self.index.cube, level)}
+                     for level in self.levels)
 
     def f_vector(self) -> tuple:
-        return tuple(len(level) for level in self.cubes)
+        return tuple(len(level) for level in self.levels)
 
     def dim(self) -> int:
-        return len(self.cubes) - 1
+        return len(self.levels) - 1
 
     def component_count(self) -> int:
-        return len(set(self.component_of.values()))
+        return len(self.components)
 
     def configurations(self) -> tuple:
-        return tuple(k[1] for k in self.cubes[0])
+        return tuple(self.index.ids(s) for (_, s) in self.levels[0])
 
     def has_cube(self, key: tuple) -> bool:
-        d = len(key[0])
-        return d < len(self.cubes) and key in self.cubes[d]
+        return self.index.encode(key) in self.level(len(key[0]))
 
     def moves_at(self, conf) -> tuple:
         """Edges of the graph with exactly one endpoint occupied."""
-        occupied = set(conf)
-        outs = []
-        for e in self.graph.edges:
-            if (e.u in occupied) != (e.v in occupied):
-                outs.append(e)
-        return tuple(outs)
+        ix = self.index
+        return tuple(ix.edge[b] for b, _ in ix.moves(ix.mask(conf, ix.vbit)))
 
     def apply_move(self, conf, edge: Edge) -> tuple:
-        occupied = set(conf)
-        if edge.u in occupied:
-            occupied.remove(edge.u)
-            occupied.add(edge.v)
-        else:
-            occupied.remove(edge.v)
-            occupied.add(edge.u)
-        return config_key(occupied)
+        ix = self.index
+        return ix.ids(ix.mask(conf, ix.vbit) ^ ix.emask[ix.ebit[edge.id]])
 
     def edge_ends(self, key: tuple) -> tuple:
-        """(edge, a, b) for a 1-cube key: its moving edge, the end
+        """(edge, a, b) for a 1-cube label: its moving edge, the end
         configuration holding the edge's u end and the one holding v."""
-        (eid,), stat = key
-        e = self.graph.edge_by_id[eid]
-        return (e, config_key(set(stat) | {e.u}), config_key(set(stat) | {e.v}))
+        m, s = self.index.encode(key)
+        u, v = self.index.ends[m]
+        return (self.index.edge[m], self.index.ids(s | u), self.index.ids(s | v))
 
     @cached_property
     def skeleton(self) -> dict:
         """1-skeleton adjacency: config key -> tuple of (edge, other key)."""
-        adj = {k[1]: [] for k in self.cubes[0]}
-        for key in (self.cubes[1] if len(self.cubes) > 1 else ()):
-            e, a, b = self.edge_ends(key)
-            adj[a].append((e, b))
-            adj[b].append((e, a))
-        return {k: tuple(v) for k, v in adj.items()}
+        ix = self.index
+        return {ix.ids(a): tuple((ix.edge[m], ix.ids(b)) for m, b in around)
+                for a, around in self.adjacency.items()}
 
     @cached_property
     def component_of(self) -> dict:
         """Config key -> index of its 1-skeleton component; components are
         numbered in the order of their first configuration."""
-        nbrs = {a: [b for _, b in around] for a, around in self.skeleton.items()}
-        return {conf: label for label, comp in
-                enumerate(connected_components(nbrs, nbrs)) for conf in comp}
+        return {self.index.ids(conf): label
+                for label, comp in enumerate(self.components) for conf in comp}
 
     def euler_characteristic(self) -> int:
         if self.max_dim < self.n:
             raise PreconditionError(
                 "Euler characteristic needs the full-dimensional complex")
-        return sum((-1) ** d * len(level) for d, level in enumerate(self.cubes))
+        return sum((-1) ** d * len(level) for d, level in enumerate(self.levels))
 
     def without_cube(self, key: tuple) -> "CubeComplex":
         """Copy with one cube of positive dimension dropped (test fixture)."""
         d = len(key[0])
         if d == 0 or not self.has_cube(key):
             raise PreconditionError("can only drop an existing positive-dim cube")
-        levels = []
-        for dd, level in enumerate(self.cubes):
-            if dd == d:
-                levels.append({k: c for k, c in level.items() if k != key})
-            else:
-                levels.append(dict(level))
-        return CubeComplex(self.graph, self.n, self.max_dim, tuple(levels))
+        gone = self.index.encode(key)
+        levels = tuple({k: None for k in level if k != gone}
+                       for level in self.levels)
+        return CubeComplex(self.graph, self.n, self.max_dim, levels, self.index)
 
 
-def _matchings(edges: tuple, size: int):
-    """Yield all size-`size` sets of pairwise disjoint edges, in id order."""
-    chosen = []
-
-    def rec(start: int, blocked: set):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        remaining = size - len(chosen)
-        for i in range(start, len(edges) - remaining + 1):
-            e = edges[i]
-            if e.u in blocked or e.v in blocked:
-                continue
-            chosen.append(e)
-            yield from rec(i + 1, blocked | {e.u, e.v})
-            chosen.pop()
-
-    yield from rec(0, set())
+def _matchings(edges: list, top: int):
+    """(d, edge mask, vertex mask) of every set of 1..top pairwise disjoint
+    edges from `edges`, a list of (edge bit, vertex mask) pairs; within
+    each size, in the lexicographic order of their positions in `edges`."""
+    # (next position, edge mask, vertex mask, size): the current path,
+    # one frame per size below top
+    stack = [(0, 0, 0, 0)] if top > 0 else []
+    while stack:
+        i, m, used, d = stack.pop()
+        while i < len(edges) and edges[i][1] & used:
+            i += 1
+        if i < len(edges):
+            stack.append((i + 1, m, used, d))
+            b, em = edges[i]
+            yield d + 1, m | b, used | em
+            if d + 1 < top:
+                stack.append((i + 1, m | b, used | em, d + 1))
 
 
 def build(g: Graph, n: int, max_dim: Optional[int] = None,
@@ -190,34 +257,25 @@ def build(g: Graph, n: int, max_dim: Optional[int] = None,
             f"{math.comb(len(g.vertices), n)} configurations exceed cap {cell_cap}")
     top = n if max_dim is None else min(n, max_dim)
 
-    levels = []
-    zero = {}
-    for conf in itertools.combinations(g.vertices, n):
-        key = cube_key((), conf)
-        zero[key] = Cube((), key[1])
-    levels.append(zero)
+    ix = BitIndex(g)
+    vbits = list(ix.vname)
+    levels = [dict.fromkeys((0, sum(c)) for c in itertools.combinations(vbits, n))]
+    levels += [{} for _ in range(top)]
+    total = len(levels[0])
+    for d, m, used in _matchings(list(ix.emask.items()), top):
+        level = levels[d]
+        if d == n:
+            level[(m, 0)] = None
+            total += 1
+        else:
+            size = len(level)
+            for c in itertools.combinations([b for b in vbits if not b & used], n - d):
+                level[(m, sum(c))] = None
+            total += len(level) - size
+        if total > cell_cap:
+            raise ResourceLimitError(f"cell count exceeds cap {cell_cap}")
 
-    total = len(zero)
-    for d in range(1, top + 1):
-        level = {}
-        for moving in _matchings(g.edges, d):
-            used = set()
-            for e in moving:
-                used.add(e.u)
-                used.add(e.v)
-            free = [v for v in g.vertices if v not in used]
-            if len(free) < n - d:
-                continue
-            for stat in itertools.combinations(free, n - d):
-                cube = Cube(moving, tuple(stat))
-                level[cube.key] = cube
-                total += 1
-                if total > cell_cap:
-                    raise ResourceLimitError(
-                        f"cell count exceeds cap {cell_cap}")
-        levels.append(level)
-
-    return CubeComplex(g, n, top, tuple(levels))
+    return CubeComplex(g, n, top, tuple(levels), ix)
 
 
 def euler_characteristic(x: CubeComplex) -> int:
@@ -242,40 +300,24 @@ def verify_npc(x: CubeComplex) -> NpcReport:
     """
     if x.max_dim < x.n:
         raise PreconditionError("verify_npc needs the full-dimensional complex")
+    ix = x.index
     failures = []
 
-    for level in x.cubes[1:]:
-        for cube in level.values():
-            for fkey in cube.facets():
-                if not x.has_cube(fkey):
-                    failures.append((cube.corners()[0], cube.key[0], fkey))
+    for d in range(1, len(x.levels)):
+        below = x.levels[d - 1]
+        for (m, s) in x.levels[d]:
+            for b in bits(m):
+                for end in ix.ends[b]:
+                    if (m ^ b, s | end) not in below:
+                        failures.append((ix.cube((m, s)).corners()[0],
+                                         ix.cube((m, s)).key[0],
+                                         ix.cube((m ^ b, s | end)).key))
 
-    for (_, conf) in x.cubes[0]:
-        moves = x.moves_at(conf)
-        occupied = set(conf)
-
-        def origins(e):
-            return e.u if e.u in occupied else e.v
-
-        chosen = []
-
-        def rec(start):
-            if len(chosen) >= 2:
-                moving = tuple(e.id for e in chosen)
-                stat = occupied - {origins(e) for e in chosen}
-                key = cube_key(moving, stat)
-                if not x.has_cube(key):
-                    failures.append((conf, moving, key))
-            if len(chosen) == x.n:
-                return
-            for i in range(start, len(moves)):
-                e = moves[i]
-                if all(not e.touches(c) for c in chosen):
-                    chosen.append(e)
-                    rec(i + 1)
-                    chosen.pop()
-
-        rec(0)
+    for (_, conf) in x.levels[0]:
+        for k, m, used in _matchings(ix.moves(conf), x.n):
+            if k >= 2 and (m, conf & ~used) not in x.levels[k]:
+                key = ix.cube((m, conf & ~used)).key
+                failures.append((ix.ids(conf), key[0], key))
 
     return NpcReport(not failures, tuple(failures))
 
@@ -296,26 +338,20 @@ def is_surface(x: CubeComplex) -> SurfaceReport:
         raise PreconditionError("surface check is a two-particle notion")
     if x.max_dim < x.n:
         raise PreconditionError("surface check needs the full complex")
+    ix = x.index
     lengths = []
-    for (_, conf) in x.cubes[0]:
-        moves = x.moves_at(conf)
-        occupied = set(conf)
-        k = len(moves)
-        if k < 3:
-            return SurfaceReport(False, (), conf)
-        adj = {e.id: set() for e in moves}
-        for a, b in itertools.combinations(moves, 2):
-            stat = occupied - {
-                a.u if a.u in occupied else a.v,
-                b.u if b.u in occupied else b.v,
-            }
-            if not a.touches(b) and x.has_cube(cube_key((a.id, b.id), stat)):
-                adj[a.id].add(b.id)
-                adj[b.id].add(a.id)
-        if any(len(nb) != 2 for nb in adj.values()):
-            return SurfaceReport(False, (), conf)
+    for (_, conf) in x.levels[0]:
+        moves = ix.moves(conf)
+        if len(moves) < 3:
+            return SurfaceReport(False, (), ix.ids(conf))
+        adj = {b: [] for b, _ in moves}
+        for (a, ea), (b, eb) in itertools.combinations(moves, 2):
+            if not ea & eb and (a | b, conf & ~(ea | eb)) in x.levels[2]:
+                adj[a].append(b)
+                adj[b].append(a)
         # connected 2-regular graph on k vertices = single k-cycle
-        if len(connected_components(adj, adj)) != 1:
-            return SurfaceReport(False, (), conf)
-        lengths.append(k)
+        if (any(len(nb) != 2 for nb in adj.values())
+                or len(connected_components(adj, adj)) != 1):
+            return SurfaceReport(False, (), ix.ids(conf))
+        lengths.append(len(moves))
     return SurfaceReport(True, tuple(sorted(lengths)), None)

@@ -346,26 +346,33 @@ def normalize(g: Graph) -> Graph:
     return out
 
 
+def _subdivided(e: Edge, times: int) -> tuple:
+    """Interior vertex ids and edge triples of the path replacing e."""
+    chain = [e.u] + [f"{e.id}#s{i}" for i in range(1, times + 1)] + [e.v]
+    return chain[1:-1], [(f"{e.id}#p{i}", chain[i], chain[i + 1])
+                         for i in range(len(chain) - 1)]
+
+
 def subdivide_edge(g: Graph, edge_id: str, times: int = 1) -> Graph:
     """Replace one edge by a path with `times` interior vertices."""
     if times < 1:
         return g
-    e = g.edge_by_id[edge_id]
-    vertices = list(g.vertices)
-    edges = [(x.id, x.u, x.v) for x in g.edges if x.id != edge_id]
-    chain = [e.u] + [f"{edge_id}#s{i}" for i in range(1, times + 1)] + [e.v]
-    vertices += chain[1:-1]
-    for i in range(len(chain) - 1):
-        edges.append((f"{edge_id}#p{i}", chain[i], chain[i + 1]))
-    return Graph.make(vertices, edges)
+    inner, path = _subdivided(g.edge_by_id[edge_id], times)
+    return Graph.make(
+        list(g.vertices) + inner,
+        [(x.id, x.u, x.v) for x in g.edges if x.id != edge_id] + path)
 
 
 def subdivide_all(g: Graph, times: int) -> Graph:
-    """Subdivide every edge the same number of times."""
-    out = g
+    """Subdivide every edge the same number of times, in one Graph.make."""
+    if times < 1:
+        return g
+    vertices, edges = list(g.vertices), []
     for e in g.edges:
-        out = subdivide_edge(out, e.id, times)
-    return out
+        inner, path = _subdivided(e, times)
+        vertices += inner
+        edges += path
+    return Graph.make(vertices, edges)
 
 
 def _shortest_path(g: Graph, a: str, b: str) -> Optional[list]:

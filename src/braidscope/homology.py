@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .complex import CubeComplex, cube_key
+from .complex import CubeComplex, bits
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 
 DEFAULT_COLUMN_CAP = 20000
@@ -43,7 +43,7 @@ class ChainComplex:
     a dict (row, col) -> entry over the canonical cube orderings.
     """
 
-    bases: tuple        # per dimension: tuple of cube keys
+    bases: tuple        # per dimension: tuple of cube keys, ascending
     boundaries: tuple   # per dimension d >= 1: dict[(row, col)] = int
 
     def dims(self) -> tuple:
@@ -53,27 +53,22 @@ class ChainComplex:
 def chain_complex(x: CubeComplex) -> ChainComplex:
     if x.max_dim < x.n:
         raise PreconditionError("chain complex needs the full complex")
-    bases = []
-    index = []
-    for level in x.cubes:
-        keys = sorted(level.keys())
-        bases.append(tuple(keys))
-        index.append({k: i for i, k in enumerate(keys)})
-
+    ends = x.index.ends
+    bases = tuple(tuple(sorted(level)) for level in x.levels)
     boundaries = [None]
     for d in range(1, len(bases)):
+        row = {k: i for i, k in enumerate(bases[d - 1])}
         entries = {}
-        for col, key in enumerate(bases[d]):
-            cube = x.cubes[d][key]
-            for i, e in enumerate(cube.moving):
-                sign = -1 if i % 2 else 1
-                rest = tuple(f.id for j, f in enumerate(cube.moving) if j != i)
-                stat = set(cube.stationary)
-                for end, s in ((e.v, sign), (e.u, -sign)):
-                    row = index[d - 1][cube_key(rest, stat | {end})]
-                    entries[(row, col)] = entries.get((row, col), 0) + s
-        boundaries.append({k: v for k, v in entries.items() if v})
-    out = ChainComplex(tuple(bases), tuple(boundaries))
+        # the 2d facets of a cube are distinct cells: no entry is hit twice
+        for col, (m, s) in enumerate(bases[d]):
+            sign = 1
+            for b in bits(m):
+                u, v = ends[b]
+                entries[(row[(m ^ b, s | v)], col)] = sign
+                entries[(row[(m ^ b, s | u)], col)] = -sign
+                sign = -sign
+        boundaries.append(entries)
+    out = ChainComplex(bases, tuple(boundaries))
     if not verify_dd_zero(out):
         raise InvariantError("boundary of a boundary is nonzero")
     return out

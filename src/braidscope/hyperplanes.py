@@ -19,12 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complex import CubeComplex, build, config_key, cube_key
+from .complex import CubeComplex, build
 from .errors import PreconditionError
 from .graph import Graph, UnionFind, idkey
-
-# an oriented complex edge is (edge id, source config); the source holds
-# the origin of the oriented graph edge, the target holds the other end.
 
 
 @dataclass(frozen=True)
@@ -32,72 +29,47 @@ class Hyperplane:
     """One unoriented hyperplane: a color plus its member complex edges."""
 
     color: str                 # graph edge id
-    members: frozenset         # frozenset of unoriented member edges,
-                               # each a pair (config key, config key) sorted
+    members: frozenset         # frozenset of unoriented member edges, each
+                               # a pair of configuration masks, smaller first
     component_tag: tuple       # canonical member, stable identifier
 
     def member_count(self) -> int:
         return len(self.members)
 
 
-def _unoriented(a, b):
-    return tuple(sorted((a, b)))
+def _hyperplane(color: str, ends) -> Hyperplane:
+    members = frozenset((a, b) if a < b else (b, a) for a, b in ends)
+    return Hyperplane(color, members, min(members))
+
+
+def _parallel_classes(x: CubeComplex) -> list:
+    """The 1-cube keys of x grouped into square-parallelism classes."""
+    if x.dim() < 2 and x.n >= 2:
+        raise PreconditionError("hyperplane walk needs the 2-skeleton")
+    ends = x.index.ends
+    uf = UnionFind()
+    for (m, s) in x.level(2):
+        a = m & -m
+        b = m ^ a
+        # the two a-colored sides differ by where b sits, and vice versa
+        uf.union((a, s | ends[b][0]), (a, s | ends[b][1]))
+        uf.union((b, s | ends[a][0]), (b, s | ends[a][1]))
+    classes = {}
+    for key in x.level(1):
+        classes.setdefault(uf.find(key), []).append(key)
+    return list(classes.values())
 
 
 def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
     """Partition complex edges into square-parallelism classes."""
-    if x.dim() < 2 and x.n >= 2:
-        raise PreconditionError("hyperplane walk needs the 2-skeleton")
-    edges = x.cubes[1] if len(x.cubes) > 1 else {}
-    uf = UnionFind()
-    for key in edges:
-        e, a, b = x.edge_ends(key)
-        uf.find((e.id, a))
-        uf.find((e.id, b))
-    if len(x.cubes) > 2:
-        for (mids, stat) in x.cubes[2]:
-            a, b = (x.graph.edge_by_id[i] for i in mids)
-            base = set(stat)
-            # the two a-colored sides differ by where b sits, and vice versa
-            for move, other in ((a, b), (b, a)):
-                for m_orig in (move.u, move.v):
-                    s1 = config_key(base | {m_orig, other.u})
-                    s2 = config_key(base | {m_orig, other.v})
-                    uf.union((move.id, s1), (move.id, s2))
-
-    classes = {}
-    for key in edges:
-        e, a, b = x.edge_ends(key)
-        root = uf.find((e.id, a))
-        classes.setdefault(root, []).append((e.id, a, b))
-
-    # merge the two orientation classes of each hyperplane
-    merged = {}
-    for root, members in classes.items():
-        eid = members[0][0]
-        rev_root = uf.find((eid, members[0][2]))
-        pair = tuple(sorted((root, rev_root)))
-        merged.setdefault(pair, set()).update(
-            _unoriented(a, b) for (_, a, b) in members)
-
+    ix = x.index
     out = []
-    for pair, edges in merged.items():
-        eid = pair[0][0]
-        tag = min(edges)
-        out.append(Hyperplane(eid, frozenset(edges), tag))
+    for members in _parallel_classes(x):
+        color = members[0][0]
+        out.append(_hyperplane(ix.edge[color].id, (
+            (s | ix.ends[m][0], s | ix.ends[m][1]) for m, s in members)))
     out.sort(key=lambda h: (idkey(h.color), h.component_tag))
     return tuple(out)
-
-
-def _delete_closed_edge(g: Graph, eid: str) -> Graph:
-    """Remove both endpoints of the edge and everything incident to them."""
-    e = g.edge_by_id[eid]
-    gone = {e.u, e.v}
-    return Graph.make(
-        [v for v in g.vertices if v not in gone],
-        [(x.id, x.u, x.v) for x in g.edges
-         if x.u not in gone and x.v not in gone],
-    )
 
 
 def hyperplanes_by_components(g: Graph, n: int,
@@ -109,22 +81,24 @@ def hyperplanes_by_components(g: Graph, n: int,
         raise PreconditionError("not enough vertices for the particles")
     if n == 0:
         return ()   # UC_0 is one point: no complex edges, no hyperplanes
+    pos = {v: i for i, v in enumerate(g.vertices)}
     out = []
     for e in g.edges:
-        rest = _delete_closed_edge(g, e.id)
+        rest = Graph.make(   # g minus the closed edge e
+            [v for v in g.vertices if v not in (e.u, e.v)],
+            [(f.id, f.u, f.v) for f in g.edges if not e.touches(f)])
         if len(rest.vertices) < n - 1:
             continue  # no configuration can avoid the closed edge
         sub = build(rest, n - 1, max_dim=1, cell_cap=cell_cap)
-        comps = {}
-        for conf, label in sub.component_of.items():
-            comps.setdefault(label, []).append(conf)
-        for label in sorted(comps):
-            members = set()
-            for conf in comps[label]:
-                a = config_key(set(conf) | {e.u})
-                b = config_key(set(conf) | {e.v})
-                members.add(_unoriented(a, b))
-            out.append(Hyperplane(e.id, frozenset(members), min(members)))
+        # rest keeps the order of g.vertices, so a sub mask lifts to g by
+        # opening a gap at the two deleted positions p < q
+        p, q = sorted((pos[e.u], pos[e.v]))
+        low, mid = (1 << p) - 1, (1 << (q - p - 1)) - 1
+        u, v = 1 << pos[e.u], 1 << pos[e.v]
+        for comp in sub.components:
+            lifted = ((c & low) | ((c >> p & mid) << (p + 1))
+                      | (c >> (q - 1) << (q + 1)) for c in comp)
+            out.append(_hyperplane(e.id, ((c | u, c | v) for c in lifted)))
     out.sort(key=lambda h: (idkey(h.color), h.component_tag))
     return tuple(out)
 
@@ -159,45 +133,38 @@ def verify_special_coloring(x: CubeComplex) -> ColoringReport:
     3. no two edges at a vertex share a color;
     4. moves with disjoint colors at a common vertex span a square.
     """
+    ix = x.index
     failures = []
-    hps = hyperplanes_by_bfs(x)
 
     # axiom 1: both orientations of every member edge realize the two
     # orientations of the class color, i.e. the configs differ exactly
     # by the endpoints of the color edge.
-    for h in hps:
-        e = x.graph.edge_by_id[h.color]
-        for (a, b) in h.members:
-            if set(a) ^ set(b) != {e.u, e.v}:
-                failures.append((1, (h.color, a, b)))
+    for members in _parallel_classes(x):
+        color = members[0][0]
+        for (m, s) in members:
+            a, b = s | ix.ends[m][0], s | ix.ends[m][1]
+            if a ^ b != ix.emask[color]:
+                failures.append((1, (ix.edge[color].id, ix.ids(a), ix.ids(b))))
 
     # axiom 2: squares pair disjoint colors
-    if len(x.cubes) > 2:
-        for (mids, stat) in x.cubes[2]:
-            a, b = (x.graph.edge_by_id[i] for i in mids)
-            if a.touches(b):
-                failures.append((2, (a.id, b.id, stat)))
+    squares = x.level(2)
+    for (m, s) in squares:
+        a = m & -m
+        if ix.emask[a] & ix.emask[m ^ a]:
+            failures.append((2, (ix.edge[a].id, ix.edge[m ^ a].id, ix.ids(s))))
 
     # axiom 3: incident edges at a vertex have pairwise distinct colors
-    for conf, nbrs in x.skeleton.items():
+    for conf, around in x.adjacency.items():
         seen = {}
-        for (e, other) in nbrs:
-            if e.id in seen and seen[e.id] != other:
-                failures.append((3, (conf, e.id)))
-            seen[e.id] = other
+        for (m, other) in around:
+            if seen.get(m, other) != other:
+                failures.append((3, (ix.ids(conf), ix.edge[m].id)))
+            seen[m] = other
 
     # axiom 4: disjoint-color moves at a vertex span a square
-    for (_, conf) in x.cubes[0]:
-        occupied = set(conf)
-        moves = x.moves_at(conf)
-        for a, b in itertools.combinations(moves, 2):
-            if a.touches(b):
-                continue
-            stat = occupied - {
-                a.u if a.u in occupied else a.v,
-                b.u if b.u in occupied else b.v,
-            }
-            if not x.has_cube(cube_key((a.id, b.id), stat)):
-                failures.append((4, (conf, a.id, b.id)))
+    for (_, conf) in x.levels[0]:
+        for (a, ea), (b, eb) in itertools.combinations(ix.moves(conf), 2):
+            if not ea & eb and (a | b, conf & ~(ea | eb)) not in squares:
+                failures.append((4, (ix.ids(conf), ix.edge[a].id, ix.edge[b].id)))
 
     return ColoringReport(not failures, tuple(failures))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,9 @@ GOLDEN_GRAPHS = {
                    for u in range(1, 4) for v in range(1, 4)),
     "theta222": "".join(f"e {a}e1 u {a}1\ne {a}e2 {a}1 w\n" for a in "abc"),
     "star5": "".join(f"e a{i} c l{i}\n" for i in range(1, 6)),
+    "k4": "".join(f"e e{u}{v} {u} {v}\n"
+                  for u in range(1, 5) for v in range(u + 1, 5)),
+    "path": "e e9 9 10\ne e10 10 100\n",
 }
 GOLDEN_HOMOLOGY = [
     ("k5", 2, "json",
@@ -251,3 +255,100 @@ def test_homology_golden_stdout(tmp_path, name, n, fmt, expected):
         capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+# stdout of `build --subdivide` as printed while cubes were keyed by
+# string tuples; the integer kernel must not change a byte.  The dot
+# lines are sorted by string label, and the path's ids ("9" < "10" in id
+# order, "10" < "9" as strings) would show a sort by integer key.
+GOLDEN_BUILD = [
+    ("k33", 3, "json",
+     b'{"components":1,"euler_characteristic":5,"f_vector":[455,1404,1386,432],'
+     b'"hyperplanes":18,"hyperplanes_per_color":{"e11#p0":1,"e11#p1":1,'
+     b'"e12#p0":1,"e12#p1":1,"e13#p0":1,"e13#p1":1,"e21#p0":1,"e21#p1":1,'
+     b'"e22#p0":1,"e22#p1":1,"e23#p0":1,"e23#p1":1,"e31#p0":1,"e31#p1":1,'
+     b'"e32#p0":1,"e32#p1":1,"e33#p0":1,"e33#p1":1},"npc":true,"schema":1}\n'),
+    ("k33", 3, "table",
+     b"f-vector: [455, 1404, 1386, 432]\ncomponents: 1\n"
+     b"euler characteristic: 5\nhyperplanes: 18\n"),
+    ("star5", 4, "json",
+     b'{"components":1,"euler_characteristic":-70,'
+     b'"f_vector":[1820,5460,5610,2400,360],"hyperplanes":185,'
+     b'"hyperplanes_per_color":{"a1#p0#p0":34,"a1#p0#p1":2,"a1#p1":1,'
+     b'"a2#p0#p0":34,"a2#p0#p1":2,"a2#p1":1,"a3#p0#p0":34,"a3#p0#p1":2,'
+     b'"a3#p1":1,"a4#p0#p0":34,"a4#p0#p1":2,"a4#p1":1,"a5#p0#p0":34,'
+     b'"a5#p0#p1":2,"a5#p1":1},"npc":true,"schema":1}\n'),
+    ("star5", 4, "table",
+     b"f-vector: [1820, 5460, 5610, 2400, 360]\ncomponents: 1\n"
+     b"euler characteristic: -70\nhyperplanes: 185\n"),
+    ("theta222", 4, "json",
+     b'{"components":1,"euler_characteristic":-1,"f_vector":[70,180,144,38,3],'
+     b'"hyperplanes":9,"hyperplanes_per_color":{"ae1#p0":1,"ae1#p1":1,'
+     b'"ae2":1,"be1#p0":1,"be1#p1":1,"be2":1,"ce1#p0":1,"ce1#p1":1,"ce2":1},'
+     b'"npc":true,"schema":1}\n'),
+    ("theta222", 4, "table",
+     b"f-vector: [70, 180, 144, 38, 3]\ncomponents: 1\n"
+     b"euler characteristic: -1\nhyperplanes: 9\n"),
+    ("k4", 2, "dot",
+     b'graph skeleton {\n  "C1_2";\n  "C1_3";\n  "C1_4";\n  "C2_3";\n'
+     b'  "C2_4";\n  "C3_4";\n'
+     b'  "C1_3" -- "C2_3" [label="e12"];\n  "C1_4" -- "C2_4" [label="e12"];\n'
+     b'  "C1_2" -- "C2_3" [label="e13"];\n  "C1_4" -- "C3_4" [label="e13"];\n'
+     b'  "C1_2" -- "C2_4" [label="e14"];\n  "C1_3" -- "C3_4" [label="e14"];\n'
+     b'  "C1_2" -- "C1_3" [label="e23"];\n  "C2_4" -- "C3_4" [label="e23"];\n'
+     b'  "C1_2" -- "C1_4" [label="e24"];\n  "C2_3" -- "C3_4" [label="e24"];\n'
+     b'  "C1_3" -- "C1_4" [label="e34"];\n  "C2_3" -- "C2_4" [label="e34"];\n'
+     b'}\n'),
+    ("path", 2, "dot",
+     b'graph skeleton {\n  "C10_100";\n  "C9_10";\n  "C9_100";\n'
+     b'  "C9_10" -- "C9_100" [label="e10"];\n'
+     b'  "C9_100" -- "C10_100" [label="e9"];\n}\n'),
+]
+
+
+@pytest.mark.parametrize("name,n,fmt,expected", GOLDEN_BUILD,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in GOLDEN_BUILD])
+def test_build_golden_stdout(tmp_path, name, n, fmt, expected):
+    gfile = tmp_path / f"{name}.txt"
+    gfile.write_text(GOLDEN_GRAPHS[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidscope.cli", "build", "--subdivide",
+         "--graph", str(gfile), "-n", str(n), "--format", fmt],
+        capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+def test_unexpected_exception_exits_4_without_traceback(p3, monkeypatch,
+                                                        capsys):
+    def broken(g, n, **kwargs):
+        raise KeyError("e7")
+
+    monkeypatch.setattr(cli, "build", broken)
+    rc = main(["build", "--graph", p3, "-n", "2"])
+    assert rc == cli.EXIT_INVARIANT == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'e7'\n"
+
+
+def test_keyboard_interrupt_still_propagates(p3, monkeypatch):
+    def interrupted(g, n, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["build", "--graph", p3, "-n", "2"])
+
+
+def test_long_path_one_particle_refused_fast(tmp_path):
+    # 20,001 edges: one 1-cube per edge, one over the Smith-form cap; the
+    # refusal must not wait on a scan of the free vertices per edge
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 20002)))
+    t0 = time.monotonic()
+    rc, out, err = run_cli(["homology", "--graph", str(gfile), "-n", "1"])
+    elapsed = time.monotonic() - t0
+    assert rc == 3 and out == ""
+    assert err == "resource limit: 20001 columns exceed Smith-form cap 20000\n"
+    assert elapsed < 5

@@ -9,7 +9,8 @@ from braidscope.graph import (
     CYCLE, CYCLE_TWO_RAYS, GENERAL, HGRAPH, PULSAR, ROSE, SEGMENT, STAR,
     SUN, THETA, TREE,
     Graph, UnionFind, classify_shape, connected_components, first_betti,
-    normalize, simple_cycles, smooth, subdivide_all, subdivide_for,
+    normalize, simple_cycles, smooth, subdivide_all, subdivide_edge,
+    subdivide_for,
 )
 
 
@@ -303,3 +304,19 @@ def test_union_find_joins_classes():
     uf.union(2, 4)
     assert len({uf.find(x) for x in (1, 2, 3, 4)}) == 1
     assert uf.find(5) == 5 and uf.find(1) != uf.find(5)
+
+
+@pytest.mark.parametrize("times", [1, 2, 3])
+def test_subdivide_all_equals_the_per_edge_loop(times):
+    rng = random.Random(times)
+    for _ in range(25):
+        nv = rng.randint(1, 7)
+        names = [f"v{i}" for i in range(nv)]
+        edges = [(f"e{i}", rng.choice(names), rng.choice(names))
+                 for i in range(rng.randint(0, 12))]   # loops and parallels too
+        g = Graph.make(names, edges)
+        one_by_one = g
+        for e in g.edges:
+            one_by_one = subdivide_edge(one_by_one, e.id, times)
+        assert subdivide_all(g, times) == one_by_one
+    assert subdivide_all(g, 0) is g
