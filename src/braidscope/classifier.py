@@ -38,10 +38,12 @@ ASSIGNMENT_CAP = 10**5
 # -- elementary verdict helpers -----------------------------------------
 
 def _component_graphs(g: Graph) -> tuple:
-    outs = []
-    for comp in g.components():
-        outs.append(g.induced(comp).as_graph())
-    return tuple(outs)
+    """One graph per component; a connected g comes back as itself, so
+    its cached cycles serve every caller."""
+    comps = g.components()
+    if len(comps) == 1:
+        return (g,)
+    return tuple(g.induced(comp).as_graph() for comp in comps)
 
 
 def _is_segment_graph(g: Graph) -> bool:
@@ -384,7 +386,8 @@ class SubgraphOracle:
     """Exhaustive Λ1/Λ2 search over a doubly subdivided graph.
 
     Witness subgraphs are enumerated once and reused for every particle
-    count; complements are analysed on the cached adjacency.
+    count; each witness's complement is analysed on the cached adjacency
+    when a scan first reaches it, and later scans reuse the flags.
     """
 
     def __init__(self, g: Graph):
@@ -396,6 +399,7 @@ class SubgraphOracle:
         self.base = g
         self.g2 = subdivide_all(g, 2)
         self._witnesses = None
+        self._flags = {}   # witness index -> complement component flags
 
     def _midpoint_toward(self, e, v: str) -> str:
         # subdivide_all names interior vertices {eid}#s1, {eid}#s2 from e.u
@@ -423,10 +427,12 @@ class SubgraphOracle:
         return outs
 
     def _scan(self, want_key: str, witness_kinds: tuple) -> Optional[tuple]:
-        for kind, removed, info in self.witnesses():
+        for i, (kind, removed, info) in enumerate(self.witnesses()):
             if kind not in witness_kinds:
                 continue
-            for flags in _component_flags(self.g2, removed):
+            if i not in self._flags:
+                self._flags[i] = _component_flags(self.g2, removed)
+            for flags in self._flags[i]:
                 if _oracle_flags(flags)[want_key]:
                     return (kind, info, flags)
         return None

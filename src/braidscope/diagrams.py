@@ -490,9 +490,3 @@ class CoverBall:
 
     def vertex_count(self) -> int:
         return len(self.proj)
-
-    def counts_by_distance(self) -> dict:
-        out = {}
-        for d in self.dist:
-            out[d] = out.get(d, 0) + 1
-        return out

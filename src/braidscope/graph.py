@@ -153,6 +153,11 @@ class Graph:
     def neighbors(self, v: str) -> tuple:
         return self.adjacency[v]
 
+    @cached_property
+    def _cycle_cache(self) -> dict:
+        """Where simple_cycles keeps its tuple; eq and hash ignore it."""
+        return {}
+
     def is_simple(self) -> bool:
         seen = set()
         for e in self.edges:
@@ -267,9 +272,6 @@ class Cycle:
 
     def disjoint_from(self, other: "Cycle") -> bool:
         return not (self.vertex_set & other.vertex_set)
-
-    def as_subgraph(self, g: Graph) -> Subgraph:
-        return Subgraph(g, self.vertex_set, frozenset(self.edge_ids))
 
 
 # -- shape taxonomy ----------------------------------------------------
@@ -417,10 +419,11 @@ def _girth_cycle(g: Graph) -> Optional[list]:
 def subdivide_for(g: Graph, n: int) -> Graph:
     """Subdivide until the complex UC_n faithfully models the braid group.
 
-    Ensures: at least ``n`` vertices, every path from an essential
-    vertex to another vertex of degree other than two (branch point or
-    leaf) has length >= n-1, and every simple cycle has length >= n+1.
-    Leaf arcs matter: on the minimal three-arm star with three
+    Ensures: at least ``n`` vertices on every component with an edge
+    (any one of them may get all n particles), every path from an
+    essential vertex to another vertex of degree other than two (branch
+    point or leaf) has length >= n-1, and every simple cycle has length
+    >= n+1.  Leaf arcs matter: on the minimal three-arm star with three
     particles the discrete complex is a tree even though the braid
     group is free of rank three, and arm length n-1 is exactly where
     the homology stabilises.  Compliant graphs come back unchanged;
@@ -431,13 +434,16 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         raise PreconditionError("subdivide_for expects a normalized graph")
     if n < 1:
         raise PreconditionError("particle count must be >= 1")
+    if not g.edges and len(g.vertices) < n:
+        raise PreconditionError(
+            f"cannot host {n} particles on an edgeless graph")
     out = g
     for _ in range(10000):
-        if len(out.vertices) < n:
-            if not out.edges:
-                raise PreconditionError(
-                    f"cannot host {n} particles on an edgeless graph")
-            out = subdivide_edge(out, out.edges[0].id)
+        # in a simple graph a component has an edge iff it has 2+ vertices
+        small = next((c for c in out.components() if 1 < len(c) < n), None)
+        if small is not None:
+            out = subdivide_edge(out, next(
+                e.id for e in out.edges if e.u in small))
             continue
         ess = out.essential_vertices()
         leaves = tuple(v for v in out.vertices if out.degree(v) == 1)
@@ -631,10 +637,22 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
     Iterative backtracking rooted at the least vertex of each cycle, so
     long cycles need no deep recursion; every cycle is emitted once, in
     its canonical rotation.  Raises ResourceLimitError beyond `cap`
-    cycles.
+    cycles.  The finished tuple is cached on the graph instance and
+    returned as is by later calls on it; the cap applies on every call,
+    so a cached tuple longer than `cap` raises too.  An enumeration
+    that raises caches nothing.
     """
-    if not g.is_simple():
-        raise PreconditionError("simple_cycles expects a normalized graph")
+    cached = g._cycle_cache.get("cycles")
+    if cached is None:
+        if not g.is_simple():
+            raise PreconditionError("simple_cycles expects a normalized graph")
+        cached = g._cycle_cache["cycles"] = _enumerate_cycles(g, cap)
+    elif len(cached) > cap:
+        raise ResourceLimitError(f"cycle count exceeds cap {cap}")
+    return cached
+
+
+def _enumerate_cycles(g: Graph, cap: int) -> tuple:
     adj = g.adjacency
     order = {v: i for i, v in enumerate(g.vertices)}
     found = []
@@ -669,6 +687,4 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
 
 def first_betti(x) -> int:
     """|E| - |V| + #components for a Graph or Subgraph."""
-    if isinstance(x, Subgraph):
-        return x.as_graph().first_betti()
     return x.first_betti()

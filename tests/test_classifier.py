@@ -6,6 +6,7 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidscope import classifier as C
 from braidscope import families as F
@@ -251,6 +252,74 @@ def test_oracle_agreement_small_graphs():
         for n in (2, 3, 4, 5):
             assert is_hyperbolic(g, n)[0] == (not oracle.nonhyperbolic(n).verdict)
             assert contains_f2xz(g, n)[0] == oracle.f2xz(n).verdict
+
+
+def _unmemoized_oracle(g):
+    """A fresh oracle whose scans recompute every complement, as the
+    oracle did before it kept per-witness flags."""
+    oracle = SubgraphOracle(g)
+
+    def scan(want_key, witness_kinds):
+        for kind, removed, info in oracle.witnesses():
+            if kind in witness_kinds:
+                for flags in C._component_flags(oracle.g2, removed):
+                    if C._oracle_flags(flags)[want_key]:
+                        return (kind, info, flags)
+        return None
+
+    oracle._scan = scan
+    return oracle
+
+
+def test_one_oracle_serves_every_particle_count():
+    # the shared oracles reuse witness flags between scans, in two query
+    # orders; the references recompute them for every query
+    for g in (F.complete_graph(6), F.complete_bipartite(3, 3),
+              F.theta_graph(2, 2, 2), F.h_graph(), F.sun_graph(4, (1, 3)),
+              F.two_bouquets(2, 1)):
+        shared, backwards = SubgraphOracle(g), SubgraphOracle(g)
+        for n in (2, 3, 4, 5):
+            ref = _unmemoized_oracle(g)
+            assert shared.nonhyperbolic(n) == ref.nonhyperbolic(n)
+            assert shared.f2xz(n) == ref.f2xz(n)
+        for n in (5, 4, 3, 2):
+            ref = _unmemoized_oracle(g)
+            assert backwards.f2xz(n) == ref.f2xz(n)
+            assert backwards.nonhyperbolic(n) == ref.nonhyperbolic(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(("a", "9", "10", "zz", "v7", "v12", "b")),
+                min_size=1, max_size=7, unique=True), st.data())
+def test_component_graphs_are_the_induced_components(names, data):
+    pairs = list(itertools.combinations(names, 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=9)) if pairs else []
+    g = Graph.make(names, [(f"e{i}", u, v) for i, (u, v) in enumerate(chosen)])
+    comps = C._component_graphs(g)
+    assert comps == tuple(g.induced(c).as_graph() for c in g.components())
+    if len(comps) == 1:
+        assert comps[0] is g
+
+
+def test_analyze_enumerates_the_cycles_once(tmp_path, monkeypatch, capsys):
+    # fast predicates and the oracle on a connected graph share one
+    # enumeration of the graph's cycles
+    from braidscope import cli, graph as G
+    calls = []
+    enumerate_cycles = G._enumerate_cycles
+
+    def counting(g, cap):
+        calls.append(len(g.vertices))
+        return enumerate_cycles(g, cap)
+
+    monkeypatch.setattr(G, "_enumerate_cycles", counting)
+    gfile = tmp_path / "k8.txt"
+    gfile.write_text("".join(f"e e{u}{v} {u} {v}\n"
+                             for u in range(1, 9) for v in range(u + 1, 9)))
+    assert cli.main(["analyze", "--graph", str(gfile), "-n", "3"]) == 0
+    assert '"oracle":"oracles ran"' in capsys.readouterr().out
+    assert calls == [8]
 
 
 # -- peripheral collections -----------------------------------------------------

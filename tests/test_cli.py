@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidscope import cli
 from braidscope.cli import main, parse_collection_text, parse_graph_text
@@ -352,3 +356,74 @@ def test_long_path_one_particle_refused_fast(tmp_path):
     assert rc == 3 and out == ""
     assert err == "resource limit: 20001 columns exceed Smith-form cap 20000\n"
     assert elapsed < 5
+
+
+def test_subdivide_gives_each_component_its_own_room(tmp_path, capsys):
+    # K_2 plus a disjoint triangle at n=3: four splits (3+0, 2+1, 1+2,
+    # 0+3), so UConf_3 has four components, and chi = 1 by Gal's series
+    gfile = tmp_path / "k2k3.txt"
+    gfile.write_text("e a x y\ne b p q\ne c q r\ne d r p\n")
+    assert main(["homology", "--graph", str(gfile), "-n", "3",
+                 "--subdivide"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["groups"][:2] == ["Z^4", "Z^3"]
+    assert data["euler_characteristic"] == 1
+    assert main(["analyze", "--graph", str(gfile), "-n", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["assignments"]) == 4
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # the DOT skeleton of a 5000-edge path is about 240 kB, more than a
+    # pipe holds, so the write is still going when the reader hangs up
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 5001)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidscope.cli", "build", "--graph",
+         str(gfile), "-n", "1", "--format", "dot"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"graph skeleton {")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+FUZZ_IDS = ("a", "b", "9", "10", "v7")
+MALFORMED = ("e e1 a", "v a-b", "x", "e e0 a b c", "v")
+
+
+@st.composite
+def graph_files(draw):
+    """Up to 5 vertices and 6 edges, loops, parallel edges and isolated
+    vertices allowed, now and then one malformed line."""
+    names = draw(st.lists(st.sampled_from(FUZZ_IDS), min_size=1, max_size=5,
+                          unique=True))
+    ends = draw(st.lists(st.tuples(st.sampled_from(names),
+                                   st.sampled_from(names)), max_size=6))
+    lines = [f"v {v}" for v in names]
+    lines += [f"e e{i} {u} {v}" for i, (u, v) in enumerate(ends)]
+    if draw(st.integers(0, 7)) == 0:
+        lines.append(draw(st.sampled_from(MALFORMED)))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.txt"
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=graph_files(), n=st.integers(0, 3))
+def test_cli_on_random_graph_files_ends_in_a_documented_code(fuzz_file,
+                                                             text, n):
+    fuzz_file.write_text(text)
+    common = ["--graph", str(fuzz_file), "-n", str(n)]
+    for argv in (["analyze"] + common, ["build"] + common,
+                 ["build", "--subdivide"] + common, ["homology"] + common,
+                 ["homology", "--subdivide"] + common):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3), (argv, text, err.getvalue())
+        assert (rc == 0) == bool(out.getvalue()), (argv, text)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidscope import families as F
+from braidscope.errors import PreconditionError, ResourceLimitError
 from braidscope.graph import (
     CYCLE, CYCLE_TWO_RAYS, GENERAL, HGRAPH, PULSAR, ROSE, SEGMENT, STAR,
     SUN, THETA, TREE,
@@ -89,6 +90,19 @@ def test_subdivide_for_conditions_hold():
                         assert dist >= n - 1
             cycles = simple_cycles(out)
             assert all(len(c) >= n + 1 for c in cycles)
+
+
+def test_subdivide_for_gives_every_component_with_an_edge_n_vertices():
+    # K_2 plus a triangle plus an isolated vertex: all three particles may
+    # sit on the segment, so it needs 3 vertices of its own
+    g = Graph.make(["x", "y", "p", "q", "r", "z"],
+                   [("a", "x", "y"), ("b", "p", "q"), ("c", "q", "r"),
+                    ("d", "r", "p")])
+    out = subdivide_for(g, 3)
+    assert sorted(len(c) for c in out.components()) == [1, 3, 4]
+    assert ("z",) in out.components()
+    with pytest.raises(PreconditionError):
+        subdivide_for(Graph.make(["x", "y"], []), 3)
 
 
 def _distance(g, a, b):
@@ -214,6 +228,36 @@ def test_cycle_order_deterministic_and_canonical():
     for c in cycles:
         assert c.vertices[0] == min(c.vertices)
         assert c.vertices[1] < c.vertices[-1]
+
+
+def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap():
+    g = F.complete_graph(5)
+    cycles = simple_cycles(g)
+    assert len(cycles) == 37
+    assert simple_cycles(g) is cycles
+    assert simple_cycles(g, cap=37) is cycles
+    with pytest.raises(ResourceLimitError):
+        simple_cycles(g, cap=36)
+    # the cache is no field: equality and hashing ignore it
+    assert g == F.complete_graph(5) and hash(g) == hash(F.complete_graph(5))
+
+
+def test_cycle_enumeration_that_raises_caches_nothing(monkeypatch):
+    import braidscope.graph as G
+    calls = []
+    enumerate_cycles = G._enumerate_cycles
+
+    def counting(g, cap):
+        calls.append(cap)
+        return enumerate_cycles(g, cap)
+
+    monkeypatch.setattr(G, "_enumerate_cycles", counting)
+    g = F.complete_graph(5)
+    with pytest.raises(ResourceLimitError):
+        simple_cycles(g, cap=36)
+    cycles = simple_cycles(g)
+    assert len(cycles) == 37 and simple_cycles(g) is cycles
+    assert calls == [36, G.DEFAULT_CYCLE_CAP]
 
 
 def test_cycles_project_under_subdivision():
