@@ -84,6 +84,8 @@ def assignments(g: Graph, n: int) -> tuple:
     k = len(g.components())
     if n < 0 or k == 0:
         return (ParticleAssignment(()),) if n == k == 0 else ()
+    if k == 1:   # combinations() would first copy all n slots
+        return (ParticleAssignment((n,)),)
     total = math.comb(n + k - 1, k - 1)
     if total > ASSIGNMENT_CAP:
         raise ResourceLimitError(

@@ -43,6 +43,8 @@ EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
+MAX_PARTICLE_COUNTS = 100   # per `table` run; each count is one row per graph
+
 
 def parse_graph_text(text: str) -> Graph:
     vertices = []
@@ -351,10 +353,17 @@ def _family_graphs(args):
 
 
 def parse_particle_range(text: str) -> tuple:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return tuple(range(int(a), int(b) + 1))
-    return (int(text),)
+    """The particle counts of ``N`` or ``A..B`` (empty when A > B)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        a = int(lo)
+        b = int(hi) if sep else a
+    except ValueError as exc:
+        raise ParseError(f"bad particle range {text!r}; want N or A..B") from exc
+    if b - a + 1 > MAX_PARTICLE_COUNTS:
+        raise ResourceLimitError(f"{b - a + 1} particle counts exceed cap "
+                                 f"{MAX_PARTICLE_COUNTS}")
+    return tuple(range(a, b + 1))
 
 
 def cmd_table(args) -> int:

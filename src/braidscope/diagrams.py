@@ -76,6 +76,9 @@ class LegalWord:
 
 def check_legal(g: Graph, base, letters) -> LegalWord:
     base = config_key(base)
+    if len(set(base)) < len(base) or not set(base) <= set(g.vertices):
+        raise PreconditionError(
+            f"base {','.join(base)!r} is not a set of distinct vertices")
     letters = tuple((str(e), int(s)) for e, s in letters)
     term = replay(g, base, letters)
     return LegalWord(g, base, letters, term)

@@ -10,8 +10,10 @@ homeomorphism type.  Shape detection and the first Betti number feed the
 braid-group classification layer.
 
 Generated ids (subdivision points, smoothing merges) contain ``#`` or
-``~``, characters excluded from user-facing ids, so they never collide
-with input labels.
+``~``.  :meth:`Graph.make` refuses those characters in the ids it is
+given, so generated ids never collide with input labels; the functions
+here that generate them, or copy ids from a graph that may hold them,
+build through the unchecked ``Graph._make``.
 """
 
 from __future__ import annotations
@@ -101,6 +103,18 @@ class Graph:
 
     @staticmethod
     def make(vertices: Iterable[str], edges: Iterable[tuple]) -> "Graph":
+        """Canonical graph on user ids; ids may not contain ``#`` or ``~``."""
+        vertices = [str(v) for v in vertices]
+        edges = [(str(eid), str(u), str(v)) for eid, u, v in edges]
+        for x in vertices + [eid for eid, _, _ in edges]:
+            if "#" in x or "~" in x:
+                raise PreconditionError(
+                    f"id {x!r} contains a reserved character (# or ~)")
+        return Graph._make(vertices, edges)
+
+    @staticmethod
+    def _make(vertices: Iterable[str], edges: Iterable[tuple]) -> "Graph":
+        """:meth:`make` without the reserved-character check."""
         vs = tuple(sorted({str(v) for v in vertices}, key=idkey))
         es = []
         seen = set()
@@ -235,7 +249,7 @@ class Subgraph:
 
     def as_graph(self) -> Graph:
         by_id = self.parent.edge_by_id
-        return Graph.make(
+        return Graph._make(
             self.vertices,
             [(eid, by_id[eid].u, by_id[eid].v) for eid in self.edge_ids],
         )
@@ -341,7 +355,7 @@ def normalize(g: Graph) -> Graph:
             edges += [(f"{e.id}#p0", e.u, m), (f"{e.id}#p1", m, e.v)]
         else:
             edges.append((e.id, e.u, e.v))
-    out = Graph.make(vertices, edges)
+    out = Graph._make(vertices, edges)
     if not out.is_simple():
         # parallel families of size > 2 over loops etc. may need another pass
         return normalize(out)
@@ -360,13 +374,13 @@ def subdivide_edge(g: Graph, edge_id: str, times: int = 1) -> Graph:
     if times < 1:
         return g
     inner, path = _subdivided(g.edge_by_id[edge_id], times)
-    return Graph.make(
+    return Graph._make(
         list(g.vertices) + inner,
         [(x.id, x.u, x.v) for x in g.edges if x.id != edge_id] + path)
 
 
 def subdivide_all(g: Graph, times: int) -> Graph:
-    """Subdivide every edge the same number of times, in one Graph.make."""
+    """Subdivide every edge the same number of times, in one Graph._make."""
     if times < 1:
         return g
     vertices, edges = list(g.vertices), []
@@ -374,7 +388,7 @@ def subdivide_all(g: Graph, times: int) -> Graph:
         inner, path = _subdivided(e, times)
         vertices += inner
         edges += path
-    return Graph.make(vertices, edges)
+    return Graph._make(vertices, edges)
 
 
 def _shortest_path(g: Graph, a: str, b: str) -> Optional[list]:
@@ -406,7 +420,7 @@ def _girth_cycle(g: Graph) -> Optional[list]:
     """
     best = None
     for e in g.edges:
-        trimmed = Graph.make(
+        trimmed = Graph._make(
             g.vertices,
             [(x.id, x.u, x.v) for x in g.edges if x.id != e.id],
         )
@@ -508,7 +522,7 @@ def smooth(g: Graph) -> Graph:
             vertices.remove(v)
             changed = True
             break
-    return Graph.make(vertices, [(eid, u, w) for eid, (u, w) in edges.items()])
+    return Graph._make(vertices, [(eid, u, w) for eid, (u, w) in edges.items()])
 
 
 # -- membership predicates on the smoothed multigraph -------------------

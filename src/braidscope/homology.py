@@ -5,10 +5,26 @@ by id, give each edge its stored orientation, and sign the two facets
 of the i-th edge by (-1)^(i-1) (target end positive).  With that fixed,
 d o d = 0 is a unit test rather than a convention discussion.
 
+Each boundary map is stored once, column by column: the column of a
+d-cube is a dict {(d-1)-cube index: +-1}, built straight from the
+bitmask facets.  The d o d check and the Smith form read that one form;
+the (row, col) dict view is built only on request.
+
 Smith normal form runs sparsely: unit pivots are eliminated first
 (boundary matrices are +-1 filled and collapse almost entirely), and
 whatever dense residue remains is finished exactly over Python ints
 with minimal-pivot selection, so torsion coefficients come out exact.
+The sweep works on the transpose, whose rows are the stored columns:
+Smith(A^T) = Smith(A), since P A Q = D gives Q^T A^T P^T = D^T.  Unit
+entries alone in their row are taken first, from a worklist: in d_d
+such a row is a free face, a (d-1)-cell that bounds just one d-cell.
+Each is an ordinary unit pivot, so it contributes an invariant 1 and
+leaves the other invariants to the rest of the matrix, as any unit
+pivot does.  It is also free: its row has nothing else to clear, and
+clearing its column with that row changes no other entry, so the row
+and the column just go.  No fill arises, and it is a pivot the
+Markowitz heap would take first (score 0).  Rows left with one entry
+join the worklist; the heap then handles what is left.
 
 :func:`homology` sweeps from the top dimension down and cancels unit
 pairs across dimensions, as coreduction does (Mrozek & Batko,
@@ -27,6 +43,7 @@ pivots are handed down; the dense residue's rows stay in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .complex import CubeComplex, bits
@@ -37,17 +54,27 @@ DEFAULT_COLUMN_CAP = 20000
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Ordered cube bases with integer boundary matrices.
+    """Ordered cube bases with integer boundary matrices, column by column.
 
-    ``boundaries[d]`` maps d-chains to (d-1)-chains, stored sparsely as
-    a dict (row, col) -> entry over the canonical cube orderings.
+    ``columns[d][j]`` is the boundary of the j-th d-cube: a dict from
+    (d-1)-cube index to its nonzero entry, over the canonical cube
+    orderings.  ``columns[0]`` is None.
     """
 
     bases: tuple        # per dimension: tuple of cube keys, ascending
-    boundaries: tuple   # per dimension d >= 1: dict[(row, col)] = int
+    columns: tuple      # per dimension d >= 1: one {row: entry} per d-cube
 
     def dims(self) -> tuple:
         return tuple(len(b) for b in self.bases)
+
+    @cached_property
+    def boundaries(self) -> tuple:
+        """Per dimension d >= 1, d_d as a dict (row, col) -> entry.
+
+        Built on first use; nothing in braidscope reads it."""
+        return (None,) + tuple(
+            {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
+            for cols in self.columns[1:])
 
 
 def chain_complex(x: CubeComplex) -> ChainComplex:
@@ -55,40 +82,38 @@ def chain_complex(x: CubeComplex) -> ChainComplex:
         raise PreconditionError("chain complex needs the full complex")
     ends = x.index.ends
     bases = tuple(tuple(sorted(level)) for level in x.levels)
-    boundaries = [None]
+    columns = [None]
     for d in range(1, len(bases)):
         row = {k: i for i, k in enumerate(bases[d - 1])}
-        entries = {}
+        cols = []
         # the 2d facets of a cube are distinct cells: no entry is hit twice
-        for col, (m, s) in enumerate(bases[d]):
+        for (m, s) in bases[d]:
+            col = {}
             sign = 1
             for b in bits(m):
                 u, v = ends[b]
-                entries[(row[(m ^ b, s | v)], col)] = sign
-                entries[(row[(m ^ b, s | u)], col)] = -sign
+                col[row[(m ^ b, s | v)]] = sign
+                col[row[(m ^ b, s | u)]] = -sign
                 sign = -sign
-        boundaries.append(entries)
-    out = ChainComplex(bases, tuple(boundaries))
+            cols.append(col)
+        columns.append(tuple(cols))
+    out = ChainComplex(bases, tuple(columns))
     if not verify_dd_zero(out):
         raise InvariantError("boundary of a boundary is nonzero")
     return out
 
 
 def verify_dd_zero(c: ChainComplex) -> bool:
-    """Check d_{d-1} o d_d = 0 by sparse multiplication."""
-    for d in range(2, len(c.bases)):
-        lo = c.boundaries[d - 1]
-        hi = c.boundaries[d]
-        by_col = {}
-        for (r, col), v in lo.items():
-            by_col.setdefault(col, []).append((r, v))
-        acc = {}
-        for (mid, col), v in hi.items():
-            for (r, w) in by_col.get(mid, ()):
-                key = (r, col)
-                acc[key] = acc.get(key, 0) + v * w
-        if any(acc.values()):
-            return False
+    """Check d_{d-1} o d_d = 0, one column of d_d at a time."""
+    for d in range(2, len(c.columns)):
+        lo = c.columns[d - 1]
+        for col in c.columns[d]:
+            acc = {}
+            for mid, v in col.items():
+                for r, w in lo[mid].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                return False
     return True
 
 
@@ -104,15 +129,18 @@ def check_column_cap(f_vector, column_cap: int = DEFAULT_COLUMN_CAP) -> None:
                 f"{cols_n} columns exceed Smith-form cap {column_cap}")
 
 
-def smith_invariants(entries: dict, shape: tuple,
+def smith_invariants(columns, shape: tuple,
                      column_cap: int = DEFAULT_COLUMN_CAP,
                      drop_cols=frozenset(), pivot_rows=None) -> list:
     """Invariant factors of a sparse integer matrix, divisibility-ordered.
 
-    Unit pivots are swept first without arithmetic growth; the dense
-    leftover is finished with minimal-entry pivoting and the classic
-    divisibility fix-up, which only the residue needs: the ones from the
-    sweep divide everything.
+    `columns[j]` is column j as a dict {row: entry}; `shape` is
+    (row, col).  The sweep runs on the transpose, whose rows are these
+    dicts (copied, never changed).  Unit entries alone in their row (free
+    faces) go first, then the other unit pivots, cheapest fill first;
+    the dense leftover is finished with minimal-entry pivoting and the
+    classic divisibility fix-up, which only the residue needs: the ones
+    from the sweep divide everything.
 
     Columns in `drop_cols` are left out; `shape` still counts them.  For
     a boundary map d_d, leaving out the unit-pivot rows P of the sweep
@@ -122,24 +150,52 @@ def smith_invariants(entries: dict, shape: tuple,
     the module docstring).  `pivot_rows`, if given, is a set that
     receives the row of every unit pivot, for the next map down.
     """
+    # imported here: only Smith forms use heapq, and a top-level import
+    # would add its start-up time and memory to every CLI run
     import heapq
 
     check_column_cap(shape, column_cap)   # (rows, cols): f-vector of one map
+    # transpose: a working row is a column of the matrix, a working
+    # column (a key of `col`) is one of its rows
     row = {}
     col = {}
-    for (r, c), v in entries.items():
-        if v and c not in drop_cols:
-            row.setdefault(r, {})[c] = v
-            col.setdefault(c, set()).add(r)
+    for j, entries in enumerate(columns):
+        if entries and j not in drop_cols:
+            row[j] = dict(entries)
+            for i in entries:
+                col.setdefault(i, set()).add(j)
+    pivots = []   # working columns, that is matrix rows, of unit pivots
 
-    # unit pivots first, cheapest fill first (lazy Markowitz heap)
+    # free faces first: a unit alone in its matrix row (a working column
+    # with one working row) has Markowitz score 0, and eliminating it
+    # only deletes its working row, so no other entry changes
+    lone = [i for i, js in col.items() if len(js) == 1]
+    while lone:
+        i = lone.pop()
+        js = col.get(i)
+        if js is None or len(js) != 1:
+            continue
+        j, = js
+        if row[j][i] not in (1, -1):
+            continue
+        del col[i]
+        for c in row.pop(j):
+            if c != i:
+                rest = col[c]
+                rest.discard(j)
+                if len(rest) == 1:
+                    lone.append(c)
+                elif not rest:
+                    del col[c]
+        pivots.append(i)
+
+    # the other unit pivots, cheapest fill first (lazy Markowitz heap)
     def score(r, c):
         return (len(row[r]) - 1) * (len(col[c]) - 1)
 
     heap = [(score(r, c), r, c) for r, cells in row.items()
             for c, v in cells.items() if v in (1, -1)]
     heapq.heapify(heap)
-    ones = 0
     while heap:
         s, r0, c0 = heapq.heappop(heap)
         v0 = row.get(r0, {}).get(c0)
@@ -171,9 +227,10 @@ def smith_invariants(entries: dict, shape: tuple,
             if not cells:
                 del row[r]
         col.pop(c0, None)
-        ones += 1
-        if pivot_rows is not None:
-            pivot_rows.add(r0)
+        pivots.append(c0)
+    ones = len(pivots)
+    if pivot_rows is not None:
+        pivot_rows.update(pivots)
 
     # dense residue
     dense_rows = sorted(row.keys())
@@ -290,7 +347,7 @@ def homology(c: ChainComplex,
     for d in range(top, 0, -1):
         shape = (dims[d - 1], dims[d])
         pivots = set()
-        invariants[d] = smith_invariants(c.boundaries[d], shape, column_cap,
+        invariants[d] = smith_invariants(c.columns[d], shape, column_cap,
                                          drop_cols=cancelled, pivot_rows=pivots)
         cancelled = pivots
     ranks = []

@@ -84,7 +84,7 @@ def hyperplanes_by_components(g: Graph, n: int,
     pos = {v: i for i, v in enumerate(g.vertices)}
     out = []
     for e in g.edges:
-        rest = Graph.make(   # g minus the closed edge e
+        rest = Graph._make(   # g minus the closed edge e; ids may be generated
             [v for v in g.vertices if v not in (e.u, e.v)],
             [(f.id, f.u, f.v) for f in g.edges if not e.touches(f)])
         if len(rest.vertices) < n - 1:

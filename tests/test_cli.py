@@ -427,3 +427,87 @@ def test_cli_on_random_graph_files_ends_in_a_documented_code(fuzz_file,
             rc = main(argv)
         assert rc in (0, 1, 2, 3), (argv, text, err.getvalue())
         assert (rc == 0) == bool(out.getvalue()), (argv, text)
+
+
+def _exit_code(argv):
+    """Exit code, stdout and stderr of one in-process run of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:   # argparse refusals
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+RANGE_TEXT = st.one_of(
+    st.text(alphabet="0123456789.-+ _xé٣", max_size=9),
+    st.builds("{}..{}".format, st.integers(-3, 10**30), st.integers(-3, 10**30)),
+    st.integers(-3, 10**30).map(str))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=RANGE_TEXT)
+def test_table_particle_ranges_end_in_a_documented_code(text):
+    rc, out, err = _exit_code(["table", "--family", "complete", "--max", "3",
+                               f"--particles={text}"])
+    assert rc in (0, 1, 2, 3), (text, err)
+    assert "internal error" not in err and "Traceback" not in err, (text, err)
+    if rc == 0:
+        assert len(json.loads(out)["rows"]) == 3 * len(
+            cli.parse_particle_range(text))
+
+
+def test_table_particle_range_errors():
+    for text, code, message in [("abc", 1, "parse error: bad particle range"),
+                                ("2...3", 1, "parse error"),
+                                ("0..100", 3, "resource limit: 101 particle counts"),
+                                ("10**9", 1, "parse error")]:
+        rc, out, err = _exit_code(["table", "--family", "complete",
+                                   "--max", "3", f"--particles={text}"])
+        assert (rc, out) == (code, "") and err.startswith(message), text
+    # one component, any count: no pool of n slots is built first
+    rc, out, _ = _exit_code(["table", "--family", "complete", "--max", "2",
+                             "--particles", str(10**20)])
+    assert rc == 0 and [r["n"] for r in json.loads(out)["rows"]] == [10**20] * 2
+
+
+WORD_VERTICES = ("1", "2", "3", "4", "9", "")
+WORD_TOKENS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("+-"),
+              st.sampled_from(("a", "b", "c", "d", "x", "a#", ""))),
+    st.sampled_from(("a", "++a", "+-b", "", " ", "+a +b")))
+
+
+@pytest.fixture(scope="module")
+def triangle_with_tail(tmp_path_factory):
+    f = tmp_path_factory.mktemp("word") / "g.txt"
+    f.write_text("e a 1 2\ne b 2 3\ne c 3 1\ne d 3 4\n")
+    return str(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.lists(st.sampled_from(WORD_VERTICES), min_size=1, max_size=3),
+       tokens=st.lists(WORD_TOKENS, max_size=8),
+       compare=st.one_of(st.none(), st.lists(WORD_TOKENS, max_size=4)),
+       cyclic=st.booleans())
+def test_word_tokens_end_in_a_documented_code(triangle_with_tail, base, tokens,
+                                              compare, cyclic):
+    argv = ["word", "--graph", triangle_with_tail, "--base", ",".join(base)]
+    if compare is not None:
+        argv.append("--compare=" + " ".join(compare))
+    if cyclic:
+        argv.append("--cyclic")
+    rc, out, err = _exit_code(argv + ["--"] + tokens)
+    assert rc in (0, 1, 2, 3), (argv, tokens, err)
+    assert "internal error" not in err and "Traceback" not in err, err
+    if rc == 0:
+        # a legal word moves as many particles as the base holds
+        assert len(json.loads(out)["terminus"]) == len(base)
+
+
+def test_word_base_must_be_distinct_known_vertices(triangle_with_tail):
+    for base in ("1,1", "1,9", "1,3,"):
+        rc, out, err = _exit_code(["word", "--graph", triangle_with_tail,
+                                   "--base", base, "+a"])
+        assert (rc, out) == (2, "") and "distinct vertices" in err, base

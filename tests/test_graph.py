@@ -58,6 +58,34 @@ def test_normalize_parallel_pair_becomes_square():
     assert homeomorphic_multigraphs(smooth(n), smooth(normalize(F.cycle_graph(4))))
 
 
+@pytest.mark.parametrize("vertices,edges", [
+    (["u", "v", "e#s1"], [("e", "u", "v")]),   # would merge with e's midpoint
+    (["x", "y"], [("a~b", "x", "y")]),
+    (["x~", "y"], []),
+    (["x", "y"], [("#", "x", "y")]),
+])
+def test_make_refuses_reserved_characters(vertices, edges):
+    with pytest.raises(PreconditionError, match="reserved character"):
+        Graph.make(vertices, edges)
+
+
+def test_generated_ids_round_trip_through_normalize_subdivide_and_smooth():
+    g = Graph.make(["x", "y"], [("l", "x", "x"), ("p", "x", "y"),
+                                ("q", "x", "y")])
+    n = normalize(g)
+    assert n.is_simple() and "l#s2" in n.vertices and "p#s1" in n.vertices
+    twice = subdivide_edge(n, "l#p1", 2)
+    assert {"l#p1#s1", "l#p1#s2"} <= set(twice.vertices)
+    every = subdivide_all(twice, 1)
+    assert len(every.vertices) == len(twice.vertices) + len(twice.edges)
+    m = smooth(every)
+    assert all("~" in e.id for e in m.edges)
+    assert smooth(m) == m and homeomorphic_multigraphs(m, smooth(g))
+    assert first_betti(m) == first_betti(g) == 2
+    assert n.induced(v for v in n.vertices if v != "y").as_graph().vertices \
+        == ("x", "l#s1", "l#s2", "p#s1", "q#s1")
+
+
 # -- subdivide_for ---------------------------------------------------------
 
 def test_subdivide_for_k5_two_particles_unchanged():

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import types
 
 import pytest
 
+import braidscope
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.errors import PreconditionError, ResourceLimitError
@@ -14,23 +18,27 @@ from braidscope.homology import (
 )
 
 
-def entries_of(mat):
-    return {(i, j): v for i, row in enumerate(mat)
-            for j, v in enumerate(row) if v}
+def columns_of(mat):
+    """The columns of a dense matrix as {row: entry} dicts."""
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]}
+            for j in range(len(mat[0]) if mat else 0)]
 
 
 def test_smith_known_matrices():
     # gcds of minors pin the invariant factors: d1=2, d1*d2=4, product 624
     m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    assert smith_invariants(entries_of(m), (3, 3)) == [2, 2, 156]
+    assert smith_invariants(columns_of(m), (3, 3)) == [2, 2, 156]
     # identity and zero
-    assert smith_invariants(entries_of([[1, 0], [0, 1]]), (2, 2)) == [1, 1]
-    assert smith_invariants({}, (3, 4)) == []
+    assert smith_invariants(columns_of([[1, 0], [0, 1]]), (2, 2)) == [1, 1]
+    assert smith_invariants([{}] * 4, (3, 4)) == []
     # classic torsion example: boundary of the projective plane square
-    assert smith_invariants(entries_of([[2]]), (1, 1)) == [2]
+    assert smith_invariants(columns_of([[2]]), (1, 1)) == [2]
     # divisibility chain is enforced
-    out = smith_invariants(entries_of([[6, 0], [0, 4]]), (2, 2))
+    out = smith_invariants(columns_of([[6, 0], [0, 4]]), (2, 2))
     assert out == [2, 12]
+    # no unit is alone in its row: the heap pivots, then the dense
+    # residue [[-2]] is left
+    assert smith_invariants(columns_of([[1, 1], [1, -1]]), (2, 2)) == [1, 2]
 
 
 def test_boundary_shapes_path():
@@ -58,6 +66,109 @@ def test_dd_zero_on_fixtures():
     ]
     for x in fixtures:
         assert verify_dd_zero(chain_complex(x))
+
+
+# -- the column form ------------------------------------------------------------
+
+COLUMN_FIXTURES = [(F.complete_graph(5), 2), (F.theta_graph(2, 2, 2), 3),
+                   (F.complete_graph(4), 3)]
+
+
+def _complex(g, n):
+    x = build(subdivide_for(g, n), n)
+    return x, chain_complex(x)
+
+
+def boundaries_from_labels(x, c):
+    """d_d as (row, col) -> entry, from the string cube labels and the
+    sign rule of the module docstring, apart from the bitmask facets."""
+    out = [None]
+    for d in range(1, len(c.bases)):
+        row = {k: i for i, k in enumerate(c.bases[d - 1])}
+        entries = {}
+        for col, key in enumerate(c.bases[d]):
+            facets = x.index.cube(key).facets()   # (source, target) per edge
+            for i in range(d):
+                sign = (-1) ** i
+                entries[row[x.index.encode(facets[2 * i + 1])], col] = sign
+                entries[row[x.index.encode(facets[2 * i])], col] = -sign
+        out.append(entries)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g,n", COLUMN_FIXTURES)
+def test_boundary_view_matches_labels_and_counts(g, n):
+    x, c = _complex(g, n)
+    assert c.boundaries == boundaries_from_labels(x, c)
+    # 2d nonzeros per d-cube: the count the benchmark tracer reports
+    dims = c.dims()
+    assert (sum(len(b) for b in c.boundaries[1:])
+            == sum(2 * d * dims[d] for d in range(1, len(dims))))
+    assert c.boundaries is c.boundaries   # built once
+
+
+@pytest.mark.parametrize("g,n", COLUMN_FIXTURES)
+def test_dd_check_sees_one_flipped_sign_in_any_dimension(g, n):
+    _, c = _complex(g, n)
+    top = max(d for d, f in enumerate(c.dims()) if f)
+    flipped = 0
+    for d in range(1, top + 1):
+        if d < top:   # a column d_{d+1} reads, so d_d o d_{d+1} must see it
+            used = sorted({r for col in c.columns[d + 1] for r in col})
+        else:
+            used = range(len(c.columns[d]))
+        for j in (used[0], used[-1]):
+            col = c.columns[d][j]
+            r = next(iter(col))
+            col[r] = -col[r]
+            try:
+                assert not verify_dd_zero(c), (d, j)
+            finally:
+                col[r] = -col[r]
+            flipped += 1
+    assert verify_dd_zero(c)
+    assert flipped == 2 * top >= 4
+
+
+CORRUPT_FACET = """
+import sys
+import braidscope.homology as H
+from braidscope import families as F
+from braidscope.complex import build
+from braidscope.errors import InvariantError
+from braidscope.graph import subdivide_for
+
+if not sys.flags.optimize:
+    sys.exit(2)
+x = build(subdivide_for(F.complete_graph(4), 3), 3)
+bad = next(iter(x.levels[3]))[0]
+real = H.bits
+
+
+def misordered(mask):
+    # the sign rule reads the first two edges of these 3-cubes swapped,
+    # so one facet pair of each gets the wrong sign
+    out = list(real(mask))
+    if mask == bad:
+        out[0], out[1] = out[1], out[0]
+    return iter(out)
+
+
+H.bits = misordered
+try:
+    H.chain_complex(x)
+except InvariantError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_corrupted_facet_raises_under_optimize():
+    src = os.path.dirname(os.path.dirname(braidscope.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_FACET],
+                          env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_homology_circle():
@@ -145,7 +256,7 @@ def _cancel_fixtures(cell_budget=REFERENCE_CELL_BUDGET, particles=(1, 2, 3, 4)):
 def reference_homology(c):
     """Free ranks and torsion from one full Smith form per dimension."""
     dims = c.dims()
-    inv = [[]] + [smith_invariants(c.boundaries[d], (dims[d - 1], dims[d]))
+    inv = [[]] + [smith_invariants(c.columns[d], (dims[d - 1], dims[d]))
                   for d in range(1, len(dims))] + [[]]
     free = tuple(dims[d] - len(inv[d]) - len(inv[d + 1])
                  for d in range(len(dims)))
@@ -180,9 +291,9 @@ def test_dropping_a_non_pivot_column_is_caught(monkeypatch):
     # some fixture, or that test could not see a wrong cancellation
     real = H.smith_invariants
 
-    def leaky(entries, shape, column_cap=H.DEFAULT_COLUMN_CAP,
+    def leaky(columns, shape, column_cap=H.DEFAULT_COLUMN_CAP,
               drop_cols=frozenset(), pivot_rows=None):
-        out = real(entries, shape, column_cap, drop_cols, pivot_rows)
+        out = real(columns, shape, column_cap, drop_cols, pivot_rows)
         if pivot_rows is not None:
             spare = [r for r in range(shape[0]) if r not in pivot_rows]
             if spare:
@@ -205,15 +316,14 @@ def test_sweep_reports_unit_pivot_rows():
     # dropping those columns from d1 leaves its invariants unchanged
     c = chain_complex(build(F.complete_graph(5), 2))
     rows = set()
-    inv2 = smith_invariants(c.boundaries[2], (30, 15), pivot_rows=rows)
+    inv2 = smith_invariants(c.columns[2], (30, 15), pivot_rows=rows)
     assert len(rows) == inv2.count(1) and rows <= set(range(30))
-    assert (smith_invariants(c.boundaries[1], (10, 30), drop_cols=rows)
-            == smith_invariants(c.boundaries[1], (10, 30)))
+    assert (smith_invariants(c.columns[1], (10, 30), drop_cols=rows)
+            == smith_invariants(c.columns[1], (10, 30)))
 
 
 def test_divisibility_fix_up_skips_the_unit_pivots(monkeypatch):
-    diag = {(i, i): 1 for i in range(5000)}
-    diag.update({(5000, 5000): 2, (5001, 5001): 4, (5002, 5002): 6})
+    diag = [{i: 1} for i in range(5000)] + [{5000: 2}, {5001: 4}, {5002: 6}]
     lengths = []
     real = H._fix_divisibility
 
