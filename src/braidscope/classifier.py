@@ -26,13 +26,15 @@ from typing import Optional, Sequence
 
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
-    CYCLE, CYCLE_TWO_RAYS, HGRAPH, PULSAR, ROSE, STAR, SUN, THETA, TREE,
-    Cycle, Graph, Subgraph, classify_shape, connected_components, idkey,
-    normalize, simple_cycles, smooth, subdivide_all,
+    CYCLE, CYCLE_TWO_RAYS, HGRAPH, PULSAR, ROSE, SEGMENT, STAR, SUN, THETA,
+    TREE, Cycle, Graph, Shape, Subgraph, classify_shape,
+    connected_components, idkey, normalize, simple_cycles, smooth,
+    subdivide_all,
 )
 
 ORACLE_SMOOTH_VERTEX_CAP = 15
 ASSIGNMENT_CAP = 10**5
+PATH_CAP = 200000   # reduced paths checked per peripheral collection
 
 
 # -- elementary verdict helpers -----------------------------------------
@@ -46,21 +48,8 @@ def _component_graphs(g: Graph) -> tuple:
     return tuple(g.induced(comp).as_graph() for comp in comps)
 
 
-def _is_segment_graph(g: Graph) -> bool:
-    """Path graphs, including the one-vertex degenerate case."""
-    return (g.first_betti() == 0
-            and all(g.degree(v) <= 2 for v in g.vertices))
-
-
-def _is_cycle_graph(g: Graph) -> bool:
-    return (g.first_betti() == 1
-            and all(g.degree(v) == 2 for v in g.vertices))
-
-
-def _is_star3_graph(g: Graph) -> bool:
-    degs = sorted(g.degree(v) for v in g.vertices)
-    return (g.first_betti() == 0 and bool(degs) and degs[-1] == 3
-            and sum(1 for d in degs if d >= 3) == 1)
+def _is_star3(shape: Shape) -> bool:
+    return shape.is_a(STAR) and shape.detail["arms"] == 3
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,8 @@ def is_trivial(g: Graph, assignment: ParticleAssignment) -> tuple:
     """(verdict, witness component) for triviality of the braid group.
 
     Components with one particle must be trees, components with two or
-    more must be segments; empty components are unconstrained.
+    more must be segments (a lone vertex counts as one); empty
+    components are unconstrained.
     """
     comps = _component_graphs(g)
     if len(comps) != len(assignment.counts):
@@ -113,9 +103,8 @@ def is_trivial(g: Graph, assignment: ParticleAssignment) -> tuple:
         if k == 1:
             if comp.first_betti() != 0:
                 return (False, comp)
-        else:
-            if not _is_segment_graph(comp):
-                return (False, comp)
+        elif not classify_shape(comp).is_a(SEGMENT):
+            return (False, comp)
     return (True, None)
 
 
@@ -129,8 +118,7 @@ def is_infinite_cyclic(g: Graph, n: int) -> bool:
         return g.first_betti() == 1
     shape = classify_shape(g)
     if n == 2:
-        return shape.is_a(CYCLE) or (
-            shape.is_a(STAR) and shape.detail.get("arms") == 3)
+        return shape.is_a(CYCLE) or _is_star3(shape)
     return shape.is_a(CYCLE)
 
 
@@ -333,13 +321,11 @@ def contains_free_nonabelian(g: Graph, assignment: ParticleAssignment) -> bool:
         if k == 1:
             if comp.first_betti() >= 2:
                 return True
-        elif k == 2:
-            if not (_is_segment_graph(comp) or _is_cycle_graph(comp)
-                    or _is_star3_graph(comp)):
-                return True
-        else:
-            if not (_is_segment_graph(comp) or _is_cycle_graph(comp)):
-                return True
+            continue
+        shape = classify_shape(comp)
+        if not (shape.is_a(SEGMENT) or shape.is_a(CYCLE)
+                or (k == 2 and _is_star3(shape))):
+            return True
     return False
 
 
@@ -378,6 +364,21 @@ def _oracle_flags(flags: tuple) -> dict:
     }
 
 
+# (least particle count, lemma flag wanted on a component of a witness's
+# complement, witness kind, split label), scanned in this order
+_NONHYPERBOLIC_SCANS = (
+    (2, "nt1", "cycle", "1+1"),
+    (3, "nt2", "cycle", "1+2"),   # cycle + >=2 particles
+    (3, "nt1", "star", "2+1"),    # star pair + 1 particle
+    (4, "nt2", "star", "2+2"),
+)
+_F2XZ_SCANS = (
+    (2, "free1", "cycle", "1+1"), (3, "free1", "star", "1+2"),
+    (3, "free2", "cycle", "2+1"), (4, "free2", "star", "2+2"),
+    (4, "free3", "cycle", "3+1"), (5, "free3", "star", "3+2"),
+)
+
+
 @dataclass(frozen=True)
 class OracleVerdict:
     verdict: bool
@@ -395,7 +396,8 @@ class SubgraphOracle:
     def __init__(self, g: Graph):
         if not g.is_simple():
             raise PreconditionError("oracle expects a normalized graph")
-        if len(smooth(g).vertices) > ORACLE_SMOOTH_VERTEX_CAP:
+        smoothed = classify_shape(g).detail["smoothed_vertices"]
+        if smoothed > ORACLE_SMOOTH_VERTEX_CAP:
             raise ResourceLimitError(
                 f"smoothed graph exceeds {ORACLE_SMOOTH_VERTEX_CAP} vertices")
         self.base = g
@@ -403,83 +405,61 @@ class SubgraphOracle:
         self._witnesses = None
         self._flags = {}   # witness index -> complement component flags
 
-    def _midpoint_toward(self, e, v: str) -> str:
-        # subdivide_all names interior vertices {eid}#s1, {eid}#s2 from e.u
-        return f"{e.id}#s1" if e.u == v else f"{e.id}#s2"
-
     def witnesses(self) -> list:
-        """(kind, removed vertex set) with kind 'cycle' or 'star'."""
+        """(kind, info) pairs: ('cycle', Cycle) or ('star', (centre,
+        arm edge ids)); removed vertex sets are built by :meth:`removed`."""
         if self._witnesses is not None:
             return self._witnesses
-        outs = []
-        for c in simple_cycles(self.base):
-            removed = set(c.vertices)
-            for eid in c.edge_ids:
-                removed.add(f"{eid}#s1")
-                removed.add(f"{eid}#s2")
-            outs.append(("cycle", frozenset(removed), c))
+        outs = [("cycle", c) for c in simple_cycles(self.base)]
         for v in self.base.essential_vertices():
             incident = sorted(self.base.incidence[v], key=lambda e: idkey(e.id))
             for arms in itertools.combinations(incident, 3):
-                removed = {v}
-                for e in arms:
-                    removed.add(self._midpoint_toward(e, v))
-                outs.append(("star", frozenset(removed), (v, tuple(a.id for a in arms))))
+                outs.append(("star", (v, tuple(a.id for a in arms))))
         self._witnesses = outs
         return outs
 
-    def _scan(self, want_key: str, witness_kinds: tuple) -> Optional[tuple]:
-        for i, (kind, removed, info) in enumerate(self.witnesses()):
-            if kind not in witness_kinds:
+    def removed(self, kind: str, info) -> frozenset:
+        """Vertices of the doubly subdivided graph that a witness takes
+        away: a cycle with both midpoints of each of its edges, or a star
+        centre with the midpoint next to it on each arm."""
+        # subdivide_all names interior vertices {eid}#s1, {eid}#s2 from e.u
+        if kind == "cycle":
+            return frozenset(itertools.chain(
+                info.vertices, (f"{eid}#s{i}" for eid in info.edge_ids
+                                for i in (1, 2))))
+        v, arm_ids = info
+        by_id = self.base.edge_by_id
+        return frozenset([v] + [f"{eid}#s1" if by_id[eid].u == v
+                                else f"{eid}#s2" for eid in arm_ids])
+
+    def _scan(self, want_key: str, want_kind: str) -> Optional[tuple]:
+        for i, (kind, info) in enumerate(self.witnesses()):
+            if kind != want_kind:
                 continue
-            if i not in self._flags:
-                self._flags[i] = _component_flags(self.g2, removed)
+            if i not in self._flags:   # the removed set lives only this long
+                self._flags[i] = _component_flags(self.g2,
+                                                  self.removed(kind, info))
             for flags in self._flags[i]:
                 if _oracle_flags(flags)[want_key]:
                     return (kind, info, flags)
         return None
 
+    def _first_hit(self, n: int, scans: tuple) -> OracleVerdict:
+        for least, want, kind, split in scans:
+            if n >= least:
+                hit = self._scan(want, kind)
+                if hit:
+                    return OracleVerdict(True, (split,) + hit)
+        return OracleVerdict(False)
+
     def nonhyperbolic(self, n: int) -> OracleVerdict:
         """A disjoint pair of nontrivial-braid-group subgraphs reachable
         with n particles destroys hyperbolicity."""
-        if n < 2:
-            return OracleVerdict(False)
-        hit = self._scan("nt1", ("cycle",))          # split 1 + 1
-        if hit:
-            return OracleVerdict(True, ("1+1",) + hit)
-        if n >= 3:
-            hit = self._scan("nt2", ("cycle",))      # cycle + >=2 particles
-            if hit:
-                return OracleVerdict(True, ("1+2",) + hit)
-            hit = self._scan("nt1", ("star",))       # star pair + 1 particle
-            if hit:
-                return OracleVerdict(True, ("2+1",) + hit)
-        if n >= 4:
-            hit = self._scan("nt2", ("star",))
-            if hit:
-                return OracleVerdict(True, ("2+2",) + hit)
-        return OracleVerdict(False)
+        return self._first_hit(n, _NONHYPERBOLIC_SCANS)
 
     def f2xz(self, n: int) -> OracleVerdict:
         """A free-containing subgraph disjoint from a nontrivial one."""
-        if n < 2:
-            return OracleVerdict(False)
-        combos = []
-        if n >= 2:
-            combos.append(("free1", ("cycle",), "1+1"))
-        if n >= 3:
-            combos.append(("free1", ("star",), "1+2"))
-            combos.append(("free2", ("cycle",), "2+1"))
-        if n >= 4:
-            combos.append(("free2", ("star",), "2+2"))
-            combos.append(("free3", ("cycle",), "3+1"))
-        if n >= 5:
-            combos.append(("free3", ("star",), "3+2"))
-        for want, kinds, split in combos:
-            hit = self._scan(want, kinds)
-            if hit:
-                return OracleVerdict(True, (split,) + hit)
-        return OracleVerdict(False)
+        return self._first_hit(n, _F2XZ_SCANS)
 
 
 def oracle_nonhyperbolic(g: Graph, n: int) -> OracleVerdict:
@@ -519,8 +499,8 @@ def _subgraph_contains_cycle(sub: Subgraph, c: Cycle) -> bool:
             and frozenset(c.edge_ids) <= sub.edge_ids)
 
 
-def check_peripheral_collection(g: Graph, collection: Sequence[Subgraph],
-                                path_cap: int = 200000) -> PeripheralReport:
+def check_peripheral_collection(
+        g: Graph, collection: Sequence[Subgraph]) -> PeripheralReport:
     """Verify the three sufficient conditions for two-particle relative
     hyperbolicity of a collection of subgraphs.
 
@@ -549,12 +529,13 @@ def check_peripheral_collection(g: Graph, collection: Sequence[Subgraph],
         if not vs:
             continue
         part = Subgraph(g, vs, es).as_graph()
-        if not all(_is_segment_graph(c) for c in _component_graphs(part)):
+        if not all(classify_shape(c).is_a(SEGMENT)
+                   for c in _component_graphs(part)):
             inter_ok, bad_inter = False, (s1, s2)
             break
 
     paths_ok, bad_path = True, None
-    budget = path_cap
+    budget = PATH_CAP
     for sub in collection:
         if not paths_ok:
             break

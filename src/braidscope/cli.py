@@ -44,6 +44,7 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 MAX_PARTICLE_COUNTS = 100   # per `table` run; each count is one row per graph
+MAX_FAMILY_SIZE = 32        # largest `table --max`, checked before any graph
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -368,6 +369,9 @@ def parse_particle_range(text: str) -> tuple:
 
 def cmd_table(args) -> int:
     ns = parse_particle_range(args.particles)
+    if args.max > MAX_FAMILY_SIZE:
+        raise ResourceLimitError(
+            f"--max {args.max} exceeds cap {MAX_FAMILY_SIZE}")
     rows = []
     for name, g in _family_graphs(args):
         for n in ns:
@@ -401,15 +405,15 @@ def make_parser() -> argparse.ArgumentParser:
         description="configuration spaces of graphs and braid group classification")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, particles=True, formats=("json", "table")):
+    def common(p, formats=("json", "table"), max_cells=True):
         p.add_argument("--graph", required=True, help="graph file")
-        if particles:
-            p.add_argument("-n", "--particles", type=int, required=True)
+        p.add_argument("-n", "--particles", type=int, required=True)
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--max-cells", type=int, default=None)
+        if max_cells:
+            p.add_argument("--max-cells", type=int, default=None)
 
     p = sub.add_parser("analyze", help="classification report")
-    common(p)
+    common(p, max_cells=False)
     p.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
     p.set_defaults(func=cmd_analyze)
 

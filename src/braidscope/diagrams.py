@@ -29,6 +29,7 @@ from .errors import (
 from .graph import Cycle, Graph, Subgraph, UnionFind
 
 MAX_BALL_RADIUS = 12
+BALL_CAP = 2_000_000   # vertices of a ball_oracle or CoverBall ball
 
 Letter = tuple  # (edge id, sign)
 
@@ -86,7 +87,7 @@ def check_legal(g: Graph, base, letters) -> LegalWord:
 
 class _Piler:
     """Wrathall piling for the trace group on edges with disjointness
-    commutation; shared per graph."""
+    commutation; one per graph instance, kept in its memo."""
 
     def __init__(self, g: Graph):
         self.gens = tuple(e.id for e in g.edges)
@@ -125,20 +126,10 @@ class _Piler:
         return tuple(out)
 
 
-_PILERS: dict = {}
-
-
 def _piler(g: Graph) -> _Piler:
-    # keyed by identity with the graph pinned, so ids cannot be recycled
-    # under a live entry; bounded to keep long sweeps from hoarding
-    key = id(g)
-    hit = _PILERS.get(key)
-    if hit is not None and hit[0] is g:
-        return hit[1]
-    if len(_PILERS) > 64:
-        _PILERS.clear()
-    piler = _Piler(g)
-    _PILERS[key] = (g, piler)
+    piler = g._memo.get("piler")
+    if piler is None:
+        piler = g._memo["piler"] = _Piler(g)
     return piler
 
 
@@ -367,8 +358,7 @@ def make_tripod_swap(g: Graph, spine: Sequence[str], spike: str) -> Diagram:
 
 # -- universal cover, two ways -------------------------------------------
 
-def ball_oracle(x: CubeComplex, base, radius: int,
-                cap: int = 2_000_000) -> dict:
+def ball_oracle(x: CubeComplex, base, radius: int) -> dict:
     """All (base,*)-diagrams of length <= radius, keyed by normal form.
 
     Breadth-first over normal forms: distance in the cover equals
@@ -393,7 +383,7 @@ def ball_oracle(x: CubeComplex, base, radius: int,
                 nd = Diagram(g, base, cand, x.apply_move(d.terminus, e))
                 seen[cand] = nd
                 nxt.append(nd)
-                if len(seen) > cap:
+                if len(seen) > BALL_CAP:
                     raise ResourceLimitError("cover ball exceeds cap")
         layer = nxt
     return seen
@@ -408,8 +398,7 @@ class CoverBall:
     differ by square flips, so layerwise identification is complete).
     """
 
-    def __init__(self, x: CubeComplex, base, radius: int,
-                 cap: int = 2_000_000):
+    def __init__(self, x: CubeComplex, base, radius: int):
         self.complex = x
         self.graph = x.graph
         self.radius = radius
@@ -417,7 +406,7 @@ class CoverBall:
         self.dist = []
         self.edges = []    # vertex -> {edge id: (neighbor, sign from here)}
         self.root = self._new_vertex(config_key(base), 0)
-        self._build(cap)
+        self._build()
 
     def _new_vertex(self, proj, dist) -> int:
         self.proj.append(proj)
@@ -425,7 +414,7 @@ class CoverBall:
         self.edges.append({})
         return len(self.proj) - 1
 
-    def _build(self, cap):
+    def _build(self):
         x = self.complex
         g = self.graph
         layers = [[self.root]]
@@ -464,7 +453,7 @@ class CoverBall:
                 if v is None:
                     v = self._new_vertex(tproj, dist + 1)
                     rep_vertex[r] = v
-                    if len(self.proj) > cap:
+                    if len(self.proj) > BALL_CAP:
                         raise ResourceLimitError("cover ball exceeds cap")
                 if self.proj[v] != tproj:
                     raise InvariantError("identified candidates disagree")

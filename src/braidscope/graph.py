@@ -21,11 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, ResourceLimitError
 
 DEFAULT_CYCLE_CAP = 10**6
+SUBDIVIDE_PASS_CAP = 10**4   # subdivide_for passes; each adds one vertex
 
 
 def idkey(x: str):
@@ -168,8 +170,10 @@ class Graph:
         return self.adjacency[v]
 
     @cached_property
-    def _cycle_cache(self) -> dict:
-        """Where simple_cycles keeps its tuple; eq and hash ignore it."""
+    def _memo(self) -> dict:
+        """Per-instance results derived from the value: the cycles of
+        simple_cycles, the Shape of classify_shape and the word piler of
+        the diagrams module.  Not a field, so eq and hash ignore it."""
         return {}
 
     def is_simple(self) -> bool:
@@ -320,7 +324,14 @@ class Shape:
 
     tag: str
     memberships: frozenset
-    detail: dict = field(compare=False, default_factory=dict)
+    detail: Mapping = field(compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        # read-only: classify_shape hands one memoised Shape to every caller
+        object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
+
+    def __reduce__(self):   # a mappingproxy cannot be pickled or copied
+        return (Shape, (self.tag, self.memberships, dict(self.detail)))
 
     def is_a(self, cls: str) -> bool:
         return cls in self.memberships
@@ -451,8 +462,13 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     if not g.edges and len(g.vertices) < n:
         raise PreconditionError(
             f"cannot host {n} particles on an edgeless graph")
+    # every pass but the last adds one vertex, so the vertices that small
+    # components lack bound the passes from below: refuse before the work
+    lacking = sum(n - len(c) for c in g.components() if 1 < len(c) < n)
+    if lacking >= SUBDIVIDE_PASS_CAP:
+        raise ResourceLimitError("subdivide_for did not converge")
     out = g
-    for _ in range(10000):
+    for _ in range(SUBDIVIDE_PASS_CAP):
         # in a simple graph a component has an edge iff it has 2+ vertices
         small = next((c for c in out.components() if 1 < len(c) < n), None)
         if small is not None:
@@ -632,17 +648,20 @@ def _shape_memberships(m: Graph) -> tuple:
 
 
 def classify_shape(g: Graph) -> Shape:
-    """Shape of the smoothed graph under the fixed precedence order."""
-    m = smooth(g)
-    classes, detail = _shape_memberships(m)
-    tag = GENERAL
-    for t in SHAPE_PRECEDENCE:
-        if t in classes:
-            tag = t
-            break
-    detail["smoothed_vertices"] = len(m.vertices)
-    detail["smoothed_edges"] = len(m.edges)
-    return Shape(tag, frozenset(classes), detail)
+    """Shape of the smoothed graph under the fixed precedence order.
+
+    Memoised on the graph instance: g is smoothed once, and later calls
+    return the same Shape.
+    """
+    shape = g._memo.get("shape")
+    if shape is None:
+        m = smooth(g)
+        classes, detail = _shape_memberships(m)
+        tag = next((t for t in SHAPE_PRECEDENCE if t in classes), GENERAL)
+        detail["smoothed_vertices"] = len(m.vertices)
+        detail["smoothed_edges"] = len(m.edges)
+        shape = g._memo["shape"] = Shape(tag, frozenset(classes), detail)
+    return shape
 
 
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
@@ -656,11 +675,11 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
     so a cached tuple longer than `cap` raises too.  An enumeration
     that raises caches nothing.
     """
-    cached = g._cycle_cache.get("cycles")
+    cached = g._memo.get("cycles")
     if cached is None:
         if not g.is_simple():
             raise PreconditionError("simple_cycles expects a normalized graph")
-        cached = g._cycle_cache["cycles"] = _enumerate_cycles(g, cap)
+        cached = g._memo["cycles"] = _enumerate_cycles(g, cap)
     elif len(cached) > cap:
         raise ResourceLimitError(f"cycle count exceeds cap {cap}")
     return cached

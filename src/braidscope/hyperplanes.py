@@ -72,9 +72,9 @@ def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
     return tuple(out)
 
 
-def hyperplanes_by_components(g: Graph, n: int,
-                              cell_cap: int = 10**7) -> tuple:
-    """One hyperplane per (edge e, component of UC_{n-1} of g minus e)."""
+def hyperplanes_by_components(g: Graph, n: int) -> tuple:
+    """One hyperplane per (edge e, component of UC_{n-1} of g minus e);
+    each small build keeps build's default cell cap."""
     if not g.is_simple():
         raise PreconditionError("expects a normalized graph")
     if len(g.vertices) < n:
@@ -89,7 +89,7 @@ def hyperplanes_by_components(g: Graph, n: int,
             [(f.id, f.u, f.v) for f in g.edges if not e.touches(f)])
         if len(rest.vertices) < n - 1:
             continue  # no configuration can avoid the closed edge
-        sub = build(rest, n - 1, max_dim=1, cell_cap=cell_cap)
+        sub = build(rest, n - 1, max_dim=1)
         # rest keeps the order of g.vertices, so a sub mask lifts to g by
         # opening a gap at the two deleted positions p < q
         p, q = sorted((pos[e.u], pos[e.v]))

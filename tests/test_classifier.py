@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import subprocess
@@ -221,6 +222,50 @@ def test_implication_chain():
                 assert f2
 
 
+# -- the shape memo against the oracle's lemma flags ---------------------------
+
+@st.composite
+def connected_graphs(draw, max_vertices=8):
+    """A random spanning tree plus random extra edges: connected, simple."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        extra = st.sampled_from(list(itertools.combinations(range(n), 2)))
+        pairs |= set(draw(st.lists(extra, max_size=12)))
+    return Graph.make([str(v) for v in range(n)],
+                      [(f"e{i}", str(u), str(v))
+                       for i, (u, v) in enumerate(sorted(pairs))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs())
+def test_shape_predicates_match_the_oracle_lemma_flags(g):
+    # the lemma flags read degrees and b1 straight off the graph; the
+    # predicates read the memoised shape of its smoothed form
+    flags = C._oracle_flags(C._component_flags(g, ())[0])
+    for k, nt, free in ((1, "nt1", "free1"), (2, "nt2", "free2"),
+                        (3, "nt2", "free3")):
+        assert is_trivial(g, one(k))[0] == (not flags[nt]), k
+        assert contains_free_nonabelian(g, one(k)) == flags[free], k
+
+
+def test_shape_is_memoised_and_ignored_by_eq_and_hash():
+    from braidscope.diagrams import diagram
+    from braidscope.graph import classify_shape
+    g, twin = F.star_graph(3), F.star_graph(3)
+    shape = classify_shape(g)
+    assert classify_shape(g) is shape and shape.detail["arms"] == 3
+    with pytest.raises(TypeError):
+        shape.detail["arms"] = 4   # a shared memo is read-only
+    clone = copy.deepcopy(g)       # the memo copies along with the graph
+    assert clone == g and clone._memo["shape"] == shape
+    assert clone._memo["shape"].detail == shape.detail
+    diagram(g, ("c",), [("a1e1", 1)])
+    assert {"shape", "piler"} <= set(g._memo) and not twin.__dict__.get("_memo")
+    assert g == twin and hash(g) == hash(twin)
+    assert classify_shape(twin) == shape and classify_shape(twin) is not shape
+
+
 # -- oracles ---------------------------------------------------------------------
 
 def test_oracle_witnesses():
@@ -259,9 +304,10 @@ def _unmemoized_oracle(g):
     oracle did before it kept per-witness flags."""
     oracle = SubgraphOracle(g)
 
-    def scan(want_key, witness_kinds):
-        for kind, removed, info in oracle.witnesses():
-            if kind in witness_kinds:
+    def scan(want_key, want_kind):
+        for kind, info in oracle.witnesses():
+            if kind == want_kind:
+                removed = oracle.removed(kind, info)
                 for flags in C._component_flags(oracle.g2, removed):
                     if C._oracle_flags(flags)[want_key]:
                         return (kind, info, flags)

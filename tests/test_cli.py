@@ -358,6 +358,36 @@ def test_long_path_one_particle_refused_fast(tmp_path):
     assert elapsed < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--graph", "P3", "-n", str(10**20), "--subdivide"],
+    ["build", "--graph", "P3", "-n", str(10**20), "--subdivide"],
+    ["table", "--family", "bipartite", "--max", "100000", "--particles", "2"],
+    ["table", "--family", "complete", "--max", "100000", "--particles", "1"],
+])
+def test_unbounded_sizes_are_refused_before_the_work(p3, argv):
+    argv = [p3 if a == "P3" else a for a in argv]
+    t0 = time.monotonic()
+    rc, out, err = run_cli(argv)
+    assert rc == 3 and out == "" and err.startswith("resource limit: ")
+    assert time.monotonic() - t0 < 5
+
+
+def test_table_max_cap_is_inclusive(capsys):
+    assert main(["table", "--family", "complete", "--max",
+                 str(cli.MAX_FAMILY_SIZE), "--min", str(cli.MAX_FAMILY_SIZE),
+                 "--particles", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 1
+    assert main(["table", "--family", "complete", "--max",
+                 str(cli.MAX_FAMILY_SIZE + 1), "--particles", "1"]) == 3
+
+
+def test_analyze_has_no_cell_cap_flag(k5):
+    # analyze builds no complex; build and homology keep --max-cells
+    rc, _, err = run_cli(["analyze", "--graph", k5, "-n", "2",
+                          "--max-cells", "3"])
+    assert rc == 2 and "unrecognized arguments: --max-cells" in err
+
+
 def test_subdivide_gives_each_component_its_own_room(tmp_path, capsys):
     # K_2 plus a disjoint triangle at n=3: four splits (3+0, 2+1, 1+2,
     # 0+3), so UConf_3 has four components, and chi = 1 by Gal's series

@@ -146,6 +146,18 @@ def _distance(g, a, b):
     return dist[b]
 
 
+def test_subdivide_for_refuses_a_hopeless_count_at_once(monkeypatch):
+    # a component on c vertices needs n - c vertex-adding passes and a
+    # last one that checks; from n = cap + c on, that exceeds the cap,
+    # so not a single pass may start
+    import braidscope.graph as G
+    monkeypatch.setattr(G, "subdivide_edge", None)
+    g = F.path_graph(3)
+    for n in (G.SUBDIVIDE_PASS_CAP + len(g.vertices), 10**20):
+        with pytest.raises(ResourceLimitError, match="did not converge"):
+            subdivide_for(g, n)
+
+
 # -- smooth ---------------------------------------------------------------
 
 def test_smooth_cycle_to_loop():
