@@ -144,9 +144,10 @@ def disjoint_cycle_pair(g: Graph) -> Optional[tuple]:
     for c in cycles:
         for comp in _complement_components(g, c.vertex_set):
             if _component_betti(g, comp) >= 1:
-                inner = g.induced(comp).as_graph()
-                other = simple_cycles(inner)[0]
-                return (c, other)
+                # g's first cycle inside comp is the first cycle of
+                # comp's induced graph: same ids, rotation and order
+                return (c, next(
+                    d for d in cycles if comp.issuperset(d.vertices)))
     return None
 
 
@@ -254,10 +255,15 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
             if len(comp & ess) >= 2:
                 return ("c", c, comp)
             if _component_betti(g, comp) >= 1 and (comp & ess):
-                inner = g.induced(comp).as_graph()
-                for c2 in simple_cycles(inner):
-                    if c2.vertex_set & ess:
-                        return ("e", c, c2)
+                # b1(comp) = 1 and comp holds one essential vertex v: v is
+                # on comp's one cycle iff two of its neighbours there are
+                # joined in comp - v
+                (v,) = comp & ess
+                nbrs = [y for y in g.adjacency[v] if y in comp]
+                if len(connected_components(
+                        nbrs, g.adjacency, c.vertex_set | {v})) < len(nbrs):
+                    return ("e", c, next(
+                        d for d in cycles if comp.issuperset(d.vertices)))
     for v in ess:
         for comp in _complement_components(g, frozenset((v,))):
             if _component_betti(g, comp) >= 2:

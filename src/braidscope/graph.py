@@ -402,15 +402,17 @@ def subdivide_all(g: Graph, times: int) -> Graph:
     return Graph._make(vertices, edges)
 
 
-def _shortest_path(g: Graph, a: str, b: str) -> Optional[list]:
-    """Vertex list of one shortest a-b path, ties broken canonically."""
+def _shortest_path(g: Graph, a: str, b: str,
+                   direct: bool = True) -> Optional[list]:
+    """Vertex list of one shortest a-b path, ties broken canonically;
+    with ``direct=False`` the path may not take an a-b edge."""
     prev = {a: None}
     frontier = [a]
     while frontier and b not in prev:
         nxt = []
         for x in frontier:
             for y in g.neighbors(x):
-                if y not in prev:
+                if y not in prev and (direct or x != a or y != b):
                     prev[y] = x
                     nxt.append(y)
         frontier = nxt
@@ -431,11 +433,7 @@ def _girth_cycle(g: Graph) -> Optional[list]:
     """
     best = None
     for e in g.edges:
-        trimmed = Graph._make(
-            g.vertices,
-            [(x.id, x.u, x.v) for x in g.edges if x.id != e.id],
-        )
-        path = _shortest_path(trimmed, e.u, e.v)
+        path = _shortest_path(g, e.u, e.v, direct=False)
         if path is not None and (best is None or len(path) < len(best)):
             best = path
     return best
@@ -506,152 +504,92 @@ def subdivide_for(g: Graph, n: int) -> Graph:
 def smooth(g: Graph) -> Graph:
     """Suppress degree-2 vertices down to the minimal homeomorphic multigraph.
 
-    Loops and parallel edges may reappear; a bare circle ends up as a
-    single vertex carrying a loop.  Runs componentwise, so disconnected
-    graphs are fine.
+    One pass over the branches: every vertex but a plain degree-2 one
+    (two edges, neither a loop) is kept, and from each kept vertex every
+    unused edge is walked through degree-2 vertices to the next kept
+    vertex and becomes one edge ``(id~id~...)``; an edge with nothing to
+    merge keeps its id and ends.  A component that is a bare circle keeps
+    its least vertex, carrying one loop.  Loops and parallel edges may
+    appear, graphs that are already minimal come back equal, and
+    disconnected graphs are fine.
     """
-    vertices = set(g.vertices)
-    edges = {e.id: (e.u, e.v) for e in g.edges}
-
-    changed = True
-    while changed:
-        changed = False
-        inc = {v: [] for v in vertices}
-        for eid, (u, w) in edges.items():
-            inc[u].append(eid)
-            if u != w:
-                inc[w].append(eid)
-        for v in sorted(vertices, key=idkey):
-            around = inc[v]
-            if len(around) != 2:
+    inc = g.incidence
+    plain = {v for v, es in inc.items()
+             if len(es) == 2 and not (es[0].is_loop() or es[1].is_loop())}
+    kept, edges, used = [], [], set()
+    # kept vertices first, so a plain vertex left unwalked is on a circle
+    for v in sorted(g.vertices, key=plain.__contains__):
+        if v in plain and inc[v][0].id in used:
+            continue
+        kept.append(v)
+        for first in inc[v]:
+            if first.id in used:
                 continue
-            e1, e2 = sorted(around, key=idkey)
-            if e1 == e2:
-                continue  # lone loop vertex of a bare circle
-            a = edges[e1][0] if edges[e1][1] == v else edges[e1][1]
-            b = edges[e2][0] if edges[e2][1] == v else edges[e2][1]
-            if a == v or b == v:
-                continue  # loop plus another edge means degree > 2
-            del edges[e1]
-            del edges[e2]
-            edges[f"({e1}~{e2})"] = (a, b)
-            vertices.remove(v)
-            changed = True
-            break
-    return Graph._make(vertices, [(eid, u, w) for eid, (u, w) in edges.items()])
+            used.add(first.id)
+            ids, e = [first.id], first
+            end = e.v if e.u == v else e.u
+            while end in plain and end != v:
+                a, b = inc[end]
+                e = b if a is e else a
+                used.add(e.id)
+                ids.append(e.id)
+                end = e.v if e.u == end else e.u
+            edges.append((first.id, first.u, first.v) if len(ids) == 1
+                         else (f"({'~'.join(ids)})", v, end))
+    return Graph._make(kept, edges)
 
 
 # -- membership predicates on the smoothed multigraph -------------------
 
 def _shape_memberships(m: Graph) -> tuple:
-    """All shape classes the smoothed multigraph belongs to, plus details."""
-    classes = set()
-    detail = {}
-    nv, ne = len(m.vertices), len(m.edges)
-    b1 = m.first_betti()
-    degs = {v: m.degree(v) for v in m.vertices}
-    leaves = [v for v in m.vertices if degs[v] == 1]
-    internal = [v for v in m.vertices if degs[v] != 1]
-
-    if nv <= 2 and ne <= 1 and not any(e.is_loop() for e in m.edges):
+    """Shape classes of a smoothed multigraph, plus details, read from its
+    degrees.  Hubs are the vertices that are not leaves.  The classes
+    describe connected graphs; a disconnected one is in TREE if it is a
+    forest and in no other class."""
+    nv, ne, parts = len(m.vertices), len(m.edges), len(m.components())
+    b1 = ne - nv + parts
+    classes, detail = ({TREE} if b1 == 0 else set()), {}
+    if parts > 1:
+        return classes, detail
+    degs = sorted(m.degree(v) for v in m.vertices)
+    loops = sum(e.is_loop() for e in m.edges)
+    inner = {v: 0 for v in m.vertices if m.degree(v) != 1}   # ends at hubs
+    for e in m.edges:
+        if e.u in inner and e.v in inner:
+            inner[e.u] += 1
+            inner[e.v] += 1
+    if nv <= 2 and ne <= 1 and not loops:
         classes.add(SEGMENT)
-    if nv == 1 and ne == 1 and m.edges[0].is_loop():
-        classes.add(CYCLE)
-    if (b1 == 0 and len(internal) == 1 and len(leaves) == nv - 1
-            and degs[internal[0]] >= 3):
+    if degs == [2]:   # smoothed, a lone degree-2 vertex carries a loop
+        classes |= {CYCLE, PULSAR}
+    if b1 == 0 and len(inner) == 1 and degs[-1] >= 3:
         classes.add(STAR)
-        detail["arms"] = degs[internal[0]]
-    if nv == 2 and ne == 3 and not leaves and b1 == 2 \
-            and not any(e.is_loop() for e in m.edges):
+        detail["arms"] = degs[-1]
+    if degs == [3, 3] and not loops:
         classes.add(THETA)
-    if b1 == 0:
-        classes.add(TREE)
-
-    # rose: one hub carrying every loop and every edge; others are leaves
-    for hub in m.vertices:
-        ok = all(e.u == hub or e.v == hub for e in m.edges)
-        ok = ok and all(v == hub or degs[v] == 1 for v in m.vertices)
-        if ok:
-            classes.add(ROSE)
-            detail["rose_center"] = hub
-            detail["rose_cycles"] = sum(1 for e in m.edges if e.is_loop())
-            detail["rose_rays"] = sum(1 for e in m.edges if not e.is_loop())
-            break
-    if nv == 1 and ne == 0:
+    if degs == [1, 1, 1, 1, 3, 3]:   # connected, so a tree: two hubs, a bridge
+        classes.add(HGRAPH)
+    if nv and len(inner) <= 1:   # every edge is a loop or a ray at one hub
         classes.add(ROSE)
-        detail.setdefault("rose_center", m.vertices[0] if m.vertices else None)
-
-    if b1 == 1:
-        # the 2-core is the unique cycle; rays must hang directly off it
-        core_v = set(m.vertices)
-        core_e = {e.id: e for e in m.edges}
-        stripped = True
-        while stripped:
-            stripped = False
-            for v in list(core_v):
-                inc = [e for e in core_e.values()
-                       if v in (e.u, e.v) and not e.is_loop()]
-                lo = [e for e in core_e.values() if e.is_loop() and e.u == v]
-                if not lo and len(inc) == 1:
-                    core_v.remove(v)
-                    del core_e[inc[0].id]
-                    stripped = True
-        sun_ok = True
-        for e in m.edges:
-            if e.id in core_e:
-                continue
-            endp = sorted((e.u, e.v), key=lambda x: x in core_v)
-            leaf, attach = endp[0], endp[1]
-            if not (attach in core_v and degs[leaf] == 1):
-                sun_ok = False
-                break
-        if sun_ok:
-            classes.add(SUN)
-            detail["sun_core"] = tuple(sorted(core_v, key=idkey))
-            # exactly two rayed core vertices on a 2-vertex core
-            if (len(core_v) == 2 and len(core_e) == 2
-                    and not any(e.is_loop() for e in core_e.values())):
-                rays = [e for e in m.edges if e.id not in core_e]
-                attach_pts = {e.u if e.u in core_v else e.v for e in rays}
-                if len(rays) == 2 and len(attach_pts) == 2:
-                    classes.add(CYCLE_TWO_RAYS)
-
-    # pulsar: two hubs, parallel arcs between them, rays only at the hubs
-    if CYCLE in classes:
-        classes.add(PULSAR)
+        detail.update(rose_cycles=loops, rose_rays=ne - loops)
+    if b1 == 1 and min(inner.values()) >= 2:   # every hub on the cycle
         classes.add(SUN)
-    else:
-        hubs = [v for v in m.vertices if degs[v] >= 2]
-        if len(hubs) == 2 and not any(e.is_loop() for e in m.edges):
-            u, v = hubs
-            arcs = [e for e in m.edges if {e.u, e.v} == {u, v}]
-            rays = [e for e in m.edges if {e.u, e.v} != {u, v}]
-            rays_ok = all(
-                (e.u in (u, v)) != (e.v in (u, v)) for e in rays
-            ) and all(degs[x] == 1 for e in rays for x in (e.u, e.v)
-                      if x not in (u, v))
-            if len(arcs) >= 2 and rays_ok and len(arcs) + len(rays) == ne:
-                classes.add(PULSAR)
-                detail["pulsar_hubs"] = (u, v)
-                detail["pulsar_arcs"] = len(arcs)
-
-    # h-graph: one bridge between two degree-3 hubs, two rays each
-    hubs3 = [v for v in m.vertices if degs[v] == 3]
-    if (b1 == 0 and len(hubs3) == 2 and nv == 6 and ne == 5):
-        u, v = hubs3
-        bridge = [e for e in m.edges if {e.u, e.v} == {u, v}]
-        if len(bridge) == 1 and len(leaves) == 4:
-            classes.add(HGRAPH)
-            detail["h_hubs"] = (u, v)
-
+        if degs == [1, 1, 3, 3]:
+            classes.add(CYCLE_TWO_RAYS)
+    if len(inner) == 2 and not loops and b1 >= 1:   # parallel arcs, rays
+        classes.add(PULSAR)
     return classes, detail
 
 
 def classify_shape(g: Graph) -> Shape:
     """Shape of the smoothed graph under the fixed precedence order.
 
-    Memoised on the graph instance: g is smoothed once, and later calls
-    return the same Shape.
+    The classes describe connected graphs and are read from the degrees,
+    loops and first Betti number of the smoothed multigraph.  A
+    disconnected graph is in TREE when it is a forest and in no other
+    class, so its tag is TREE or GENERAL whatever its labels.  Memoised
+    on the graph instance: g is smoothed once, and later calls return
+    the same Shape.
     """
     shape = g._memo.get("shape")
     if shape is None:
@@ -659,7 +597,6 @@ def classify_shape(g: Graph) -> Shape:
         classes, detail = _shape_memberships(m)
         tag = next((t for t in SHAPE_PRECEDENCE if t in classes), GENERAL)
         detail["smoothed_vertices"] = len(m.vertices)
-        detail["smoothed_edges"] = len(m.edges)
         shape = g._memo["shape"] = Shape(tag, frozenset(classes), detail)
     return shape
 
@@ -667,13 +604,14 @@ def classify_shape(g: Graph) -> Shape:
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
     """All simple cycles of a normalized graph, deterministically ordered.
 
-    Iterative backtracking rooted at the least vertex of each cycle, so
-    long cycles need no deep recursion; every cycle is emitted once, in
-    its canonical rotation.  Raises ResourceLimitError beyond `cap`
-    cycles.  The finished tuple is cached on the graph instance and
-    returned as is by later calls on it; the cap applies on every call,
-    so a cached tuple longer than `cap` raises too.  An enumeration
-    that raises caches nothing.
+    Iterative backtracking rooted at the least vertex of each cycle,
+    over the 2-core left once the earlier roots are deleted, so trees
+    and hanging trees are never searched and long cycles need no deep
+    recursion; every cycle is emitted once, in its canonical rotation.
+    Raises ResourceLimitError beyond `cap` cycles.  The finished tuple
+    is cached on the graph instance and returned as is by later calls
+    on it; the cap applies on every call, so a cached tuple longer than
+    `cap` raises too.  An enumeration that raises caches nothing.
     """
     cached = g._memo.get("cycles")
     if cached is None:
@@ -686,13 +624,31 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
 
 
 def _enumerate_cycles(g: Graph, cap: int) -> tuple:
-    adj = g.adjacency
     order = {v: i for i, v in enumerate(g.vertices)}
+    # neighbour sets as dicts, which keep the canonical adjacency order
+    live = {v: dict.fromkeys(nb) for v, nb in g.adjacency.items()}
+
+    def drop(v):   # delete v, then every vertex left with < 2 neighbours
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if x in live:
+                for y in live.pop(x):
+                    del live[y][x]
+                    if len(live[y]) < 2:
+                        stack.append(y)
+
+    for v in g.vertices:
+        if v in live and len(live[v]) < 2:
+            drop(v)
     found = []
     for start in g.vertices:
+        if start not in live:
+            continue
+        # live holds the 2-core of g minus the earlier roots
         path = [start]
         on_path = {start}
-        pending = [iter(adj[start])]   # unexplored neighbours per path vertex
+        pending = [iter(live[start])]   # unexplored neighbours per path vertex
         while pending:
             for y in pending[-1]:
                 if y == start:
@@ -706,14 +662,15 @@ def _enumerate_cycles(g: Graph, cap: int) -> tuple:
                         if len(found) > cap:
                             raise ResourceLimitError(
                                 f"cycle count exceeds cap {cap}")
-                elif y not in on_path and order[y] > order[start]:
+                elif y not in on_path:
                     path.append(y)
                     on_path.add(y)
-                    pending.append(iter(adj[y]))
+                    pending.append(iter(live[y]))
                     break
             else:
                 pending.pop()
                 on_path.remove(path.pop())
+        drop(start)
     found.sort(key=lambda c: (tuple(sorted(c.vertices, key=idkey)), c.vertices))
     return tuple(found)
 

@@ -358,6 +358,16 @@ def test_long_path_one_particle_refused_fast(tmp_path):
     assert elapsed < 5
 
 
+def test_long_path_two_particles_analyzed_fast(tmp_path):
+    # smoothing and the cycle search are linear on a graph with no cycle
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 4001)))
+    t0 = time.monotonic()
+    rc, out, _ = run_cli(["analyze", "--graph", str(gfile), "-n", "2"])
+    assert rc == 0 and json.loads(out)["assignments"][0]["shapes"] == ["segment"]
+    assert time.monotonic() - t0 < 5
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "--graph", "P3", "-n", str(10**20), "--subdivide"],
     ["build", "--graph", "P3", "-n", str(10**20), "--subdivide"],

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import time
 
 import networkx as nx
 import pytest
@@ -164,6 +168,8 @@ def test_smooth_cycle_to_loop():
     m = smooth(F.cycle_graph(6))
     assert len(m.vertices) == 1 and len(m.edges) == 1
     assert m.edges[0].is_loop()
+    # a bare circle keeps its least vertex; the walk names the merged edge
+    assert m.vertices == ("1",) and m.edges[0].id == "(e1~e2~e3~e4~e5~e6)"
 
 
 def test_smooth_k5_unchanged():
@@ -174,6 +180,7 @@ def test_smooth_k5_unchanged():
 def test_smooth_path_to_single_edge():
     m = smooth(F.path_graph(5))
     assert len(m.vertices) == 2 and len(m.edges) == 1
+    assert m.edges[0].id == "(e1~e2~e3~e4~e5)"
 
 
 def test_smooth_subdivision_invariance():
@@ -225,6 +232,42 @@ def test_shape_taxonomy(graph, tag, members):
     assert set(s.memberships) == members
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shape_ignores_labels(data):
+    # forests plus a few loops, parallels and cycles, connected or not
+    nv = data.draw(st.integers(1, 8))
+    ends = st.integers(0, nv - 1)
+    parents = [data.draw(st.none() | st.integers(0, i - 1))
+               for i in range(1, nv)]
+    edges = [(i, p) for i, p in enumerate(parents, 1) if p is not None]
+    edges += data.draw(st.lists(st.tuples(ends, ends), max_size=4))
+    a = classify_shape(Graph.make(
+        map(str, range(nv)),
+        [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(edges)]))
+    for _ in range(3):
+        vp = data.draw(st.permutations([f"w{v}" for v in range(nv)]))
+        ep = data.draw(st.permutations([f"f{i}" for i in range(len(edges))]))
+        b = classify_shape(Graph.make(
+            vp, [(ep[i], vp[u], vp[v]) for i, (u, v) in enumerate(edges)]))
+        assert (a.tag, a.memberships) == (b.tag, b.memberships)
+
+
+def test_shape_of_disconnected_graph_ignores_the_hash_seed():
+    code = ("from braidscope.graph import Graph, classify_shape\n"
+            "g = Graph.make('abcde', [('l', 'a', 'a'), ('x', 'b', 'c'),\n"
+            "                         ('y', 'b', 'd'), ('z', 'b', 'e')])\n"
+            "s = classify_shape(g)\n"
+            "print(s.tag, sorted(s.memberships))\n")
+    outs = set()
+    for seed in ("1", "2"):   # two seeds that order string sets differently
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}, check=True)
+        outs.add(proc.stdout)
+    assert outs == {"general []\n"}
+
+
 def test_shape_subdivision_invariance():
     fixtures = [F.path_graph(3), F.cycle_graph(5), F.star_graph(4),
                 F.theta_graph(2, 2, 2), F.h_graph(), F.rose_graph(3, 3, 2),
@@ -248,8 +291,18 @@ def test_cycle_counts():
 
 def test_cycles_match_networkx():
     rng = random.Random(11)
-    for _ in range(40):
-        g = random_connected_graph(rng, rng.randint(3, 7))
+    graphs = [random_connected_graph(rng, rng.randint(3, 7))
+              for _ in range(40)]
+    for _ in range(10):   # trees, and long cycles with trees hanging off
+        nv = rng.randint(1, 30)
+        tree = [(f"t{i}", str(i), str(rng.randrange(i))) for i in range(1, nv)]
+        graphs.append(Graph.make(map(str, range(nv)), tree))
+        k = rng.randint(3, 40)
+        ring = [(f"c{i}", str(i), str((i + 1) % k)) for i in range(k)]
+        hang = [(f"h{i}", str(i), str(rng.randrange(i)))
+                for i in range(k, k + rng.randint(0, 10))]
+        graphs.append(Graph.make(map(str, range(k + len(hang))), ring + hang))
+    for g in graphs:
         ours = sorted(sorted(c.vertices) for c in simple_cycles(g))
         theirs = sorted(sorted(c) for c in nx.simple_cycles(to_nx_multigraph(g)))
         assert ours == theirs
@@ -259,6 +312,15 @@ def test_long_cycle_needs_no_recursion():
     # one path vertex per stack frame would pass the default limit of 1000
     (c,) = simple_cycles(F.cycle_graph(1100))
     assert len(c) == 1100 and c.vertices[0] == "1"
+
+
+def test_long_cycle_is_enumerated_in_linear_time():
+    import braidscope.graph as G
+    g = F.cycle_graph(4000)
+    t0 = time.monotonic()
+    (c,) = G._enumerate_cycles(g, G.DEFAULT_CYCLE_CAP)
+    assert time.monotonic() - t0 < 1
+    assert len(c) == 4000 and c.vertices[:2] == ("1", "2")
 
 
 def test_cycle_order_deterministic_and_canonical():
