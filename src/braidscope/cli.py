@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, build, word, homology, relhyp-check, table.
+Only ``graph``, ``complex`` and ``homology`` are imported at start-up;
+each subcommand imports the other modules it uses when it runs.
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
@@ -19,24 +21,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import JSON_SCHEMA_VERSION, families
-from .classifier import (
-    ClassificationReport, Subgraph, check_peripheral_collection, full_report,
-)
+from . import JSON_SCHEMA_VERSION
 from .complex import DEFAULT_CELL_CAP, build
-from .diagrams import check_legal, cyclically_reduce, diagram, equal
 from .errors import (
     BraidscopeError, InvariantError, ParseError, PreconditionError,
     ResourceLimitError,
 )
-from .graph import Graph, normalize, subdivide_for
+from .graph import Graph, Subgraph, normalize, subdivide_for
 from .homology import chain_complex, check_column_cap, homology
-from .hyperplanes import (
-    coloring_graph, hyperplanes_by_components, verify_special_coloring,
-)
+
+if TYPE_CHECKING:
+    from .classifier import ClassificationReport
 
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
@@ -154,6 +154,7 @@ def report_table(rep: ClassificationReport) -> str:
 # -- subcommands ----------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .classifier import full_report
     g = normalize(load_graph(args.graph))
     rep = full_report(g, args.particles, run_oracles=args.oracle)
     if args.format == "json":
@@ -176,6 +177,7 @@ def dot_skeleton(x) -> str:
 
 
 def dot_coloring(g: Graph) -> str:
+    from .hyperplanes import coloring_graph
     adj = coloring_graph(g)
     lines = ["graph coloring {"]
     for eid in sorted(adj):
@@ -191,6 +193,7 @@ def dot_coloring(g: Graph) -> str:
 
 
 def cmd_build(args) -> int:
+    from .hyperplanes import hyperplanes_by_components, verify_special_coloring
     g = normalize(load_graph(args.graph))
     if args.subdivide:
         g = subdivide_for(g, args.particles)
@@ -225,6 +228,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_word(args) -> int:
+    from .diagrams import check_legal, cyclically_reduce, diagram, equal
     g = normalize(load_graph(args.graph))
     base = tuple(args.base.split(","))
     letters = parse_word_tokens(args.letters)
@@ -263,7 +267,11 @@ def cmd_homology(args) -> int:
     g = normalize(load_graph(args.graph))
     if args.subdivide:
         g = subdivide_for(g, args.particles)
-    x = build(g, args.particles, cell_cap=cell_cap(args))
+    n, nv, cap = args.particles, len(g.vertices), cell_cap(args)
+    if g.edges and n > 0 and math.comb(nv, n) <= cap:
+        # f_1 = |E| C(|V|-2, n-1): refuse before indexing a large graph
+        check_column_cap((0, len(g.edges) * math.comb(nv - 2, n - 1)))
+    x = build(g, n, cell_cap=cap)
     check_column_cap(x.f_vector())
     h = homology(chain_complex(x))
     data = {
@@ -286,6 +294,7 @@ def parse_collection_text(g: Graph, text: str) -> list:
     group comma-separated; the subgraph is the union of the induced
     subgraphs on the groups."""
     subs = []
+    known = set(g.vertices)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,19 +303,18 @@ def parse_collection_text(g: Graph, text: str) -> list:
         eids: set = set()
         for group in line.split(";"):
             names = [t.strip() for t in group.split(",") if t.strip()]
-            unknown = [t for t in names if t not in set(g.vertices)]
+            unknown = [t for t in names if t not in known]
             if unknown:
                 raise ParseError(f"line {lineno}: unknown vertex {unknown[0]!r}")
             sub = g.induced(names)
             verts |= sub.vertices
             eids |= sub.edge_ids
         subs.append(Subgraph(g, frozenset(verts), frozenset(eids)))
-    if not subs:
-        return []
     return subs
 
 
 def cmd_relhyp(args) -> int:
+    from .classifier import check_peripheral_collection
     g = normalize(load_graph(args.graph))
     if args.collection == "-":
         text = sys.stdin.read()
@@ -341,6 +349,7 @@ def cmd_relhyp(args) -> int:
 
 
 def _family_graphs(args):
+    from . import families
     lo = args.min
     if args.family == "complete":
         for m in range(lo, args.max + 1):
@@ -368,6 +377,7 @@ def parse_particle_range(text: str) -> tuple:
 
 
 def cmd_table(args) -> int:
+    from .classifier import full_report
     ns = parse_particle_range(args.particles)
     if args.max > MAX_FAMILY_SIZE:
         raise ResourceLimitError(

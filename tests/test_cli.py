@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidscope import cli
+from braidscope import classifier, cli
 from braidscope.cli import main, parse_collection_text, parse_graph_text
 from braidscope.errors import InvariantError, ParseError
 
@@ -157,7 +157,7 @@ def test_failed_internal_check_exits_4(k5, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InvariantError("forged contradiction")
 
-    monkeypatch.setattr(cli, "full_report", broken)
+    monkeypatch.setattr(classifier, "full_report", broken)
     assert main(["analyze", "--graph", k5, "-n", "2"]) == cli.EXIT_INVARIANT == 4
     assert "internal check failed: forged contradiction" in capsys.readouterr().err
 
@@ -345,17 +345,33 @@ def test_keyboard_interrupt_still_propagates(p3, monkeypatch):
         main(["build", "--graph", p3, "-n", "2"])
 
 
+# Runs argv and prints its peak RSS in kB (Linux).  A child inherits the
+# RSS high-water mark of the process that forks it, so a small process
+# forks it here, not the test run.
+PEAK_RSS = ("import os, subprocess, sys\n"
+            "pid = subprocess.Popen(sys.argv[1:]).pid\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(usage.ru_maxrss)\n"
+            "sys.exit(os.waitstatus_to_exitcode(status))\n")
+
+
 def test_long_path_one_particle_refused_fast(tmp_path):
     # 20,001 edges: one 1-cube per edge, one over the Smith-form cap; the
-    # refusal must not wait on a scan of the free vertices per edge
+    # refusal must not wait on a scan of the free vertices per edge, nor
+    # index the graph's 20,002 vertices as 20,002-bit masks first
     gfile = tmp_path / "path.txt"
     gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 20002)))
     t0 = time.monotonic()
-    rc, out, err = run_cli(["homology", "--graph", str(gfile), "-n", "1"])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "braidscope.cli",
+         "homology", "--graph", str(gfile), "-n", "1"],
+        capture_output=True, text=True)
     elapsed = time.monotonic() - t0
-    assert rc == 3 and out == ""
-    assert err == "resource limit: 20001 columns exceed Smith-form cap 20000\n"
+    assert proc.returncode == 3 and proc.stdout.strip().isdigit()
+    assert proc.stderr == (
+        "resource limit: 20001 columns exceed Smith-form cap 20000\n")
     assert elapsed < 5
+    assert int(proc.stdout) <= 50 * 1024
 
 
 def test_long_path_two_particles_analyzed_fast(tmp_path):
@@ -551,3 +567,35 @@ def test_word_base_must_be_distinct_known_vertices(triangle_with_tail):
         rc, out, err = _exit_code(["word", "--graph", triangle_with_tail,
                                    "--base", base, "+a"])
         assert (rc, out) == (2, "") and "distinct vertices" in err, base
+
+
+COLLECTION_PIECES = FUZZ_IDS + ("zz", "", ";", ",", " ", ";;", ",,", "\n",
+                                "# c", "#;,")
+
+
+@pytest.fixture(scope="module")
+def collection_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("relhyp") / "c.txt"
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=graph_files(),
+       collection=st.lists(st.sampled_from(COLLECTION_PIECES),
+                           max_size=16).map("".join),
+       from_stdin=st.booleans())
+def test_relhyp_collections_end_in_a_documented_code(fuzz_file, collection_file,
+                                                     graph, collection,
+                                                     from_stdin):
+    # unknown ids, empty groups and lines, stray separators, comments
+    fuzz_file.write_text(graph)
+    collection_file.write_text(collection)
+    argv = ["relhyp-check", "--graph", str(fuzz_file), "--collection",
+            "-" if from_stdin else str(collection_file)]
+    stdin, sys.stdin = sys.stdin, io.StringIO(collection)
+    try:
+        rc, out, err = _exit_code(argv)
+    finally:
+        sys.stdin = stdin
+    assert rc in (0, 1, 2, 3), (graph, collection, err)
+    assert "internal error" not in err and "Traceback" not in err, err
+    assert (rc == 0) == bool(out), (graph, collection)

@@ -232,19 +232,29 @@ def test_shape_taxonomy(graph, tag, members):
     assert set(s.memberships) == members
 
 
+def components_and_betti(g):
+    m = to_nx_multigraph(g)
+    comps = nx.number_connected_components(m)
+    return comps, m.number_of_edges() - m.number_of_nodes() + comps
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_shape_ignores_labels(data):
-    # forests plus a few loops, parallels and cycles, connected or not
+    # forests plus a few loops, parallels and cycles, connected or not,
+    # isolated vertices included
     nv = data.draw(st.integers(1, 8))
     ends = st.integers(0, nv - 1)
     parents = [data.draw(st.none() | st.integers(0, i - 1))
                for i in range(1, nv)]
     edges = [(i, p) for i, p in enumerate(parents, 1) if p is not None]
     edges += data.draw(st.lists(st.tuples(ends, ends), max_size=4))
-    a = classify_shape(Graph.make(
-        map(str, range(nv)),
-        [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(edges)]))
+    g = Graph.make(map(str, range(nv)),
+                   [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(edges)])
+    # normalize and smooth are homeomorphisms: components and b1 stay
+    assert components_and_betti(normalize(g)) == components_and_betti(g)
+    assert components_and_betti(smooth(g)) == components_and_betti(g)
+    a = classify_shape(g)
     for _ in range(3):
         vp = data.draw(st.permutations([f"w{v}" for v in range(nv)]))
         ep = data.draw(st.permutations([f"f{i}" for i in range(len(edges))]))

@@ -1,8 +1,13 @@
 """Package-wide rules that no single module's tests would catch."""
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 import braidscope
 
@@ -22,3 +27,84 @@ def test_runtime_imports_only_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# every name the package exported when it imported all its submodules
+EXPORTS = {
+    "errors": ("BraidscopeError IllegalMoveError InvariantError ParseError "
+               "PreconditionError ResourceLimitError"),
+    "graph": ("Cycle Graph Shape Subgraph classify_shape first_betti "
+              "normalize simple_cycles smooth subdivide_for"),
+    "complex": "CubeComplex build euler_characteristic is_surface verify_npc",
+    "hyperplanes": ("Hyperplane coloring_graph hyperplanes_by_bfs "
+                    "hyperplanes_by_components verify_special_coloring"),
+    "diagrams": ("CoverBall Diagram LegalWord SupportData ball_oracle "
+                 "check_legal concat cyclic_centralizer_witness "
+                 "cyclically_reduce diagram equal inverse make_rotation "
+                 "make_tripod_swap reduce_word"),
+    "homology": "ChainComplex HomologySummary chain_complex",
+    "classifier": ("ClassificationReport ParticleAssignment PeripheralReport "
+                   "acyl_hyp_status check_peripheral_collection contains_f2xz "
+                   "contains_free_nonabelian free_certificate full_report "
+                   "is_hyperbolic is_infinite_cyclic is_toral_rel_hyp "
+                   "is_trivial oracle_f2xz oracle_nonhyperbolic"),
+}
+
+
+def test_lazy_names_resolve_to_their_submodule_objects(monkeypatch):
+    listed = set(dir(braidscope))
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"braidscope.{module}")
+        assert getattr(braidscope, module) is sub
+        for name in names.split():
+            assert getattr(braidscope, name) is getattr(sub, name), name
+            assert name in listed, name
+    assert {"__version__", "JSON_SCHEMA_VERSION"} <= listed
+    # looked up on each access, so a name rebound in its submodule shows
+    assert "Graph" not in vars(braidscope) and "full_report" not in vars(braidscope)
+    # a submodule not yet bound in the package loads on first access too
+    monkeypatch.delattr(braidscope, "diagrams")
+    assert braidscope.diagrams is sys.modules["braidscope.diagrams"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidscope.no_such_name
+    with pytest.raises(ImportError):
+        exec("from braidscope import no_such_name", {})
+
+
+STARTUP = """\
+import contextlib, io, sys
+if sys.argv[1:]:
+    from braidscope import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+else:
+    import braidscope
+print(" ".join(sorted(m for m in sys.modules if m.startswith("braidscope."))))
+"""
+BASE = "cli complex errors graph homology"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], "errors"),
+    (["homology", "--graph", "G", "-n", "2"], BASE),
+    (["build", "--graph", "G", "-n", "2"], BASE + " hyperplanes"),
+    (["build", "--graph", "G", "-n", "2", "--format", "dot",
+      "--dot-what", "coloring"], BASE + " hyperplanes"),
+    (["analyze", "--graph", "G", "-n", "2"], BASE + " classifier"),
+    (["relhyp-check", "--graph", "G", "--collection", "C"], BASE + " classifier"),
+    (["table", "--family", "complete", "--max", "3", "--particles", "2"],
+     BASE + " classifier families"),
+    (["word", "--graph", "G", "--base", "1,3", "+d"], BASE + " diagrams"),
+], ids=("import", "homology", "build", "build-dot-coloring", "analyze",
+        "relhyp-check", "table", "word"))
+def test_each_subcommand_imports_only_what_it_uses(tmp_path, argv, loaded):
+    graph = tmp_path / "g.txt"
+    graph.write_text("e a 1 2\ne b 2 3\ne c 3 1\ne d 3 4\n")
+    collection = tmp_path / "c.txt"
+    collection.write_text("1,2;3\n")
+    argv = [{"G": str(graph), "C": str(collection)}.get(a, a) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(f"braidscope.{m}" for m in loaded.split())
