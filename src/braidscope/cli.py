@@ -6,10 +6,11 @@ each subcommand imports the other modules it uses when it runs.
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
-violation, 3 resource limit, 4 failed internal consistency check or
-any other unexpected exception (one ``internal error:`` line on stderr,
-no traceback).  A reader that closes stdout early (``| head``) ends the
-run quietly with exit 0.
+violation, 3 resource limit, 4 failed internal consistency check (such
+as a full ``build`` whose two hyperplane routes count differently; one
+``internal check failed:`` line on stderr) or any other unexpected
+exception (one ``internal error:`` line); never a traceback.  A reader
+that closes stdout early (``| head``) ends the run quietly with exit 0.
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
@@ -32,7 +33,7 @@ from .errors import (
     BraidscopeError, InvariantError, ParseError, PreconditionError,
     ResourceLimitError,
 )
-from .graph import Graph, Subgraph, normalize, subdivide_for
+from .graph import Graph, Subgraph, idkey, normalize, subdivide_for
 from .homology import chain_complex, check_column_cap, homology
 
 if TYPE_CHECKING:
@@ -192,6 +193,16 @@ def dot_coloring(g: Graph) -> str:
     return "\n".join(lines)
 
 
+def check_hyperplane_routes(by_components: dict, by_squares: dict) -> None:
+    """Raise InvariantError at the first color (in id order) whose number
+    of hyperplanes differs between the two routes."""
+    for color in sorted(by_components.keys() | by_squares.keys(), key=idkey):
+        a, b = by_components.get(color, 0), by_squares.get(color, 0)
+        if a != b:
+            raise InvariantError(f"hyperplane routes disagree on color {color}: "
+                                 f"{a} by components, {b} by squares")
+
+
 def cmd_build(args) -> int:
     from .hyperplanes import hyperplanes_by_components, verify_special_coloring
     g = normalize(load_graph(args.graph))
@@ -210,12 +221,14 @@ def cmd_build(args) -> int:
         "hyperplanes": len(hps),
         "hyperplanes_per_color": {},
     }
+    per = data["hyperplanes_per_color"]
     for h in hps:
-        per = data["hyperplanes_per_color"]
         per[h.color] = per.get(h.color, 0) + 1
     if x.max_dim >= x.n:
         data["euler_characteristic"] = x.euler_characteristic()
-        data["npc"] = bool(verify_special_coloring(x).ok)
+        report = verify_special_coloring(x)
+        data["npc"] = bool(report.ok)
+        check_hyperplane_routes(per, report.classes_per_color)
     if args.format == "json":
         emit_json(data)
     else:

@@ -262,7 +262,9 @@ def build(g: Graph, n: int, max_dim: Optional[int] = None,
     levels = [dict.fromkeys((0, sum(c)) for c in itertools.combinations(vbits, n))]
     levels += [{} for _ in range(top)]
     total = len(levels[0])
-    for d, m, used in _matchings(list(ix.emask.items()), top):
+    # a d-cube spans n + d vertices, so none has d > |V| - n
+    for d, m, used in _matchings(list(ix.emask.items()),
+                                 min(top, len(vbits) - n)):
         level = levels[d]
         if d == n:
             level[(m, 0)] = None

@@ -432,7 +432,7 @@ class CoverBall:
                     cand_index[(u, e.id)] = len(candidates)
                     candidates.append((u, e.id, sign,
                                        x.apply_move(conf, e)))
-            uf = UnionFind()
+            uf = UnionFind(len(candidates))
             if dist >= 1:
                 for z in layers[dist - 1]:
                     ups = [(eid, nbr)

@@ -61,20 +61,18 @@ def connected_components(vertices, adj, banned=()) -> tuple:
 
 
 class UnionFind:
-    """Disjoint sets over hashable items, each a singleton until joined."""
+    """Disjoint sets over 0..size-1, each a singleton until joined."""
 
-    def __init__(self):
-        self.parent = {}
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
 
-    def union(self, a, b):
+    def union(self, a: int, b: int):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb

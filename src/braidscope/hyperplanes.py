@@ -5,8 +5,9 @@ square-parallelism; here every class carries a color, the moving edge
 of the underlying graph.  The same classes can be counted without ever
 touching squares: for each graph edge e, hyperplanes colored e
 correspond to connected components of the (n-1)-particle space of the
-graph with the closed edge e removed.  Both computations are exposed
-and the test suite insists they agree class by class.
+graph with the closed edge e removed.  Both are exposed; the tests
+match them class by class and each full CLI ``build`` compares their
+counts per color.
 
 The coloring map (color every oriented hyperplane by its oriented graph
 edge, adjacency = disjointness of graph edges) satisfies the four
@@ -17,11 +18,12 @@ on any complex, mutilated fixtures included.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .complex import CubeComplex, build
 from .errors import PreconditionError
-from .graph import Graph, UnionFind, idkey
+from .graph import Graph, UnionFind, connected_components, idkey
 
 
 @dataclass(frozen=True)
@@ -43,20 +45,22 @@ def _hyperplane(color: str, ends) -> Hyperplane:
 
 
 def _parallel_classes(x: CubeComplex) -> list:
-    """The 1-cube keys of x grouped into square-parallelism classes."""
+    """The 1-cube keys of x in square-parallelism classes, by first member."""
     if x.dim() < 2 and x.n >= 2:
         raise PreconditionError("hyperplane walk needs the 2-skeleton")
     ends = x.index.ends
-    uf = UnionFind()
+    keys = list(x.level(1))
+    pos = {key: i for i, key in enumerate(keys)}
+    uf = UnionFind(len(keys))
     for (m, s) in x.level(2):
         a = m & -m
         b = m ^ a
         # the two a-colored sides differ by where b sits, and vice versa
-        uf.union((a, s | ends[b][0]), (a, s | ends[b][1]))
-        uf.union((b, s | ends[a][0]), (b, s | ends[a][1]))
+        uf.union(pos[a, s | ends[b][0]], pos[a, s | ends[b][1]])
+        uf.union(pos[b, s | ends[a][0]], pos[b, s | ends[a][1]])
     classes = {}
-    for key in x.level(1):
-        classes.setdefault(uf.find(key), []).append(key)
+    for i, key in enumerate(keys):
+        classes.setdefault(uf.find(i), []).append(key)
     return list(classes.values())
 
 
@@ -73,32 +77,23 @@ def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
 
 
 def hyperplanes_by_components(g: Graph, n: int) -> tuple:
-    """One hyperplane per (edge e, component of UC_{n-1} of g minus e);
-    each small build keeps build's default cell cap."""
+    """One hyperplane per (edge e, component of UC_{n-1} of g minus the
+    closed edge e), read off one UC_{n-1}(g) 1-skeleton restricted to
+    the configurations that miss both ends of e."""
     if not g.is_simple():
         raise PreconditionError("expects a normalized graph")
     if len(g.vertices) < n:
         raise PreconditionError("not enough vertices for the particles")
     if n == 0:
         return ()   # UC_0 is one point: no complex edges, no hyperplanes
-    pos = {v: i for i, v in enumerate(g.vertices)}
+    x = build(g, n - 1, max_dim=1)
+    nbrs = {a: [b for _, b in around] for a, around in x.adjacency.items()}
     out = []
-    for e in g.edges:
-        rest = Graph._make(   # g minus the closed edge e; ids may be generated
-            [v for v in g.vertices if v not in (e.u, e.v)],
-            [(f.id, f.u, f.v) for f in g.edges if not e.touches(f)])
-        if len(rest.vertices) < n - 1:
-            continue  # no configuration can avoid the closed edge
-        sub = build(rest, n - 1, max_dim=1)
-        # rest keeps the order of g.vertices, so a sub mask lifts to g by
-        # opening a gap at the two deleted positions p < q
-        p, q = sorted((pos[e.u], pos[e.v]))
-        low, mid = (1 << p) - 1, (1 << (q - p - 1)) - 1
-        u, v = 1 << pos[e.u], 1 << pos[e.v]
-        for comp in sub.components:
-            lifted = ((c & low) | ((c >> p & mid) << (p + 1))
-                      | (c >> (q - 1) << (q + 1)) for c in comp)
-            out.append(_hyperplane(e.id, ((c | u, c | v) for c in lifted)))
+    for m, (u, v) in x.index.ends.items():
+        color, emask = x.index.edge[m].id, u | v
+        for comp in connected_components(
+                nbrs, nbrs, banned=[c for c in nbrs if c & emask]):
+            out.append(_hyperplane(color, ((c | u, c | v) for c in comp)))
     out.sort(key=lambda h: (idkey(h.color), h.component_tag))
     return tuple(out)
 
@@ -117,6 +112,7 @@ def coloring_graph(g: Graph) -> dict:
 class ColoringReport:
     ok: bool
     axiom_failures: tuple   # (axiom number, description tuple)
+    classes_per_color: Counter   # color id -> square-parallelism classes
 
     def __bool__(self):
         return self.ok
@@ -132,15 +128,19 @@ def verify_special_coloring(x: CubeComplex) -> ColoringReport:
     2. transverse hyperplanes have disjoint (adjacent) colors;
     3. no two edges at a vertex share a color;
     4. moves with disjoint colors at a common vertex span a square.
+
+    The report also counts the square-parallelism classes of each color.
     """
     ix = x.index
     failures = []
+    per_color = Counter()
 
     # axiom 1: both orientations of every member edge realize the two
     # orientations of the class color, i.e. the configs differ exactly
     # by the endpoints of the color edge.
     for members in _parallel_classes(x):
         color = members[0][0]
+        per_color[ix.edge[color].id] += 1
         for (m, s) in members:
             a, b = s | ix.ends[m][0], s | ix.ends[m][1]
             if a ^ b != ix.emask[color]:
@@ -167,4 +167,4 @@ def verify_special_coloring(x: CubeComplex) -> ColoringReport:
             if not ea & eb and (a | b, conf & ~(ea | eb)) not in squares:
                 failures.append((4, (ix.ids(conf), ix.edge[a].id, ix.edge[b].id)))
 
-    return ColoringReport(not failures, tuple(failures))
+    return ColoringReport(not failures, tuple(failures), per_color)

@@ -20,10 +20,10 @@ K6 = "".join(f"e e{u}{v} {u} {v}\n"
              for u in range(1, 7) for v in range(u + 1, 7))
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "braidscope.cli", *args],
-        capture_output=True, text=True, input=stdin)
+        capture_output=True, text=True, input=stdin, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -382,6 +382,73 @@ def test_long_path_two_particles_analyzed_fast(tmp_path):
     rc, out, _ = run_cli(["analyze", "--graph", str(gfile), "-n", "2"])
     assert rc == 0 and json.loads(out)["assignments"][0]["shapes"] == ["segment"]
     assert time.monotonic() - t0 < 5
+
+
+def test_long_path_one_particle_built_fast(tmp_path, capsys):
+    # one hyperplane per edge, read off one build of UC_0 rather than one
+    # build per edge of its closed-edge complement
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 1001)))
+    t0 = time.monotonic()
+    assert main(["build", "--graph", str(gfile), "-n", "1"]) == 0
+    elapsed = time.monotonic() - t0
+    assert json.loads(capsys.readouterr().out) == {
+        "components": 1, "euler_characteristic": 1, "f_vector": [1001, 1000],
+        "hyperplanes": 1000,
+        "hyperplanes_per_color": {f"e{i}": 1 for i in range(1, 1001)},
+        "npc": True, "schema": 1}
+    assert elapsed < 0.5
+
+
+def one_point_stdout(command: str, n: int) -> str:
+    """stdout of `homology` or `build` on a complex that is one point,
+    reported up to dimension n."""
+    if command == "homology":
+        return ('{"euler_characteristic":1,"free_ranks":['
+                + ",".join(["1"] + ["0"] * n) + '],"groups":['
+                + ",".join(['"Z"'] + ['"0"'] * n) + '],"schema":1,"torsion":['
+                + ",".join(["[]"] * (n + 1)) + "]}\n")
+    return ('{"components":1,"euler_characteristic":1,"f_vector":['
+            + ",".join(["1"] + ["0"] * n) + '],"hyperplanes":0,'
+            '"hyperplanes_per_color":{},"npc":true,"schema":1}\n')
+
+
+@pytest.mark.parametrize("command", ["homology", "build"])
+@pytest.mark.parametrize("n", [20, 25, 50])
+def test_particles_filling_a_path_end_fast(p3, command, n):
+    # after subdivide_for the path has exactly n vertices, so UC_n is one
+    # point; build must not walk the path's Fibonacci-many matchings, and
+    # the f-vector keeps its n trailing zeros
+    t0 = time.monotonic()
+    rc, out, err = run_cli([command, "--subdivide", "--graph", p3,
+                            "-n", str(n)], timeout=10)
+    assert (rc, out, err) == (0, one_point_stdout(command, n), "")
+    assert time.monotonic() - t0 < 1
+
+
+def test_hyperplane_routes_that_disagree_exit_4(tmp_path, monkeypatch,
+                                               capsys):
+    from braidscope import hyperplanes
+
+    class DropsOneUnion(hyperplanes.UnionFind):
+        """The square route with its first joining union left out."""
+
+        def union(self, a, b):
+            if self.find(a) != self.find(b) and not hasattr(self, "dropped"):
+                self.dropped = (a, b)
+            else:
+                super().union(a, b)
+
+    monkeypatch.setattr(hyperplanes, "UnionFind", DropsOneUnion)
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(GOLDEN_GRAPHS["k4"])
+    rc = main(["build", "--subdivide", "--graph", str(gfile), "-n", "2"])
+    assert rc == cli.EXIT_INVARIANT == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal check failed: hyperplane routes "
+                            "disagree on color e12: 1 by components, "
+                            "2 by squares\n")
 
 
 @pytest.mark.parametrize("argv", [

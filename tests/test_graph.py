@@ -454,7 +454,7 @@ def test_adjacency_is_cached_sorted_and_loop_free():
 
 
 def test_union_find_joins_classes():
-    uf = UnionFind()
+    uf = UnionFind(6)
     uf.union(1, 2)
     uf.union(3, 4)
     uf.union(2, 4)

@@ -86,6 +86,14 @@ def test_kernel_against_independent_counts(g, n, data):
         assert not verify_npc(cut).ok
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_edges=10), st.integers(0, 2))
+def test_f_vector_with_few_spare_vertices(g, spare):
+    # no d-cube has d > |V| - n, yet the f-vector keeps all n + 1 entries
+    n = max(len(g.vertices) - spare, 0)
+    assert build(g, n).f_vector() == reference_f_vector(g, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_edges=10), st.integers(1, 3))
 def test_euler_characteristic_is_gals(g, n):
