@@ -427,14 +427,48 @@ def _girth_cycle(g: Graph) -> Optional[list]:
     """Vertices of one shortest simple cycle of a simple graph, or None.
 
     Girth = min over edges (u,v) of 1 + shortest u-v distance avoiding
-    that edge; exact, and cheap at the sizes handled here.
+    that edge; exact, and cheap at the sizes handled here.  A forest has
+    no cycle, and is answered without a search.
     """
+    if not g.first_betti():
+        return None
     best = None
     for e in g.edges:
         path = _shortest_path(g, e.u, e.v, direct=False)
         if path is not None and (best is None or len(path) < len(best)):
             best = path
     return best
+
+
+def _grow_components(g: Graph, small, n: int) -> Graph:
+    """Give each component in `small` n vertices, in one Graph._make.
+
+    Splits as one vertex per pass would: each split halves the
+    component's least edge in id order, so its edges wait in a heap
+    keyed by ``idkey`` and the two halves go back in.
+    """
+    # imported here: only small components use heapq, and a top-level
+    # import would add its start-up time to every CLI run
+    import heapq
+
+    where = {v: i for i, c in enumerate(small) for v in c}
+    queues = [[] for _ in small]
+    vertices, edges = list(g.vertices), []
+    for e in g.edges:
+        i = where.get(e.u)
+        if i is None:
+            edges.append((e.id, e.u, e.v))
+        else:
+            queues[i].append((idkey(e.id), e))
+    for c, queue in zip(small, queues):
+        heapq.heapify(queue)
+        for _ in range(n - len(c)):
+            inner, path = _subdivided(heapq.heappop(queue)[1], 1)
+            vertices += inner
+            for eid, u, v in path:
+                heapq.heappush(queue, (idkey(eid), Edge(eid, u, v)))
+        edges += [(e.id, e.u, e.v) for _, e in queue]
+    return Graph._make(vertices, edges)
 
 
 def subdivide_for(g: Graph, n: int) -> Graph:
@@ -458,19 +492,15 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     if not g.edges and len(g.vertices) < n:
         raise PreconditionError(
             f"cannot host {n} particles on an edgeless graph")
-    # every pass but the last adds one vertex, so the vertices that small
-    # components lack bound the passes from below: refuse before the work
-    lacking = sum(n - len(c) for c in g.components() if 1 < len(c) < n)
+    # in a simple graph a component has an edge iff it has 2+ vertices;
+    # each vertex a small one lacks counts as one pass against the cap,
+    # so refuse before the work if they alone reach it
+    small = [c for c in g.components() if 1 < len(c) < n]
+    lacking = sum(n - len(c) for c in small)
     if lacking >= SUBDIVIDE_PASS_CAP:
         raise ResourceLimitError("subdivide_for did not converge")
-    out = g
-    for _ in range(SUBDIVIDE_PASS_CAP):
-        # in a simple graph a component has an edge iff it has 2+ vertices
-        small = next((c for c in out.components() if 1 < len(c) < n), None)
-        if small is not None:
-            out = subdivide_edge(out, next(
-                e.id for e in out.edges if e.u in small))
-            continue
+    out = _grow_components(g, small, n) if small else g
+    for _ in range(SUBDIVIDE_PASS_CAP - lacking):
         ess = out.essential_vertices()
         leaves = tuple(v for v in out.vertices if out.degree(v) == 1)
         violation = None

@@ -22,9 +22,16 @@ Each is an ordinary unit pivot, so it contributes an invariant 1 and
 leaves the other invariants to the rest of the matrix, as any unit
 pivot does.  It is also free: its row has nothing else to clear, and
 clearing its column with that row changes no other entry, so the row
-and the column just go.  No fill arises, and it is a pivot the
-Markowitz heap would take first (score 0).  Rows left with one entry
-join the worklist; the heap then handles what is left.
+and the column just go.  No fill arises, and the free-face pass only
+reads and drops the stored column dicts; only the rows that survive it
+are copied.  The other unit pivots come from a lazy queue of working
+rows keyed by length: the shortest row pivots on its unit entry with the
+fewest working rows, and a row goes back into the queue whenever an
+elimination changes it.  Free faces that an elimination uncovers are
+taken before the next row leaves the queue.  Rows with no unit entry
+wait, and what is left at the end is the dense residue.  Any sequence
+of unit pivots gives the same invariants, so the order only sets the
+cost.
 
 :func:`homology` sweeps from the top dimension down and cancels unit
 pairs across dimensions, as coreduction does (Mrozek & Batko,
@@ -136,11 +143,13 @@ def smith_invariants(columns, shape: tuple,
 
     `columns[j]` is column j as a dict {row: entry}; `shape` is
     (row, col).  The sweep runs on the transpose, whose rows are these
-    dicts (copied, never changed).  Unit entries alone in their row (free
-    faces) go first, then the other unit pivots, cheapest fill first;
-    the dense leftover is finished with minimal-entry pivoting and the
-    classic divisibility fix-up, which only the residue needs: the ones
-    from the sweep divide everything.
+    dicts (read, never changed; the rows left after the free faces are
+    copied).  Unit entries alone in their row (free faces) go first,
+    then the other unit pivots, shortest working row first, each on its
+    unit entry in the fewest working rows; the dense leftover is finished
+    with minimal-entry pivoting and the classic divisibility fix-up,
+    which only the residue needs: the ones from the sweep divide
+    everything.
 
     Columns in `drop_cols` are left out; `shape` still counts them.  For
     a boundary map d_d, leaving out the unit-pivot rows P of the sweep
@@ -156,78 +165,97 @@ def smith_invariants(columns, shape: tuple,
 
     check_column_cap(shape, column_cap)   # (rows, cols): f-vector of one map
     # transpose: a working row is a column of the matrix, a working
-    # column (a key of `col`) is one of its rows
+    # column (a key of `col`) is one of its rows, with the list of working
+    # rows that hold it (short lists: a row goes in only where it is
+    # absent).  Until the free faces are gone the rows are the caller's
+    # dicts, only read and dropped.
     row = {}
     col = {}
     for j, entries in enumerate(columns):
         if entries and j not in drop_cols:
-            row[j] = dict(entries)
+            row[j] = entries
             for i in entries:
-                col.setdefault(i, set()).add(j)
+                col.setdefault(i, []).append(j)
     pivots = []   # working columns, that is matrix rows, of unit pivots
 
-    # free faces first: a unit alone in its matrix row (a working column
-    # with one working row) has Markowitz score 0, and eliminating it
-    # only deletes its working row, so no other entry changes
-    lone = [i for i, js in col.items() if len(js) == 1]
-    while lone:
-        i = lone.pop()
-        js = col.get(i)
-        if js is None or len(js) != 1:
-            continue
-        j, = js
-        if row[j][i] not in (1, -1):
-            continue
-        del col[i]
-        for c in row.pop(j):
-            if c != i:
-                rest = col[c]
-                rest.discard(j)
-                if len(rest) == 1:
-                    lone.append(c)
-                elif not rest:
-                    del col[c]
-        pivots.append(i)
+    def free_faces(lone):
+        # a unit alone in its working column: eliminating it only
+        # deletes its working row, so no other entry changes
+        while lone:
+            i = lone.pop()
+            js = col.get(i)
+            if js is None or len(js) != 1:
+                continue
+            j, = js
+            if row[j][i] not in (1, -1):
+                continue
+            del col[i]
+            for c in row.pop(j):
+                if c != i:
+                    rest = col[c]
+                    rest.remove(j)
+                    if len(rest) == 1:
+                        lone.append(c)
+                    elif not rest:
+                        del col[c]
+            pivots.append(i)
 
-    # the other unit pivots, cheapest fill first (lazy Markowitz heap)
-    def score(r, c):
-        return (len(row[r]) - 1) * (len(col[c]) - 1)
+    free_faces([i for i, js in col.items() if len(js) == 1])
+    # the rows left are eliminated into: copy them, and only them
+    for j, entries in row.items():
+        row[j] = dict(entries)
 
-    heap = [(score(r, c), r, c) for r, cells in row.items()
-            for c, v in cells.items() if v in (1, -1)]
+    # the other unit pivots: shortest working row first (lazy heap of
+    # (length, row), pushed again whenever an elimination changes a
+    # row), on its unit entry with the fewest working rows; a row with
+    # no unit entry waits for a change or goes to the dense residue
+    heap = [(len(cells), r) for r, cells in row.items()]
     heapq.heapify(heap)
     while heap:
-        s, r0, c0 = heapq.heappop(heap)
-        v0 = row.get(r0, {}).get(c0)
-        if v0 not in (1, -1):
+        length, r0 = heapq.heappop(heap)
+        pivot_row = row.get(r0)
+        if pivot_row is None or len(pivot_row) != length:
             continue
-        fresh = score(r0, c0)
-        if fresh > s:
-            heapq.heappush(heap, (fresh, r0, c0))
+        c0 = None
+        for c, v in pivot_row.items():
+            if (v == 1 or v == -1) and (
+                    c0 is None or len(col[c]) < len(col[c0])):
+                c0 = c
+        if c0 is None:
             continue
         # clear column c0 with row operations, then drop the pivot row;
         # with a unit pivot the implicit column sweep touches nothing else
-        pivot_row = row.pop(r0)
+        v0 = pivot_row.pop(c0)
+        del row[r0]
+        targets = col.pop(c0)
+        targets.remove(r0)
         for c in pivot_row:
-            col[c].discard(r0)
-        for r in list(col.get(c0, ())):
+            col[c].remove(r0)
+        for r in targets:
             cells = row[r]
-            factor = cells[c0] * v0  # v0 inverse equals v0
+            factor = cells.pop(c0) * v0   # v0 inverse equals v0
             for c, v in pivot_row.items():
                 new = cells.get(c, 0) - factor * v
                 if new:
+                    if c not in cells:
+                        col[c].append(r)
                     cells[c] = new
-                    col.setdefault(c, set()).add(r)
-                    if new in (1, -1):
-                        heapq.heappush(heap, (score(r, c), r, c))
                 else:
-                    if c in cells:
-                        del cells[c]
-                        col[c].discard(r)
-            if not cells:
+                    del cells[c]
+                    col[c].remove(r)
+            if cells:
+                heapq.heappush(heap, (len(cells), r))
+            else:
                 del row[r]
-        col.pop(c0, None)
         pivots.append(c0)
+        lone = []
+        for c in pivot_row:
+            left = len(col[c])
+            if left == 1:
+                lone.append(c)
+            elif not left:
+                del col[c]
+        free_faces(lone)
     ones = len(pivots)
     if pivot_rows is not None:
         pivot_rows.update(pivots)

@@ -223,6 +223,8 @@ GOLDEN_GRAPHS = {
     "star5": "".join(f"e a{i} c l{i}\n" for i in range(1, 6)),
     "k4": "".join(f"e e{u}{v} {u} {v}\n"
                   for u in range(1, 5) for v in range(u + 1, 5)),
+    "k7": "".join(f"e e{u}{v} {u} {v}\n"
+                  for u in range(1, 8) for v in range(u + 1, 8)),
     "path": "e e9 9 10\ne e10 10 100\n",
 }
 GOLDEN_HOMOLOGY = [
@@ -245,6 +247,12 @@ GOLDEN_HOMOLOGY = [
      b'{"euler_characteristic":-25,"free_ranks":[1,26,0,0],'
      b'"groups":["Z","Z^26","0","0"],"schema":1,"torsion":[[],[],[],[]]}\n'),
     ("star5", 3, "table", b"H_0 = Z\nH_1 = Z^26\nH_2 = 0\nH_3 = 0\n"),
+    # f-vector 3276/13650/17640/6930, as printed while the sweep took its
+    # unit pivots from a Markowitz heap
+    ("k7", 3, "json",
+     b'{"euler_characteristic":336,"free_ranks":[1,15,350,0],'
+     b'"groups":["Z","Z^15 + Z/2","Z^350 + Z/2","0"],"schema":1,'
+     b'"torsion":[[],[2],[2],[]]}\n'),
 ]
 
 
@@ -413,12 +421,15 @@ def one_point_stdout(command: str, n: int) -> str:
             '"hyperplanes_per_color":{},"npc":true,"schema":1}\n')
 
 
-@pytest.mark.parametrize("command", ["homology", "build"])
-@pytest.mark.parametrize("n", [20, 25, 50])
+@pytest.mark.parametrize("n,command", [
+    (n, command) for n in (20, 25, 50) for command in ("build", "homology")
+] + [(2000, "homology")])
 def test_particles_filling_a_path_end_fast(p3, command, n):
     # after subdivide_for the path has exactly n vertices, so UC_n is one
     # point; build must not walk the path's Fibonacci-many matchings, and
-    # the f-vector keeps its n trailing zeros
+    # the f-vector keeps its n trailing zeros.  At n = 2000 subdivide_for
+    # must add the 1,997 vertices in one rebuild of the graph, not one
+    # each, and must not search the path for cycles
     t0 = time.monotonic()
     rc, out, err = run_cli([command, "--subdivide", "--graph", p3,
                             "-n", str(n)], timeout=10)

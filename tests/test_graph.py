@@ -476,3 +476,39 @@ def test_subdivide_all_equals_the_per_edge_loop(times):
             one_by_one = subdivide_edge(one_by_one, e.id, times)
         assert subdivide_all(g, times) == one_by_one
     assert subdivide_all(g, 0) is g
+
+
+def grow_one_vertex_per_pass(g, n):
+    """The small-component passes of subdivide_for as they were: while a
+    component has 2..n-1 vertices, split its least edge and rebuild."""
+    out = g
+    while True:
+        small = next((c for c in out.components() if 1 < len(c) < n), None)
+        if small is None:
+            return out
+        out = subdivide_edge(out, next(
+            e.id for e in out.edges if e.u in small))
+
+
+@st.composite
+def graphs_with_small_components(draw):
+    # ids of mixed lengths, so that an edge's halves may sort before or
+    # after its neighbours; simple graphs, as subdivide_for expects
+    names = draw(st.lists(st.sampled_from(
+        ["a", "b", "c", "d", "x1", "x10", "y2", "y22", "long1", "zz"]),
+        min_size=2, max_size=8, unique=True))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True,
+                           max_size=min(len(pairs), 8)))
+    eids = draw(st.lists(st.sampled_from(
+        ["e", "f", "g1", "g10", "h22", "e3", "k", "edge", "q7", "r"]),
+        min_size=len(chosen), max_size=len(chosen), unique=True))
+    return Graph.make(names, [(i, u, v) for i, (u, v) in zip(eids, chosen)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_small_components(), st.integers(2, 9))
+def test_small_components_grown_as_one_vertex_per_pass(g, n):
+    # every vertex a small component lacks goes in with one Graph._make,
+    # in the same places and under the same ids as one pass per vertex
+    assert subdivide_for(g, n) == subdivide_for(grow_one_vertex_per_pass(g, n), n)

@@ -7,6 +7,7 @@ import types
 import pytest
 
 import braidscope
+import mod2_ranks
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.errors import PreconditionError, ResourceLimitError
@@ -36,7 +37,7 @@ def test_smith_known_matrices():
     # divisibility chain is enforced
     out = smith_invariants(columns_of([[6, 0], [0, 4]]), (2, 2))
     assert out == [2, 12]
-    # no unit is alone in its row: the heap pivots, then the dense
+    # no unit is alone in its row: the row queue pivots, then the dense
     # residue [[-2]] is left
     assert smith_invariants(columns_of([[1, 1], [1, -1]]), (2, 2)) == [1, 2]
 
@@ -320,6 +321,21 @@ def test_sweep_reports_unit_pivot_rows():
     assert len(rows) == inv2.count(1) and rows <= set(range(30))
     assert (smith_invariants(c.columns[1], (10, 30), drop_cols=rows)
             == smith_invariants(c.columns[1], (10, 30)))
+    # K_{3,3} at n=3: no free face in d_2, whose pivots all come from the
+    # row queue with fill and leave a dense residue; the rows handed down
+    # from d_3 and from d_2 must each keep the next map's invariants
+    c = chain_complex(build(subdivide_for(F.complete_bipartite(3, 3), 3), 3))
+    dims = c.dims()
+    handed = frozenset()
+    for d in (3, 2):
+        rows = set()
+        inv = smith_invariants(c.columns[d], (dims[d - 1], dims[d]),
+                               drop_cols=handed, pivot_rows=rows)
+        assert len(rows) == inv.count(1) and rows <= set(range(dims[d - 1]))
+        below = (dims[d - 2], dims[d - 1])
+        assert (smith_invariants(c.columns[d - 1], below, drop_cols=rows)
+                == smith_invariants(c.columns[d - 1], below))
+        handed = frozenset(rows)
 
 
 def test_divisibility_fix_up_skips_the_unit_pivots(monkeypatch):
@@ -349,3 +365,65 @@ def test_column_cap_checked_before_any_sweep(monkeypatch):
     check_column_cap((10**6, 30, 15), 30)   # rows are not capped
     with pytest.raises(ResourceLimitError, match="^31 columns"):
         check_column_cap((1, 31), 30)
+
+
+# -- torsion against ranks over F_2 ----------------------------------------------
+
+def test_torsion_agrees_with_ranks_mod_2(monkeypatch):
+    # the rank of each d_d over F_2, by an elimination of its own, is the
+    # number of odd invariant factors the sweep returned for it, and the
+    # rank that the summary's free ranks and torsion predict
+    returned = []
+    real = H.smith_invariants
+
+    def recording(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(H, "smith_invariants", recording)
+    seen = set()
+    for name, g, n, c in _cancel_fixtures():
+        returned.clear()
+        h = homology(c)
+        mod2 = mod2_ranks.ranks_mod2(c)
+        assert mod2_ranks.predicted_ranks_mod2(h, c.dims()) == mod2, (name, n)
+        odd = tuple(sum(f % 2 for f in inv) for inv in reversed(returned))
+        assert odd == mod2, (name, n)
+        seen.add((name, n))
+    assert len(seen) == 36 and ("K5", 2) in seen
+
+
+@pytest.mark.parametrize("g,n", [(F.complete_graph(5), 2),
+                                 (F.complete_bipartite(3, 3), 3)])
+def test_ranks_mod_2_see_a_dropped_2(monkeypatch, g, n):
+    # a sweep that reports a 1 for one of its 2s drops that 2 from a
+    # torsion list and keeps every free rank: the mod-2 ranks must differ
+    real = H.smith_invariants
+
+    def drops_a_2(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if 2 in out:
+            out[out.index(2)] = 1
+        return out
+
+    c = chain_complex(build(subdivide_for(g, n), n))
+    h = homology(c)
+    monkeypatch.setattr(H, "smith_invariants", drops_a_2)
+    wrong = homology(c)
+    assert wrong.free_ranks == h.free_ranks
+    assert sum(map(len, wrong.torsion)) == sum(map(len, h.torsion)) - 1
+    mod2 = mod2_ranks.ranks_mod2(c)
+    assert mod2_ranks.predicted_ranks_mod2(h, c.dims()) == mod2
+    assert mod2_ranks.predicted_ranks_mod2(wrong, c.dims()) != mod2
+
+
+def test_k7_three_particles_against_gal_and_ranks_mod_2():
+    g = F.complete_graph(7)
+    c = chain_complex(build(subdivide_for(g, 3), 3))
+    assert c.dims() == (3276, 13650, 17640, 6930)
+    h = homology(c)
+    assert (h.free_ranks, h.torsion) == ((1, 15, 350, 0),
+                                         ((), (2,), (2,), ()))
+    assert h.euler() == gal_euler(g, 3)
+    assert (mod2_ranks.predicted_ranks_mod2(h, c.dims())
+            == mod2_ranks.ranks_mod2(c))
