@@ -18,16 +18,15 @@ build through the unchecked ``Graph._make``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import PreconditionError, ResourceLimitError
 
 DEFAULT_CYCLE_CAP = 10**6
-SUBDIVIDE_PASS_CAP = 10**4   # subdivide_for passes; each adds one vertex
+SUBDIVIDE_PASS_CAP = 10**4   # subdivide_for refuses to add this many vertices
 
 
 def idkey(x: str):
@@ -38,7 +37,8 @@ def idkey(x: str):
 def connected_components(vertices, adj, banned=()) -> tuple:
     """Vertex sets of the components of a graph given by adjacency.
 
-    ``adj`` maps each vertex to its neighbours.  Vertices in ``banned``
+    ``adj`` maps each vertex to its neighbours (a list will do when the
+    vertices are positions 0..k-1).  Vertices in ``banned``
     are left out together with their edges.  Components come as
     frozensets, in the order of their first vertex in ``vertices``.
     """
@@ -400,75 +400,26 @@ def subdivide_all(g: Graph, times: int) -> Graph:
     return Graph._make(vertices, edges)
 
 
-def _shortest_path(g: Graph, a: str, b: str,
-                   direct: bool = True) -> Optional[list]:
-    """Vertex list of one shortest a-b path, ties broken canonically;
-    with ``direct=False`` the path may not take an a-b edge."""
-    prev = {a: None}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = []
-        for x in frontier:
-            for y in g.neighbors(x):
-                if y not in prev and (direct or x != a or y != b):
-                    prev[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    if b not in prev:
-        return None
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+def _split_least(edges, times: int, vertices: list, out: list):
+    """Split the least of `edges` in id order `times` times, in two halves
+    that go back into the running; append the new vertices to `vertices`
+    and the edge triples left at the end to `out`.
 
-
-def _girth_cycle(g: Graph) -> Optional[list]:
-    """Vertices of one shortest simple cycle of a simple graph, or None.
-
-    Girth = min over edges (u,v) of 1 + shortest u-v distance avoiding
-    that edge; exact, and cheap at the sizes handled here.  A forest has
-    no cycle, and is answered without a search.
+    The halves ``{id}#p0`` and ``{id}#p1`` sort after the edge they
+    replace, so the edges wait in a heap keyed by ``idkey``.
     """
-    if not g.first_betti():
-        return None
-    best = None
-    for e in g.edges:
-        path = _shortest_path(g, e.u, e.v, direct=False)
-        if path is not None and (best is None or len(path) < len(best)):
-            best = path
-    return best
-
-
-def _grow_components(g: Graph, small, n: int) -> Graph:
-    """Give each component in `small` n vertices, in one Graph._make.
-
-    Splits as one vertex per pass would: each split halves the
-    component's least edge in id order, so its edges wait in a heap
-    keyed by ``idkey`` and the two halves go back in.
-    """
-    # imported here: only small components use heapq, and a top-level
-    # import would add its start-up time to every CLI run
+    # imported here: only subdivide_for splits, and a top-level import
+    # would add its start-up time to every CLI run
     import heapq
 
-    where = {v: i for i, c in enumerate(small) for v in c}
-    queues = [[] for _ in small]
-    vertices, edges = list(g.vertices), []
-    for e in g.edges:
-        i = where.get(e.u)
-        if i is None:
-            edges.append((e.id, e.u, e.v))
-        else:
-            queues[i].append((idkey(e.id), e))
-    for c, queue in zip(small, queues):
-        heapq.heapify(queue)
-        for _ in range(n - len(c)):
-            inner, path = _subdivided(heapq.heappop(queue)[1], 1)
-            vertices += inner
-            for eid, u, v in path:
-                heapq.heappush(queue, (idkey(eid), Edge(eid, u, v)))
-        edges += [(e.id, e.u, e.v) for _, e in queue]
-    return Graph._make(vertices, edges)
+    heap = [(idkey(e.id), e) for e in edges]
+    heapq.heapify(heap)
+    for _ in range(times):
+        inner, path = _subdivided(heapq.heappop(heap)[1], 1)
+        vertices += inner
+        for eid, u, v in path:
+            heapq.heappush(heap, (idkey(eid), Edge(eid, u, v)))
+    out += [(e.id, e.u, e.v) for _, e in heap]
 
 
 def subdivide_for(g: Graph, n: int) -> Graph:
@@ -481,9 +432,19 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     >= n+1.  Leaf arcs matter: on the minimal three-arm star with three
     particles the discrete complex is a tree even though the braid
     group is free of rank three, and arm length n-1 is exactly where
-    the homology stabilises.  Compliant graphs come back unchanged;
-    otherwise single edges on violating structures are split, least id
-    first.
+    the homology stabilises.  Compliant graphs come back unchanged.
+
+    A component with too few vertices first has its least edge in id
+    order split until it has n.  Then each branch (:func:`_branches`)
+    has its least edge split until it has its quota: n+1 edges if it
+    closes on itself (a circle, or a loop branch at an essential
+    vertex), n-1 if an end is essential, none otherwise.  A too-short
+    path between two such ends runs along branches with an essential
+    end, and once those have n-1 edges, a cycle through two essential
+    vertices has 2n-2 >= n+1 of them when n >= 3 (every simple cycle
+    has 3 >= n+1 when n <= 2).  So the result is the graph that
+    splitting the least edge of one too-short path or cycle per pass
+    would give, and the cap counts the vertices those passes add.
     """
     if not g.is_simple():
         raise PreconditionError("subdivide_for expects a normalized graph")
@@ -493,58 +454,55 @@ def subdivide_for(g: Graph, n: int) -> Graph:
         raise PreconditionError(
             f"cannot host {n} particles on an edgeless graph")
     # in a simple graph a component has an edge iff it has 2+ vertices;
-    # each vertex a small one lacks counts as one pass against the cap,
-    # so refuse before the work if they alone reach it
+    # each vertex a small one lacks counts against the cap, so refuse
+    # before any split if they alone reach it
     small = [c for c in g.components() if 1 < len(c) < n]
     lacking = sum(n - len(c) for c in small)
     if lacking >= SUBDIVIDE_PASS_CAP:
         raise ResourceLimitError("subdivide_for did not converge")
-    out = _grow_components(g, small, n) if small else g
-    for _ in range(SUBDIVIDE_PASS_CAP - lacking):
-        ess = out.essential_vertices()
-        leaves = tuple(v for v in out.vertices if out.degree(v) == 1)
-        violation = None
-        for a, b in itertools.chain(itertools.combinations(ess, 2),
-                                    itertools.product(ess, leaves)):
-            path = _shortest_path(out, a, b)
-            if path is not None and len(path) - 1 < n - 1:
-                violation = path
-                break
-        if violation is not None:
-            eid = min(
-                (out.simple_adjacency[violation[i]][violation[i + 1]].id
-                 for i in range(len(violation) - 1)),
-                key=idkey,
-            )
-            out = subdivide_edge(out, eid)
-            continue
-        cyc = _girth_cycle(out)
-        if cyc is not None and len(cyc) < n + 1:
-            eids = []
-            for i in range(len(cyc)):
-                eids.append(out.simple_adjacency[cyc[i]][cyc[(i + 1) % len(cyc)]].id)
-            out = subdivide_edge(out, min(eids, key=idkey))
-            continue
-        return out
-    raise ResourceLimitError("subdivide_for did not converge")
+    if small:
+        where = {v: i for i, c in enumerate(small) for v in c}
+        grouped = [[] for _ in small]
+        vertices, edges = list(g.vertices), []
+        for e in g.edges:
+            i = where.get(e.u)
+            if i is None:
+                edges.append((e.id, e.u, e.v))
+            else:
+                grouped[i].append(e)
+        for c, es in zip(small, grouped):
+            _split_least(es, n - len(c), vertices, edges)
+        g = Graph._make(vertices, edges)
+    inc = g.incidence
+    branches = _branches(g)[1]
+    # the splits each branch lacks to reach its quota
+    splits = [max(0, (n + 1 if start == end else
+                      n - 1 if len(inc[start]) >= 3 or len(inc[end]) >= 3
+                      else 0) - len(walk))
+              for start, end, walk in branches]
+    if lacking + sum(splits) >= SUBDIVIDE_PASS_CAP:
+        raise ResourceLimitError("subdivide_for did not converge")
+    if not any(splits):
+        return g
+    vertices, edges = list(g.vertices), []
+    for (_, _, walk), times in zip(branches, splits):
+        _split_least(walk, times, vertices, edges)
+    return Graph._make(vertices, edges)
 
 
-def smooth(g: Graph) -> Graph:
-    """Suppress degree-2 vertices down to the minimal homeomorphic multigraph.
+def _branches(g: Graph) -> tuple:
+    """The kept vertices of `g` and its branches as (start, end, edges).
 
-    One pass over the branches: every vertex but a plain degree-2 one
-    (two edges, neither a loop) is kept, and from each kept vertex every
-    unused edge is walked through degree-2 vertices to the next kept
-    vertex and becomes one edge ``(id~id~...)``; an edge with nothing to
-    merge keeps its id and ends.  A component that is a bare circle keeps
-    its least vertex, carrying one loop.  Loops and parallel edges may
-    appear, graphs that are already minimal come back equal, and
-    disconnected graphs are fine.
+    Every vertex but a plain degree-2 one (two edges, neither a loop) is
+    kept, and from each kept vertex every unused edge is walked through
+    plain vertices to the next kept vertex; ``edges`` lists the Edges in
+    walk order.  A component that is a bare circle keeps its least
+    vertex, and its branch starts and ends there.
     """
     inc = g.incidence
     plain = {v for v, es in inc.items()
              if len(es) == 2 and not (es[0].is_loop() or es[1].is_loop())}
-    kept, edges, used = [], [], set()
+    kept, branches, used = [], [], set()
     # kept vertices first, so a plain vertex left unwalked is on a circle
     for v in sorted(g.vertices, key=plain.__contains__):
         if v in plain and inc[v][0].id in used:
@@ -554,17 +512,33 @@ def smooth(g: Graph) -> Graph:
             if first.id in used:
                 continue
             used.add(first.id)
-            ids, e = [first.id], first
+            walk, e = [first], first
             end = e.v if e.u == v else e.u
             while end in plain and end != v:
                 a, b = inc[end]
                 e = b if a is e else a
                 used.add(e.id)
-                ids.append(e.id)
+                walk.append(e)
                 end = e.v if e.u == end else e.u
-            edges.append((first.id, first.u, first.v) if len(ids) == 1
-                         else (f"({'~'.join(ids)})", v, end))
-    return Graph._make(kept, edges)
+            branches.append((v, end, walk))
+    return kept, branches
+
+
+def smooth(g: Graph) -> Graph:
+    """Suppress degree-2 vertices down to the minimal homeomorphic multigraph.
+
+    One pass over the branches (:func:`_branches`): each becomes one edge
+    ``(id~id~...)`` between its kept ends, and an edge with nothing to
+    merge keeps its id and ends.  A component that is a bare circle keeps
+    its least vertex, carrying one loop.  Loops and parallel edges may
+    appear, graphs that are already minimal come back equal, and
+    disconnected graphs are fine.
+    """
+    kept, branches = _branches(g)
+    return Graph._make(kept, [
+        (walk[0].id, walk[0].u, walk[0].v) if len(walk) == 1
+        else (f"({'~'.join(e.id for e in walk)})", start, end)
+        for start, end, walk in branches])
 
 
 # -- membership predicates on the smoothed multigraph -------------------

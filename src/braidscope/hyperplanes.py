@@ -87,13 +87,18 @@ def hyperplanes_by_components(g: Graph, n: int) -> tuple:
     if n == 0:
         return ()   # UC_0 is one point: no complex edges, no hyperplanes
     x = build(g, n - 1, max_dim=1)
-    nbrs = {a: [b for _, b in around] for a, around in x.adjacency.items()}
+    # the searches hash positions: a |V|-bit configuration mask hashes in
+    # time linear in |V|, once per search and edge
+    confs = list(x.adjacency)
+    pos = {c: i for i, c in enumerate(confs)}
+    nbrs = [[pos[b] for _, b in x.adjacency[c]] for c in confs]
     out = []
     for m, (u, v) in x.index.ends.items():
         color, emask = x.index.edge[m].id, u | v
-        for comp in connected_components(
-                nbrs, nbrs, banned=[c for c in nbrs if c & emask]):
-            out.append(_hyperplane(color, ((c | u, c | v) for c in comp)))
+        banned = [i for i, c in enumerate(confs) if c & emask]
+        for comp in connected_components(range(len(confs)), nbrs, banned):
+            out.append(_hyperplane(
+                color, ((confs[i] | u, confs[i] | v) for i in comp)))
     out.sort(key=lambda h: (idkey(h.color), h.component_tag))
     return tuple(out)
 

@@ -437,6 +437,31 @@ def test_particles_filling_a_path_end_fast(p3, command, n):
     assert time.monotonic() - t0 < 1
 
 
+def test_build_filling_a_long_path_ends_fast(p3):
+    # the hyperplane search runs once per edge of the 2,000-vertex path,
+    # over the 2,000 configurations of UC_1999 numbered once, not hashed
+    # as 2,000-bit masks in every search
+    t0 = time.monotonic()
+    rc, out, err = run_cli(["build", "--subdivide", "--graph", p3,
+                            "-n", "2000"], timeout=30)
+    assert (rc, out, err) == (0, one_point_stdout("build", 2000), "")
+    assert time.monotonic() - t0 < 5
+
+
+def test_subdivide_refuses_a_long_theta_fast(tmp_path):
+    # the theta lacks 497 vertices and then needs 499 edges on each of
+    # its three branches: all added at once, before the configuration
+    # cap refuses UC_500
+    gfile = tmp_path / "theta.txt"
+    gfile.write_text("e a u w\ne b u x\ne c x w\ne d u w\n")
+    t0 = time.monotonic()
+    rc, out, err = run_cli(["homology", "--subdivide", "--graph", str(gfile),
+                            "-n", "500"], timeout=30)
+    assert rc == 3 and out == "" and err.startswith("resource limit: ")
+    assert err.endswith(" configurations exceed cap 10000000\n")
+    assert time.monotonic() - t0 < 1
+
+
 def test_hyperplane_routes_that_disagree_exit_4(tmp_path, monkeypatch,
                                                capsys):
     from braidscope import hyperplanes

@@ -6,7 +6,7 @@ import time
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidscope import families as F
 from braidscope.errors import PreconditionError, ResourceLimitError
@@ -151,11 +151,11 @@ def _distance(g, a, b):
 
 
 def test_subdivide_for_refuses_a_hopeless_count_at_once(monkeypatch):
-    # a component on c vertices needs n - c vertex-adding passes and a
-    # last one that checks; from n = cap + c on, that exceeds the cap,
-    # so not a single pass may start
+    # a component on c vertices lacks n - c vertices; from n = cap + c
+    # on, they alone reach the cap, so not a single edge may be split
     import braidscope.graph as G
     monkeypatch.setattr(G, "subdivide_edge", None)
+    monkeypatch.setattr(G, "_split_least", None)
     g = F.path_graph(3)
     for n in (G.SUBDIVIDE_PASS_CAP + len(g.vertices), 10**20):
         with pytest.raises(ResourceLimitError, match="did not converge"):
@@ -512,3 +512,126 @@ def test_small_components_grown_as_one_vertex_per_pass(g, n):
     # every vertex a small component lacks goes in with one Graph._make,
     # in the same places and under the same ids as one pass per vertex
     assert subdivide_for(g, n) == subdivide_for(grow_one_vertex_per_pass(g, n), n)
+
+
+def _shortest_path(g, a, b, direct=True):
+    """Vertex list of one shortest a-b path, ties broken canonically;
+    with ``direct=False`` the path may not take an a-b edge."""
+    prev = {a: None}
+    frontier = [a]
+    while frontier and b not in prev:
+        nxt = []
+        for x in frontier:
+            for y in g.neighbors(x):
+                if y not in prev and (direct or x != a or y != b):
+                    prev[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    if b not in prev:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return path
+
+
+def _girth_cycle(g):
+    """Vertices of one shortest simple cycle of a simple graph, or None."""
+    best = None
+    for e in g.edges:
+        path = _shortest_path(g, e.u, e.v, direct=False)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
+    return best
+
+
+def subdivide_one_pass_at_a_time(g, n):
+    """subdivide_for as it was, on a simple graph: grow the small
+    components, then per pass search every essential-essential and
+    essential-leaf shortest path and then the girth again, and split the
+    least edge of the first one that is too short.  A pass that finds
+    none ends; the passes, the growth's vertices included, may number
+    at most the cap."""
+    import braidscope.graph as G
+    lacking = sum(n - len(c) for c in g.components() if 1 < len(c) < n)
+    if lacking >= G.SUBDIVIDE_PASS_CAP:
+        raise ResourceLimitError("subdivide_for did not converge")
+    out = grow_one_vertex_per_pass(g, n)
+    for _ in range(G.SUBDIVIDE_PASS_CAP - lacking):
+        ess = out.essential_vertices()
+        leaves = [v for v in out.vertices if out.degree(v) == 1]
+        pairs = [(a, b) for i, a in enumerate(ess) for b in ess[i + 1:]]
+        pairs += [(a, b) for a in ess for b in leaves]
+        short = None
+        for a, b in pairs:
+            path = _shortest_path(out, a, b)
+            if path is not None and len(path) - 1 < n - 1:
+                short = path
+                break
+        if short is None:
+            cyc = _girth_cycle(out)
+            if cyc is None or len(cyc) >= n + 1:
+                return out
+            short = cyc + cyc[:1]
+        out = subdivide_edge(out, min(
+            (out.simple_adjacency[x][y].id for x, y in zip(short, short[1:])),
+            key=lambda eid: (len(eid), eid)))
+    raise ResourceLimitError("subdivide_for did not converge")
+
+
+@st.composite
+def graphs_with_circles_and_trees(draw):
+    # one to three components, each a circle or a tree with up to two
+    # chords and up to three pendant vertices, or a point; ids of mixed
+    # lengths, so that a split edge's halves may sort before or after
+    # the other edges of its branch
+    vnames = iter(draw(st.permutations(range(1, 120)))[:60])
+    enames = iter(draw(st.permutations(range(1, 120)))[:60])
+    vertices, edges = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["circle", "tree", "point"]))
+        comp = [f"v{next(vnames)}" for _ in range(
+            1 if kind == "point" else draw(st.integers(2, 5)))]
+        if kind == "circle" and len(comp) >= 3:
+            pairs = {(i - 1, i) for i in range(1, len(comp))} | {(0, len(comp) - 1)}
+        else:
+            pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, len(comp))}
+        if kind != "point":
+            for _ in range(draw(st.integers(0, 2))):
+                pairs.add(tuple(sorted(draw(st.lists(
+                    st.integers(0, len(comp) - 1),
+                    min_size=2, max_size=2, unique=True)))))
+            for _ in range(draw(st.integers(0, 3))):
+                pairs.add((draw(st.integers(0, len(comp) - 1)), len(comp)))
+                comp.append(f"v{next(vnames)}")
+        vertices += comp
+        edges += [(f"e{next(enames)}", comp[a], comp[b]) for a, b in sorted(pairs)]
+    return Graph.make(vertices, edges)
+
+
+def _outcome(subdivide, g, n):
+    try:
+        return subdivide(g, n)
+    except ResourceLimitError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_circles_and_trees(), st.integers(1, 12), st.integers(8, 50))
+def test_subdivide_for_equals_one_pass_at_a_time(g, n, cap):
+    # each branch is split up to its quota at once, in the same places
+    # and under the same ids as one violating path or cycle per pass,
+    # and the pass cap refuses exactly the same inputs: at a cap drawn
+    # from 8..50 and at the two caps around the vertices added
+    import braidscope.graph as G
+    assume(g.edges or len(g.vertices) >= n)
+    out = subdivide_for(g, n)
+    assert out == subdivide_one_pass_at_a_time(g, n)
+    added = len(out.vertices) - len(g.vertices)
+    for lowered in (cap, added, added + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "SUBDIVIDE_PASS_CAP", lowered)
+            assert (_outcome(subdivide_for, g, n)
+                    == _outcome(subdivide_one_pass_at_a_time, g, n))
+            assert isinstance(_outcome(subdivide_for, g, n), str) == (added >= lowered)

@@ -108,3 +108,32 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path, argv, loaded):
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == sorted(f"braidscope.{m}" for m in loaded.split())
+
+
+def _module_level_imports(body):
+    """Import nodes of a module body, also under its if/try/with blocks,
+    but not inside functions or classes."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level_imports(getattr(node, field, ()))
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py imports names to re-export them, so it is left out
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in _module_level_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            unused += [(path.name, alias.asname or alias.name)
+                       for alias in node.names
+                       if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
