@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
@@ -52,8 +51,7 @@ def _is_star3(shape: Shape) -> bool:
     return shape.is_a(STAR) and shape.detail["arms"] == 3
 
 
-@dataclass(frozen=True)
-class ParticleAssignment:
+class ParticleAssignment(NamedTuple):
     """Particle counts per connected component, in component order."""
 
     counts: tuple
@@ -157,8 +155,9 @@ def essential_vertex_off_cycle(g: Graph) -> Optional[tuple]:
     if not ess:
         return None
     for c in simple_cycles(g):
+        on = c.vertex_set
         for v in ess:
-            if v not in c.vertex_set:
+            if v not in on:
                 return (v, c)
     return None
 
@@ -245,9 +244,10 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
     deg4 = {v for v in ess if g.degree(v) >= 4}
     cycles = simple_cycles(g)
     for c in cycles:
-        comps = _complement_components(g, c.vertex_set)
+        on = c.vertex_set
+        comps = _complement_components(g, on)
         for v in deg4:
-            if v not in c.vertex_set:
+            if v not in on:
                 return ("b", v, c)
         for comp in comps:
             if _component_betti(g, comp) >= 2:
@@ -261,7 +261,7 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
                 (v,) = comp & ess
                 nbrs = [y for y in g.adjacency[v] if y in comp]
                 if len(connected_components(
-                        nbrs, g.adjacency, c.vertex_set | {v})) < len(nbrs):
+                        nbrs, g.adjacency, on | {v})) < len(nbrs):
                     return ("e", c, next(
                         d for d in cycles if comp.issuperset(d.vertices)))
     for v in ess:
@@ -385,8 +385,7 @@ _F2XZ_SCANS = (
 )
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     verdict: bool
     witness: Optional[tuple] = None
 
@@ -478,8 +477,7 @@ def oracle_f2xz(g: Graph, n: int) -> OracleVerdict:
 
 # -- peripheral collections for relative hyperbolicity -------------------
 
-@dataclass(frozen=True)
-class PeripheralReport:
+class PeripheralReport(NamedTuple):
     cycle_pairs_covered: bool
     uncovered_pair: Optional[tuple]
     intersections_ok: bool
@@ -501,8 +499,8 @@ class PeripheralReport:
 
 
 def _subgraph_contains_cycle(sub: Subgraph, c: Cycle) -> bool:
-    return (c.vertex_set <= sub.vertices
-            and frozenset(c.edge_ids) <= sub.edge_ids)
+    return (sub.vertices.issuperset(c.vertices)
+            and sub.edge_ids.issuperset(c.edge_ids))
 
 
 def check_peripheral_collection(
@@ -561,7 +559,7 @@ def check_peripheral_collection(
                     continue
                 pv = set(path)
                 for c in sub_cycles:
-                    if not (pv & c.vertex_set):
+                    if pv.isdisjoint(c.vertices):
                         paths_ok, bad_path = False, (sub, tuple(path), c)
                         break
                 if not paths_ok:
@@ -603,8 +601,7 @@ def _simple_paths_avoiding(g: Graph, a: str, b: str, banned: set, cap: int):
 
 # -- aggregation ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     particles: int
     trivial: bool
     infinite_cyclic: bool
@@ -617,8 +614,7 @@ class ComponentVerdict:
     shape_tag: str
 
 
-@dataclass(frozen=True)
-class AssignmentReport:
+class AssignmentReport(NamedTuple):
     assignment: tuple
     per_component: tuple
     trivial: bool
@@ -631,8 +627,7 @@ class AssignmentReport:
     contains_f2xz: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     fingerprint: str
     n: int
     connected: bool

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceLimitError
-from .graph import Edge, Graph, connected_components, idkey
+from .graph import Edge, Frozen, Graph, connected_components, idkey
 
 DEFAULT_CELL_CAP = 10**7
 
@@ -48,8 +47,7 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     moving: tuple          # Edge objects, sorted by id
     stationary: tuple      # vertex ids, sorted
 
@@ -118,13 +116,21 @@ class BitIndex:
                       for b, w in self.incident[v] if not w & conf)
 
 
-@dataclass(frozen=True)
-class CubeComplex:
-    graph: Graph
-    n: int
-    max_dim: int
-    levels: tuple          # per dimension: dict, cube key -> None
-    index: BitIndex = field(repr=False, compare=False)
+class CubeComplex(Frozen):
+    """UC_n of ``graph`` up to dimension ``max_dim``.  ``levels`` holds,
+    per dimension, a dict from cube key to None; ``index`` is the graph's
+    BitIndex and is left out of eq and hash."""
+
+    def __init__(self, graph: Graph, n: int, max_dim: int, levels: tuple,
+                 index: BitIndex):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "index", index)
+
+    def _key(self) -> tuple:
+        return (self.graph, self.n, self.max_dim, self.levels)
 
     # -- integer views --------------------------------------------------
 
@@ -284,8 +290,7 @@ def euler_characteristic(x: CubeComplex) -> int:
     return x.euler_characteristic()
 
 
-@dataclass(frozen=True)
-class NpcReport:
+class NpcReport(NamedTuple):
     ok: bool
     failures: tuple  # (config key, tuple of move edge ids, missing cube key)
 
@@ -324,8 +329,7 @@ def verify_npc(x: CubeComplex) -> NpcReport:
     return NpcReport(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     ok: bool
     link_cycle_lengths: tuple   # sorted multiset when ok
     witness: Optional[tuple]    # failing vertex key

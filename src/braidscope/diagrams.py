@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complex import CubeComplex, config_key
 from .errors import (
     IllegalMoveError, InvariantError, PreconditionError, ResourceLimitError,
 )
-from .graph import Cycle, Graph, Subgraph, UnionFind
+from .graph import Cycle, Frozen, Graph, Subgraph, UnionFind
 
 MAX_BALL_RADIUS = 12
 BALL_CAP = 2_000_000   # vertices of a ball_oracle or CoverBall ball
@@ -64,8 +63,7 @@ def replay(g: Graph, base, letters) -> tuple:
     return config_key(occupied)
 
 
-@dataclass(frozen=True)
-class LegalWord:
+class LegalWord(NamedTuple):
     graph: Graph
     base: tuple
     letters: tuple
@@ -133,14 +131,19 @@ def _piler(g: Graph) -> _Piler:
     return piler
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """An equivalence class of legal words, held by its normal form."""
+class Diagram(Frozen):
+    """An equivalence class of legal words, held by its normal form.
+    ``graph`` is left out of eq and hash."""
 
-    graph: Graph = field(compare=False)
-    base: tuple = field(compare=True)
-    letters: tuple = field(compare=True)
-    terminus: tuple = field(compare=True)
+    def __init__(self, graph: Graph, base: tuple, letters: tuple,
+                 terminus: tuple):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "terminus", terminus)
+
+    def _key(self) -> tuple:
+        return (self.base, self.letters, self.terminus)
 
     def __len__(self):
         return len(self.letters)
@@ -194,8 +197,7 @@ def equal(d1: Diagram, d2: Diagram) -> bool:
     return d1.letters == d2.letters
 
 
-@dataclass(frozen=True)
-class SupportData:
+class SupportData(NamedTuple):
     cyclic_reduction: Diagram
     conjugator: LegalWord
     support: Subgraph

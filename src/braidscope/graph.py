@@ -18,10 +18,9 @@ build through the unchecked ``Graph._make``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PreconditionError, ResourceLimitError
 
@@ -78,8 +77,32 @@ class UnionFind:
             self.parent[ra] = rb
 
 
-@dataclass(frozen=True)
-class Edge:
+class Frozen:
+    """Base of the immutable values that a NamedTuple cannot model (an
+    instance dict for ``cached_property``, a check on input, a field that
+    equality ignores).  Instances of one class are equal when their
+    ``_key()`` tuples are, and hash as that tuple; ``__init__`` sets the
+    fields through ``object.__setattr__``, and later assignment or
+    deletion raises AttributeError.  The fields live in the instance
+    dict, which copy and pickle restore without assigning (slots would
+    be restored through ``setattr``, which raises)."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class Edge(NamedTuple):
     id: str
     u: str
     v: str
@@ -94,12 +117,15 @@ class Edge:
         return bool(self.endpoints() & other.endpoints())
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Immutable multigraph; use :meth:`make` to get canonical ordering."""
 
-    vertices: tuple
-    edges: tuple
+    def __init__(self, vertices: tuple, edges: tuple):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edges)
 
     @staticmethod
     def make(vertices: Iterable[str], edges: Iterable[tuple]) -> "Graph":
@@ -232,22 +258,23 @@ class Graph:
         return ";".join(parts)
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(Frozen):
     """A subgraph closed under endpoints, referencing its parent."""
 
-    parent: Graph
-    vertices: frozenset
-    edge_ids: frozenset
-
-    def __post_init__(self):
-        by_id = self.parent.edge_by_id
-        for eid in self.edge_ids:
+    def __init__(self, parent: Graph, vertices: frozenset, edge_ids: frozenset):
+        by_id = parent.edge_by_id
+        for eid in edge_ids:
             e = by_id.get(eid)
             if e is None:
                 raise PreconditionError(f"unknown edge {eid!r} in subgraph")
-            if e.u not in self.vertices or e.v not in self.vertices:
+            if e.u not in vertices or e.v not in vertices:
                 raise PreconditionError(f"subgraph not closed under endpoints at {eid!r}")
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edge_ids", edge_ids)
+
+    def _key(self) -> tuple:
+        return (self.parent, self.vertices, self.edge_ids)
 
     def as_graph(self) -> Graph:
         by_id = self.parent.edge_by_id
@@ -267,8 +294,7 @@ class Subgraph:
                 or self.edge_ids != frozenset(e.id for e in self.parent.edges))
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A simple cycle in canonical rotation.
 
     ``vertices[0]`` is the least vertex of the cycle and ``vertices[1]``
@@ -310,23 +336,23 @@ SHAPE_PRECEDENCE = (
 )
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Frozen):
     """Precedence tag plus the full set of class memberships.
 
     The tag is the first matching class in the fixed precedence order
     and is what reports display; theorem predicates consult
     ``memberships`` because the classes overlap (a single cycle is also
-    a rose, a sun and a pulsar).
+    a rose, a sun and a pulsar).  ``detail`` is left out of eq and hash.
     """
 
-    tag: str
-    memberships: frozenset
-    detail: Mapping = field(compare=False, default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, tag: str, memberships: frozenset, detail: Mapping = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "memberships", memberships)
         # read-only: classify_shape hands one memoised Shape to every caller
-        object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
+        object.__setattr__(self, "detail", MappingProxyType(dict(detail or {})))
+
+    def _key(self) -> tuple:
+        return (self.tag, self.memberships)
 
     def __reduce__(self):   # a mappingproxy cannot be pickled or copied
         return (Shape, (self.tag, self.memberships, dict(self.detail)))
@@ -627,6 +653,8 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
 
 def _enumerate_cycles(g: Graph, cap: int) -> tuple:
     order = {v: i for i, v in enumerate(g.vertices)}
+    eid = {a: {b: e.id for b, e in nb.items()}
+           for a, nb in g.simple_adjacency.items()}
     # neighbour sets as dicts, which keep the canonical adjacency order
     live = {v: dict.fromkeys(nb) for v, nb in g.adjacency.items()}
 
@@ -656,11 +684,8 @@ def _enumerate_cycles(g: Graph, cap: int) -> tuple:
                 if y == start:
                     # canonical direction: second vertex below last vertex
                     if len(path) >= 3 and order[path[1]] < order[path[-1]]:
-                        eids = []
-                        for i in range(len(path)):
-                            a, b = path[i], path[(i + 1) % len(path)]
-                            eids.append(g.simple_adjacency[a][b].id)
-                        found.append(Cycle(tuple(path), tuple(eids)))
+                        found.append(Cycle(tuple(path), tuple(
+                            [eid[a][b] for a, b in zip(path, path[1:] + path[:1])])))
                         if len(found) > cap:
                             raise ResourceLimitError(
                                 f"cycle count exceeds cap {cap}")
@@ -673,7 +698,11 @@ def _enumerate_cycles(g: Graph, cap: int) -> tuple:
                 pending.pop()
                 on_path.remove(path.pop())
         drop(start)
-    found.sort(key=lambda c: (tuple(sorted(c.vertices, key=idkey)), c.vertices))
+    # each cycle's ids sorted by position, which is idkey order, then
+    # compared as strings: the order of the key (sorted(ids, key=idkey),
+    # vertices) with no idkey call
+    at = order.__getitem__
+    found.sort(key=lambda c: (tuple(sorted(c.vertices, key=at)), c.vertices))
     return tuple(found)
 
 

@@ -49,27 +49,32 @@ pivots are handed down; the dense residue's rows stay in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .complex import CubeComplex, bits
 from .errors import InvariantError, PreconditionError, ResourceLimitError
+from .graph import Frozen
 
 DEFAULT_COLUMN_CAP = 20000
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Frozen):
     """Ordered cube bases with integer boundary matrices, column by column.
 
+    ``bases[d]`` is the tuple of d-cube keys, ascending.
     ``columns[d][j]`` is the boundary of the j-th d-cube: a dict from
     (d-1)-cube index to its nonzero entry, over the canonical cube
     orderings.  ``columns[0]`` is None.
     """
 
-    bases: tuple        # per dimension: tuple of cube keys, ascending
-    columns: tuple      # per dimension d >= 1: one {row: entry} per d-cube
+    def __init__(self, bases: tuple, columns: tuple):
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "columns", columns)
+
+    def _key(self) -> tuple:
+        return (self.bases, self.columns)
 
     def dims(self) -> tuple:
         return tuple(len(b) for b in self.bases)
@@ -343,8 +348,7 @@ def _fix_divisibility(factors: list) -> list:
     return fs
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     free_ranks: tuple
     torsion: tuple     # per dimension: tuple of coefficients > 1
 

@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complex import CubeComplex, build
 from .errors import PreconditionError
 from .graph import Graph, UnionFind, connected_components, idkey
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """One unoriented hyperplane: a color plus its member complex edges."""
 
     color: str                 # graph edge id
@@ -113,8 +112,7 @@ def coloring_graph(g: Graph) -> dict:
     return adj
 
 
-@dataclass(frozen=True)
-class ColoringReport:
+class ColoringReport(NamedTuple):
     ok: bool
     axiom_failures: tuple   # (axiom number, description tuple)
     classes_per_color: Counter   # color id -> square-parallelism classes

@@ -1,4 +1,4 @@
-"""Ranks of boundary maps over F_2, by an elimination of their own.
+"""Ranks of boundary maps over F_2 and F_3, by eliminations of their own.
 
 A referee for the torsion that :mod:`braidscope.homology` reports.  Over
 a field the invariant factors of an integer matrix that the field's
@@ -17,6 +17,11 @@ across dimensions and no dense residue.  Keying by the highest bit
 rather than the lowest keeps the fill low on boundary maps, whose rows
 and columns share the cube order: on K_7 at n=3 the three maps take
 0.15 s here against 11 s with lowest-bit pivots.
+
+Mod 2 cannot tell a Z/2 from a Z + Z: a 2 turned into a 0 factor keeps
+every rank mod 2, while the rank mod 3 drops by one.  So the same
+elimination runs over F_3 too, on dict columns, and the prediction
+takes the prime as an argument.
 """
 
 
@@ -38,18 +43,51 @@ def rank_mod2(columns) -> int:
     return len(pivots)
 
 
-def predicted_ranks_mod2(summary, dims) -> tuple:
-    """Rank over F_2 of each d_d, d = 1..top, that a summary implies."""
+def rank_mod3(columns) -> int:
+    """Rank over F_3 of the matrix with these {row: entry} columns.
+
+    The same elimination over dicts: each column, reduced mod 3, is
+    reduced by the pivot columns keyed by their highest row, which are
+    scaled so that entry is 1 (2 is its own inverse mod 3)."""
+    pivots = {}   # highest row -> reduced column, 1 at that row
+    for col in columns:
+        v = {r: e % 3 for r, e in col.items() if e % 3}
+        while v:
+            top = max(v)
+            p = pivots.get(top)
+            if p is None:
+                if v[top] == 2:
+                    v = {r: 2 * e % 3 for r, e in v.items()}
+                pivots[top] = v
+                break
+            f = v[top]
+            for r, e in p.items():
+                x = (v.get(r, 0) - f * e) % 3
+                if x:
+                    v[r] = x
+                else:
+                    del v[r]
+    return len(pivots)
+
+
+def predicted_ranks(summary, dims, p: int) -> tuple:
+    """Rank over F_p of each d_d, d = 1..top, that a summary implies:
+    its rank over Q less its invariant factors that p divides."""
     top = len(dims) - 1
     ranks = [0] * (top + 2)   # ranks[d]: rank of d_d over Q
     for d in range(top, 0, -1):
         ranks[d] = dims[d] - summary.free_ranks[d] - ranks[d + 1]
     if dims[0] - summary.free_ranks[0] != ranks[1]:
         raise ValueError("free ranks do not fit the f-vector")
-    return tuple(ranks[d] - sum(1 for t in summary.torsion[d - 1] if t % 2 == 0)
+    return tuple(ranks[d] - sum(1 for t in summary.torsion[d - 1] if t % p == 0)
                  for d in range(1, top + 1))
 
 
 def ranks_mod2(c) -> tuple:
     """Rank over F_2 of each boundary map d_1..d_top of a chain complex."""
     return tuple(rank_mod2(c.columns[d]) for d in range(1, len(c.columns)))
+
+
+def ranks_mod3(c) -> tuple:
+    """Rank over F_3 of each boundary map d_1..d_top of a chain complex."""
+    return tuple(rank_mod3(c.columns[d]) for d in range(1, len(c.columns)))

@@ -342,6 +342,31 @@ def test_cycle_order_deterministic_and_canonical():
         assert c.vertices[1] < c.vertices[-1]
 
 
+@st.composite
+def graphs_with_mixed_id_lengths(draw):
+    # numeric ids of one to three digits: "10" < "9" as strings, while
+    # idkey puts 9 first
+    ids = draw(st.lists(st.integers(0, 150), min_size=4, max_size=8, unique=True))
+    pairs = {(min(a, b), max(a, b)) for a, b in draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(ids)), min_size=3, max_size=16))
+        if a != b}
+    return Graph.make(map(str, ids), [(f"e{i}", str(u), str(v))
+                                      for i, (u, v) in enumerate(sorted(pairs))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_mixed_id_lengths())
+def test_cycle_order_is_the_idkey_sorted_ids_compared_as_strings(g):
+    # the order simple_cycles has always had: each cycle's ids sorted by
+    # idkey, those tuples compared as strings, ties broken by rotation
+    from braidscope.graph import idkey
+    assume(sorted(g.vertices) != list(g.vertices))
+    cycles = simple_cycles(g)
+    assume(len(cycles) >= 2)
+    assert list(cycles) == sorted(cycles, key=lambda c: (
+        tuple(sorted(c.vertices, key=idkey)), c.vertices))
+
+
 def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap():
     g = F.complete_graph(5)
     cycles = simple_cycles(g)

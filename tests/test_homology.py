@@ -386,7 +386,7 @@ def test_torsion_agrees_with_ranks_mod_2(monkeypatch):
         returned.clear()
         h = homology(c)
         mod2 = mod2_ranks.ranks_mod2(c)
-        assert mod2_ranks.predicted_ranks_mod2(h, c.dims()) == mod2, (name, n)
+        assert mod2_ranks.predicted_ranks(h, c.dims(), 2) == mod2, (name, n)
         odd = tuple(sum(f % 2 for f in inv) for inv in reversed(returned))
         assert odd == mod2, (name, n)
         seen.add((name, n))
@@ -413,8 +413,61 @@ def test_ranks_mod_2_see_a_dropped_2(monkeypatch, g, n):
     assert wrong.free_ranks == h.free_ranks
     assert sum(map(len, wrong.torsion)) == sum(map(len, h.torsion)) - 1
     mod2 = mod2_ranks.ranks_mod2(c)
-    assert mod2_ranks.predicted_ranks_mod2(h, c.dims()) == mod2
-    assert mod2_ranks.predicted_ranks_mod2(wrong, c.dims()) != mod2
+    assert mod2_ranks.predicted_ranks(h, c.dims(), 2) == mod2
+    assert mod2_ranks.predicted_ranks(wrong, c.dims(), 2) != mod2
+
+
+# -- torsion against ranks over F_3 ----------------------------------------------
+
+def test_torsion_agrees_with_ranks_mod_3(monkeypatch):
+    # as over F_2: the rank of each d_d over F_3 is the number of its
+    # invariant factors prime to 3, and the rank the summary predicts
+    returned = []
+    real = H.smith_invariants
+
+    def recording(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(H, "smith_invariants", recording)
+    seen = set()
+    for name, g, n, c in _cancel_fixtures():
+        returned.clear()
+        h = homology(c)
+        mod3 = mod2_ranks.ranks_mod3(c)
+        assert mod2_ranks.predicted_ranks(h, c.dims(), 3) == mod3, (name, n)
+        prime = tuple(sum(1 for f in inv if f % 3) for inv in reversed(returned))
+        assert prime == mod3, (name, n)
+        seen.add((name, n))
+    assert len(seen) == 36 and ("K5", 2) in seen
+
+
+@pytest.mark.parametrize("g,n", [(F.complete_graph(5), 2),
+                                 (F.complete_bipartite(3, 3), 3)])
+def test_ranks_mod_3_see_a_2_turned_into_a_0(monkeypatch, g, n):
+    # a sweep that loses one of its 2s reports Z + Z (one more free rank
+    # in each of two dimensions) in place of a Z/2; every rank mod 2
+    # stays as predicted, and only the ranks mod 3 can tell
+    real = H.smith_invariants
+
+    def loses_a_2(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if 2 in out:
+            out.remove(2)
+        return out
+
+    c = chain_complex(build(subdivide_for(g, n), n))
+    h = homology(c)
+    monkeypatch.setattr(H, "smith_invariants", loses_a_2)
+    wrong = homology(c)
+    assert sum(wrong.free_ranks) == sum(h.free_ranks) + 2
+    assert sum(map(len, wrong.torsion)) == sum(map(len, h.torsion)) - 1
+    assert (mod2_ranks.predicted_ranks(wrong, c.dims(), 2)
+            == mod2_ranks.predicted_ranks(h, c.dims(), 2)
+            == mod2_ranks.ranks_mod2(c))
+    mod3 = mod2_ranks.ranks_mod3(c)
+    assert mod2_ranks.predicted_ranks(h, c.dims(), 3) == mod3
+    assert mod2_ranks.predicted_ranks(wrong, c.dims(), 3) != mod3
 
 
 def test_k7_three_particles_against_gal_and_ranks_mod_2():
@@ -425,5 +478,5 @@ def test_k7_three_particles_against_gal_and_ranks_mod_2():
     assert (h.free_ranks, h.torsion) == ((1, 15, 350, 0),
                                          ((), (2,), (2,), ()))
     assert h.euler() == gal_euler(g, 3)
-    assert (mod2_ranks.predicted_ranks_mod2(h, c.dims())
+    assert (mod2_ranks.predicted_ranks(h, c.dims(), 2)
             == mod2_ranks.ranks_mod2(c))

@@ -14,19 +14,29 @@ import braidscope
 SRC = pathlib.Path(braidscope.__file__).parent
 
 
-def test_runtime_imports_only_the_standard_library():
-    outside = []
+def _absolute_imports():
+    """(file name, module) of every absolute import in the package, at
+    module level or inside a function."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            outside += [(path.name, name) for name in names
-                        if name.split(".")[0] not in sys.stdlib_module_names]
+                yield path.name, node.module
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = [(name, module) for name, module in _absolute_imports()
+               if module.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses pulls in inspect, ast and dis, and each
+    # decorated class execs its generated methods: about 18 ms of
+    # start-up per analyze run
+    assert [(name, module) for name, module in _absolute_imports()
+            if module.split(".")[0] == "dataclasses"] == []
 
 
 # every name the package exported when it imported all its submodules
@@ -80,6 +90,7 @@ if sys.argv[1:]:
 else:
     import braidscope
 print(" ".join(sorted(m for m in sys.modules if m.startswith("braidscope."))))
+print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
 """
 BASE = "cli complex errors graph homology"
 
@@ -107,7 +118,9 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path, argv, loaded):
     proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == sorted(f"braidscope.{m}" for m in loaded.split())
+    ours, stdlib = proc.stdout.split("\n")[:2]
+    assert ours.split() == sorted(f"braidscope.{m}" for m in loaded.split())
+    assert stdlib == ""   # neither dataclasses nor inspect
 
 
 def _module_level_imports(body):
