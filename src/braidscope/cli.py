@@ -485,7 +485,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    # argparse before 3.12 drops the value of "--opt=--" and leaves an
+    # empty list where one string was wanted; `letters` alone takes a list
+    for dest, value in vars(args).items():
+        if value == [] and dest != "letters":
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         code = args.func(args)
         sys.stdout.flush()

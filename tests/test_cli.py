@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidscope import classifier, cli
 from braidscope.cli import main, parse_collection_text, parse_graph_text
@@ -607,6 +607,7 @@ RANGE_TEXT = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(text=RANGE_TEXT)
+@example(text="--")   # argparse before 3.12 turns "--particles=--" into []
 def test_table_particle_ranges_end_in_a_documented_code(text):
     rc, out, err = _exit_code(["table", "--family", "complete", "--max", "3",
                                f"--particles={text}"])
