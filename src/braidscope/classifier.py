@@ -503,6 +503,19 @@ def _subgraph_contains_cycle(sub: Subgraph, c: Cycle) -> bool:
             and sub.edge_ids.issuperset(c.edge_ids))
 
 
+def _uncovered_cycle_pair(cycles, collection) -> Optional[tuple]:
+    """The first vertex-disjoint pair of cycles, in combinations order,
+    that no member contains, or None."""
+    vertex_sets = [frozenset(c.vertices) for c in cycles]
+    for i, (a, va) in enumerate(zip(cycles, vertex_sets)):
+        for b, vb in zip(cycles[i + 1:], vertex_sets[i + 1:]):
+            if va.isdisjoint(vb) and not any(
+                    _subgraph_contains_cycle(s, a)
+                    and _subgraph_contains_cycle(s, b) for s in collection):
+                return a, b
+    return None
+
+
 def check_peripheral_collection(
         g: Graph, collection: Sequence[Subgraph]) -> PeripheralReport:
     """Verify the three sufficient conditions for two-particle relative
@@ -517,14 +530,8 @@ def check_peripheral_collection(
         raise PreconditionError("expects a normalized graph")
     cycles = simple_cycles(g)
 
-    covered, uncovered = True, None
-    for a, b in itertools.combinations(cycles, 2):
-        if not a.disjoint_from(b):
-            continue
-        if not any(_subgraph_contains_cycle(s, a)
-                   and _subgraph_contains_cycle(s, b) for s in collection):
-            covered, uncovered = False, (a, b)
-            break
+    uncovered = _uncovered_cycle_pair(cycles, collection)
+    covered = uncovered is None
 
     inter_ok, bad_inter = True, None
     for s1, s2 in itertools.combinations(collection, 2):

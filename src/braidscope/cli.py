@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, build, word, homology, relhyp-check, table.
-Only ``graph``, ``complex`` and ``homology`` are imported at start-up;
-each subcommand imports the other modules it uses when it runs.
+Only ``errors`` and ``graph`` are imported at start-up; each subcommand
+imports the other modules it uses when it runs (with no bytecode cache,
+a run compiles every module it imports).  ``main`` runs with the cyclic
+garbage collector paused: every structure braidscope builds is acyclic,
+so the collector would only scan; the cycles argparse leaves are freed
+once, after parsing.
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
@@ -21,6 +25,8 @@ overridden with the BRAIDSCOPE_MAX_CELLS environment variable.
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib
 import json
 import math
 import os
@@ -28,13 +34,11 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import JSON_SCHEMA_VERSION
-from .complex import DEFAULT_CELL_CAP, build
 from .errors import (
     BraidscopeError, InvariantError, ParseError, PreconditionError,
     ResourceLimitError,
 )
 from .graph import Graph, Subgraph, idkey, normalize, subdivide_for
-from .homology import chain_complex, check_column_cap, homology
 
 if TYPE_CHECKING:
     from .classifier import ClassificationReport
@@ -46,6 +50,18 @@ EXIT_INVARIANT = 4
 
 MAX_PARTICLE_COUNTS = 100   # per `table` run; each count is one row per graph
 MAX_FAMILY_SIZE = 32        # largest `table --max`, checked before any graph
+
+# readable as cli.build and cli.chain_complex (bench/tests/test_tracer.py
+# reads both), looked up in their module on each access, so that
+# importing cli loads neither module
+_DEFERRED = {"build": "complex", "chain_complex": "homology"}
+
+
+def __getattr__(name):
+    if name in _DEFERRED:
+        return getattr(importlib.import_module(f".{_DEFERRED[name]}", __package__),
+                       name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_graph_text(text: str) -> Graph:
@@ -97,6 +113,7 @@ def emit_json(obj) -> None:
 
 
 def cell_cap(args) -> int:
+    from .complex import DEFAULT_CELL_CAP
     env = os.environ.get("BRAIDSCOPE_MAX_CELLS")
     if args.max_cells is not None:
         return args.max_cells
@@ -204,6 +221,7 @@ def check_hyperplane_routes(by_components: dict, by_squares: dict) -> None:
 
 
 def cmd_build(args) -> int:
+    from .complex import build
     from .hyperplanes import hyperplanes_by_components, verify_special_coloring
     g = normalize(load_graph(args.graph))
     if args.subdivide:
@@ -277,6 +295,8 @@ def cmd_word(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .complex import build
+    from .homology import chain_complex, check_column_cap, homology
     g = normalize(load_graph(args.graph))
     if args.subdivide:
         g = subdivide_for(g, args.particles)
@@ -485,6 +505,19 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the collector stays paused through the lazy imports and the work;
+    # nothing braidscope builds holds a reference cycle, and argparse's
+    # cycles are collected once, after parsing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     # argparse before 3.12 drops the value of "--opt=--" and leaves an
@@ -492,6 +525,9 @@ def main(argv=None) -> int:
     for dest, value in vars(args).items():
         if value == [] and dest != "letters":
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    # each add_argument leaves a HelpFormatter <-> _Section cycle behind
+    # (argparse's metavar check); free them, young, before the work
+    gc.collect(0)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -461,6 +461,36 @@ def test_peripheral_condition3_violation():
     assert not rep.applies
 
 
+def _uncovered_pair_by_pairs(cycles, collection):
+    """Condition 1 as it was first written: both cycles' vertex sets are
+    rebuilt for every pair."""
+    for a, b in itertools.combinations(cycles, 2):
+        if not a.disjoint_from(b):
+            continue
+        if not any(C._subgraph_contains_cycle(s, a)
+                   and C._subgraph_contains_cycle(s, b) for s in collection):
+            return a, b
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_peripheral_report_matches_the_pairwise_reference(data):
+    g = data.draw(connected_graphs())
+    groups = st.lists(st.sampled_from(sorted(g.vertices)), min_size=1)
+    collection = []
+    for member in data.draw(st.lists(st.lists(groups, min_size=1, max_size=2),
+                                     max_size=4)):
+        parts = [g.induced(group) for group in member]
+        collection.append(Subgraph(
+            g, frozenset().union(*(p.vertices for p in parts)),
+            frozenset().union(*(p.edge_ids for p in parts))))
+    fast = check_peripheral_collection(g, collection)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_uncovered_cycle_pair", _uncovered_pair_by_pairs)
+        assert check_peripheral_collection(g, collection) == fast
+
+
 # -- full report ----------------------------------------------------------------
 
 def test_full_report_k5():

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -206,7 +208,7 @@ def test_homology_cap_refused_before_chain_complex(tmp_path, monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("chain_complex ran on a refused input")
 
-    monkeypatch.setattr(cli, "chain_complex", never)
+    monkeypatch.setattr("braidscope.homology.chain_complex", never)
     rc = main(["homology", "--subdivide", "--graph", str(gfile), "-n", "3"])
     assert rc == cli.EXIT_RESOURCE == 3
     assert capsys.readouterr().err == (
@@ -336,7 +338,7 @@ def test_unexpected_exception_exits_4_without_traceback(p3, monkeypatch,
     def broken(g, n, **kwargs):
         raise KeyError("e7")
 
-    monkeypatch.setattr(cli, "build", broken)
+    monkeypatch.setattr("braidscope.complex.build", broken)
     rc = main(["build", "--graph", p3, "-n", "2"])
     assert rc == cli.EXIT_INVARIANT == 4
     captured = capsys.readouterr()
@@ -348,9 +350,89 @@ def test_keyboard_interrupt_still_propagates(p3, monkeypatch):
     def interrupted(g, n, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "build", interrupted)
+    monkeypatch.setattr("braidscope.complex.build", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["build", "--graph", p3, "-n", "2"])
+
+
+class HungUpStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+# argv (P3 stands for the path graph's file), a patch, and the outcome:
+# an exit code or the exception main lets out
+EXITS = {
+    "exit-0": (["build", "--graph", "P3", "-n", "1"], None, 0),
+    "exit-1": (["analyze", "--graph", "/no/such/file", "-n", "2"], None, 1),
+    "exit-2": (["word", "--graph", "P3", "--base", "1,3", "+e9"], None, 2),
+    "exit-3": (["build", "--graph", "P3", "-n", "1", "--max-cells", "1"], None, 3),
+    "exit-4": (["build", "--graph", "P3", "-n", "1"],
+               ("braidscope.complex.build", _raise(KeyError("e7"))), 4),
+    "help": (["--help"], None, SystemExit),
+    "usage-error": (["build", "--graph", "P3"], None, SystemExit),
+    "closed-stdout": (["build", "--graph", "P3", "-n", "1"], "stdout", 0),
+    "interrupt": (["build", "--graph", "P3", "-n", "1"],
+                  ("braidscope.complex.build", _raise(KeyboardInterrupt)),
+                  KeyboardInterrupt),
+}
+
+
+@pytest.mark.parametrize("collecting", (True, False), ids=("gc-on", "gc-off"))
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_main_restores_the_collector_on_every_exit(p3, tmp_path, monkeypatch,
+                                                   case, collecting):
+    argv, patch, outcome = EXITS[case]
+    argv = [p3 if a == "P3" else a for a in argv]
+    out = open(tmp_path / "out", "w")
+    if patch == "stdout":
+        monkeypatch.setattr(sys, "stdout", HungUpStdout(out.fileno()))
+    elif patch is not None:
+        monkeypatch.setattr(*patch)
+    was_on = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_on else gc.disable)()
+        out.close()
+
+
+def test_argparse_cycles_are_freed_before_the_work(p3):
+    # with the collector paused, the HelpFormatter cycles that make_parser
+    # leaves would stay allocated through the work
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["build", "--graph", p3, "-n", "1"]) == 0
+        assert [o for o in gc.get_objects()
+                if isinstance(o, argparse.HelpFormatter)] == []
+    finally:
+        (gc.enable if was_on else gc.disable)()
 
 
 # Runs argv and prints its peak RSS in kB (Linux).  A child inherits the

@@ -85,29 +85,32 @@ STARTUP = """\
 import contextlib, io, sys
 if sys.argv[1:]:
     from braidscope import cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[1:]) == 0
+    if sys.argv[1:] != ["cli"]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(sys.argv[1:]) == 0
 else:
     import braidscope
 print(" ".join(sorted(m for m in sys.modules if m.startswith("braidscope."))))
 print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
 """
-BASE = "cli complex errors graph homology"
+# with no bytecode cache, a run compiles every module it loads
+BASE = "cli errors graph"
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], "errors"),
-    (["homology", "--graph", "G", "-n", "2"], BASE),
-    (["build", "--graph", "G", "-n", "2"], BASE + " hyperplanes"),
+    (["cli"], BASE),
+    (["homology", "--graph", "G", "-n", "2"], BASE + " complex homology"),
+    (["build", "--graph", "G", "-n", "2"], BASE + " complex hyperplanes"),
     (["build", "--graph", "G", "-n", "2", "--format", "dot",
-      "--dot-what", "coloring"], BASE + " hyperplanes"),
+      "--dot-what", "coloring"], BASE + " complex hyperplanes"),
     (["analyze", "--graph", "G", "-n", "2"], BASE + " classifier"),
     (["relhyp-check", "--graph", "G", "--collection", "C"], BASE + " classifier"),
     (["table", "--family", "complete", "--max", "3", "--particles", "2"],
      BASE + " classifier families"),
-    (["word", "--graph", "G", "--base", "1,3", "+d"], BASE + " diagrams"),
-], ids=("import", "homology", "build", "build-dot-coloring", "analyze",
-        "relhyp-check", "table", "word"))
+    (["word", "--graph", "G", "--base", "1,3", "+d"], BASE + " complex diagrams"),
+], ids=("import", "cli-import", "homology", "build", "build-dot-coloring",
+        "analyze", "relhyp-check", "table", "word"))
 def test_each_subcommand_imports_only_what_it_uses(tmp_path, argv, loaded):
     graph = tmp_path / "g.txt"
     graph.write_text("e a 1 2\ne b 2 3\ne c 3 1\ne d 3 4\n")
@@ -133,6 +136,26 @@ def _module_level_imports(body):
                                    ast.ClassDef)):
             for field in ("body", "orelse", "finalbody", "handlers"):
                 yield from _module_level_imports(getattr(node, field, ()))
+
+
+def test_cli_imports_at_start_up_only_errors_and_graph():
+    # every CLI run pays for what cli.py imports at module level; the
+    # other modules load inside the subcommands that call them
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    body = [node for node in tree.body
+            if not (isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "TYPE_CHECKING")]
+    relative, absolute = set(), set()
+    for node in _module_level_imports(body):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.add(node.module or " ".join(a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        else:
+            absolute |= {alias.name for alias in node.names}
+    assert relative == {"errors", "graph", "JSON_SCHEMA_VERSION"}
+    assert {m for m in absolute
+            if m.split(".")[0] not in sys.stdlib_module_names} == set()
 
 
 def test_every_module_level_import_is_used():
