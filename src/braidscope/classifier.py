@@ -12,6 +12,16 @@ F2 x Z), over a doubly subdivided copy of the graph so that subgraphs
 may legitimately keep half-edges toward deleted material.  The two
 routes are checked against each other exhaustively in the test suite.
 
+The criteria are existence statements, so each fast predicate and the
+oracle scan the cycles until the first hit.  They scan shortest first
+(a stable sort by length of the ``simple_cycles`` tuple, memoised on
+the graph next to it): a short cycle leaves the largest complement, so
+a hit, if there is one, comes early, while a long cycle leaves almost
+nothing.  The order decides only which witness is returned, never the
+verdict, since a scan with no hit reads every cycle in any order.  The
+referees ``essential_vertex_off_cycle`` and ``check_peripheral_collection``
+keep the enumeration order.
+
 Disjoint always means vertex-disjoint; degrees of original vertices are
 preserved by subdivision, which is what makes the complement trick
 sound.
@@ -128,22 +138,37 @@ def _complement_components(g: Graph, banned: frozenset) -> tuple:
 
 
 def _component_betti(g: Graph, comp: frozenset) -> int:
-    edges = sum(1 for e in g.edges if e.u in comp and e.v in comp)
+    """First Betti number of a connected vertex set of a simple graph:
+    its edges are half the degree sum inside it."""
+    adj = g.adjacency
+    edges = sum(1 for x in comp for y in adj[x] if y in comp) // 2
     return edges - len(comp) + 1
+
+
+def _shortest_first(g: Graph, cycles: tuple) -> tuple:
+    """g's cycles, as simple_cycles(g) returned them, in a stable sort
+    by length; built once per graph and kept in its memo.  Callers pass
+    the tuple of their own simple_cycles call, which enforces the cap."""
+    view = g._memo.get("cycles_by_length")
+    if view is None:
+        view = g._memo["cycles_by_length"] = tuple(sorted(cycles, key=len))
+    return view
 
 
 def disjoint_cycle_pair(g: Graph) -> Optional[tuple]:
     """A vertex-disjoint pair of simple cycles, or None.
 
     A pair exists iff the complement of some cycle still carries a
-    cycle, so the scan is linear in the number of cycles.
+    cycle, so the scan is linear in the number of cycles.  It runs
+    shortest first and returns a pair whose first cycle is a shortest
+    one with a cycle in its complement, and whose second is a shortest
+    cycle there; with no pair, every cycle is read, so the verdict does
+    not depend on the order.
     """
-    cycles = simple_cycles(g)
+    cycles = _shortest_first(g, simple_cycles(g))
     for c in cycles:
         for comp in _complement_components(g, c.vertex_set):
             if _component_betti(g, comp) >= 1:
-                # g's first cycle inside comp is the first cycle of
-                # comp's induced graph: same ids, rotation and order
                 return (c, next(
                     d for d in cycles if comp.issuperset(d.vertices)))
     return None
@@ -205,14 +230,17 @@ def contains_f2xz(g: Graph, n: int) -> tuple:
     Two particles: a cycle whose complement keeps a component of first
     Betti number two.  Three: the five obstruction patterns.  Four:
     anything but rose / H / cycle-with-two-rays / theta.  Five and up:
-    anything but a rose.
+    anything but a rose.  The two- and three-particle scans read the
+    cycles shortest first and stop at the first hit, so a cycle in the
+    witness is a shortest one that gives a hit; a negative scan reads
+    every cycle, so the verdict does not depend on the order.
     """
     if not g.is_connected():
         raise PreconditionError("expects a connected graph")
     if n == 1:
         return (False, None)
     if n == 2:
-        for c in simple_cycles(g):
+        for c in _shortest_first(g, simple_cycles(g)):
             for comp in _complement_components(g, c.vertex_set):
                 if _component_betti(g, comp) >= 2:
                     return (True, ("cycle with b1>=2 complement", c, comp))
@@ -232,7 +260,8 @@ def contains_f2xz(g: Graph, n: int) -> tuple:
 
 
 def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
-    """First matching three-particle obstruction, or None.
+    """First matching three-particle obstruction, or None; the cycles
+    are scanned shortest first.
 
     (a) a cycle with a complement component of first Betti number >= 2;
     (b) a degree->=4 vertex off some cycle;
@@ -242,19 +271,19 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
     """
     ess = set(g.essential_vertices())
     deg4 = {v for v in ess if g.degree(v) >= 4}
-    cycles = simple_cycles(g)
+    cycles = _shortest_first(g, simple_cycles(g))
     for c in cycles:
         on = c.vertex_set
-        comps = _complement_components(g, on)
         for v in deg4:
             if v not in on:
                 return ("b", v, c)
-        for comp in comps:
-            if _component_betti(g, comp) >= 2:
+        for comp in _complement_components(g, on):
+            b1 = _component_betti(g, comp)
+            if b1 >= 2:
                 return ("a", c, comp)
             if len(comp & ess) >= 2:
                 return ("c", c, comp)
-            if _component_betti(g, comp) >= 1 and (comp & ess):
+            if b1 >= 1 and (comp & ess):
                 # b1(comp) = 1 and comp holds one essential vertex v: v is
                 # on comp's one cycle iff two of its neighbours there are
                 # joined in comp - v
@@ -291,7 +320,14 @@ def acyl_hyp_status(g: Graph, n: int) -> str:
 
 
 def free_certificate(g: Graph, n: int) -> tuple:
-    """('free'|'unknown', reason).  Never claims non-freeness."""
+    """('free'|'unknown', reason).  Never claims non-freeness.
+
+    Two particles: free when some vertex lies on every cycle.  The
+    cycles' vertex sets are intersected shortest first, and the scan
+    stops once the common set is empty; a vertex on every cycle is in
+    the intersection whatever the order, so the verdict and the vertex
+    named (the least one in the full intersection) do not depend on it.
+    """
     if not g.is_connected():
         raise PreconditionError("expects a connected graph")
     if n == 1:
@@ -300,14 +336,17 @@ def free_certificate(g: Graph, n: int) -> tuple:
     if shape.is_a(ROSE):
         return ("free", "rose graph")
     if n == 2:
-        cycles = simple_cycles(g)
-        if cycles:
-            common = frozenset.intersection(*[c.vertex_set for c in cycles])
-            if common:
-                v = sorted(common, key=idkey)[0]
-                return ("free", f"vertex {v} lies on every cycle")
-        else:
+        cycles = _shortest_first(g, simple_cycles(g))
+        if not cycles:
             return ("free", "no cycles at all")
+        common = set(cycles[0].vertices)
+        for c in cycles:
+            common.intersection_update(c.vertices)
+            if not common:
+                break
+        else:
+            v = min(common, key=idkey)
+            return ("free", f"vertex {v} lies on every cycle")
     return ("unknown", "no freeness criterion applies")
 
 
@@ -395,7 +434,11 @@ class SubgraphOracle:
 
     Witness subgraphs are enumerated once and reused for every particle
     count; each witness's complement is analysed on the cached adjacency
-    when a scan first reaches it, and later scans reuse the flags.
+    when a scan first reaches it, and later scans reuse the flags.  The
+    cycle witnesses come shortest first, then the stars in centre and
+    arm order, so a cycle scan that hits stops at a shortest cycle that
+    gives a hit; a scan that misses reads every witness of its kind, so
+    the verdict does not depend on the order.
     """
 
     def __init__(self, g: Graph):
@@ -415,7 +458,8 @@ class SubgraphOracle:
         arm edge ids)); removed vertex sets are built by :meth:`removed`."""
         if self._witnesses is not None:
             return self._witnesses
-        outs = [("cycle", c) for c in simple_cycles(self.base)]
+        cycles = _shortest_first(self.base, simple_cycles(self.base))
+        outs = [("cycle", c) for c in cycles]
         for v in self.base.essential_vertices():
             incident = sorted(self.base.incidence[v], key=lambda e: idkey(e.id))
             for arms in itertools.combinations(incident, 3):

@@ -196,8 +196,9 @@ class Graph(Frozen):
     @cached_property
     def _memo(self) -> dict:
         """Per-instance results derived from the value: the cycles of
-        simple_cycles, the Shape of classify_shape and the word piler of
-        the diagrams module.  Not a field, so eq and hash ignore it."""
+        simple_cycles and the classifier's shortest-first view of them,
+        the Shape of classify_shape and the word piler of the diagrams
+        module.  Not a field, so eq and hash ignore it."""
         return {}
 
     def is_simple(self) -> bool:
@@ -283,9 +284,6 @@ class Subgraph(Frozen):
             [(eid, by_id[eid].u, by_id[eid].v) for eid in self.edge_ids],
         )
 
-    def vertex_disjoint(self, other: "Subgraph") -> bool:
-        return not (self.vertices & other.vertices)
-
     def first_betti(self) -> int:
         return self.as_graph().first_betti()
 
@@ -311,9 +309,6 @@ class Cycle(NamedTuple):
     @property
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
-
-    def disjoint_from(self, other: "Cycle") -> bool:
-        return not (self.vertex_set & other.vertex_set)
 
 
 # -- shape taxonomy ----------------------------------------------------

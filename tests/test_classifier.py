@@ -21,7 +21,10 @@ from braidscope.classifier import (
 )
 from braidscope.complex import build
 from braidscope.errors import InvariantError, ResourceLimitError
-from braidscope.graph import Graph, Subgraph, subdivide_for
+from braidscope.graph import (
+    ROSE, Graph, Subgraph, classify_shape, connected_components, idkey,
+    simple_cycles, subdivide_for,
+)
 from braidscope.homology import chain_complex, homology
 
 
@@ -65,7 +68,7 @@ def test_hyperbolic_complete_graphs():
     verdict, witness = is_hyperbolic(F.complete_graph(6), 2)
     assert not verdict
     a, b = witness
-    assert len(a) == 3 and len(b) == 3 and a.disjoint_from(b)
+    assert len(a) == 3 and len(b) == 3 and a.vertex_set.isdisjoint(b.vertices)
 
 
 def test_hyperbolic_bipartite():
@@ -334,6 +337,187 @@ def test_one_oracle_serves_every_particle_count():
             assert backwards.nonhyperbolic(n) == ref.nonhyperbolic(n)
 
 
+# -- shortest-first scans against the enumeration-order references -------------
+#
+# The references are the scans as first written: cycles in simple_cycles
+# order, a component's edges counted by a scan of every edge of g.  They
+# take the cycles to scan as an argument, so a scan of one cycle, or of
+# the cycles shorter than a witness, asks whether those give a hit.
+
+def _betti_by_edge_scan(g, comp):
+    edges = sum(1 for e in g.edges if e.u in comp and e.v in comp)
+    return edges - len(comp) + 1
+
+
+def _pair_scan(g, order):
+    for c in order:
+        for comp in C._complement_components(g, c.vertex_set):
+            if _betti_by_edge_scan(g, comp) >= 1:
+                return (c, next(d for d in simple_cycles(g)
+                                if comp.issuperset(d.vertices)))
+    return None
+
+
+def _f2xz_n2_scan(g, order):
+    for c in order:
+        for comp in C._complement_components(g, c.vertex_set):
+            if _betti_by_edge_scan(g, comp) >= 2:
+                return ("cycle with b1>=2 complement", c, comp)
+    return None
+
+
+def _obstruction_n3_scan(g, order):
+    ess = set(g.essential_vertices())
+    deg4 = {v for v in ess if g.degree(v) >= 4}
+    for c in order:
+        on = c.vertex_set
+        comps = C._complement_components(g, on)
+        for v in deg4:
+            if v not in on:
+                return ("b", v, c)
+        for comp in comps:
+            if _betti_by_edge_scan(g, comp) >= 2:
+                return ("a", c, comp)
+            if len(comp & ess) >= 2:
+                return ("c", c, comp)
+            if _betti_by_edge_scan(g, comp) >= 1 and (comp & ess):
+                (v,) = comp & ess
+                nbrs = [y for y in g.adjacency[v] if y in comp]
+                if len(connected_components(
+                        nbrs, g.adjacency, on | {v})) < len(nbrs):
+                    return ("e", c, next(d for d in simple_cycles(g)
+                                         if comp.issuperset(d.vertices)))
+    for v in ess:
+        for comp in C._complement_components(g, frozenset((v,))):
+            if _betti_by_edge_scan(g, comp) >= 2:
+                return ("d", v, comp)
+    return None
+
+
+def _enumeration_order_oracle(g):
+    """An oracle whose cycle witnesses come in simple_cycles order."""
+    oracle = SubgraphOracle(g)
+    stars = [w for w in oracle.witnesses() if w[0] == "star"]
+    oracle._witnesses = [("cycle", c) for c in simple_cycles(g)] + stars
+    return oracle
+
+
+def _assert_least_cycle_hit(g, scan, cycle):
+    """`cycle` gives a hit of `scan`, and no shorter cycle does."""
+    cycles = simple_cycles(g)
+    assert cycle in cycles and scan(g, [cycle]) is not None
+    assert scan(g, [c for c in cycles if len(c) < len(cycle)]) is None
+
+
+def _check_oracle_hit(got, ref, oracle, scans):
+    """A verdict of the shortest-first oracle against the reference's:
+    the same split and witness kind, the reference's own star, or a
+    cycle that hits while no shorter cycle does."""
+    assert got.verdict == ref.verdict
+    if not ref.verdict:
+        return
+    split, kind, info, flags = got.witness
+    assert (split, kind) == ref.witness[:2]
+    (want,) = [w for _, w, k, s in scans if (k, s) == (kind, split)]
+    assert C._oracle_flags(flags)[want]
+    if kind == "star":
+        assert got.witness == ref.witness
+        return
+    for c in simple_cycles(oracle.base):
+        if len(c) < len(info):
+            assert not any(C._oracle_flags(f)[want] for f in C._component_flags(
+                oracle.g2, oracle.removed("cycle", c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_shortest_first_scans_match_the_enumeration_order_references(g):
+    cycles = simple_cycles(g)
+    pair = disjoint_cycle_pair(g)
+    assert (pair is None) == (_pair_scan(g, cycles) is None)
+    if pair is not None:
+        c, d = pair
+        _assert_least_cycle_hit(g, _pair_scan, c)
+        assert d in cycles and c.vertex_set.isdisjoint(d.vertices)
+
+    has, witness = contains_f2xz(g, 2)
+    assert has == (_f2xz_n2_scan(g, cycles) is not None)
+    if has:
+        _assert_least_cycle_hit(g, _f2xz_n2_scan, witness[1])
+
+    has, witness = contains_f2xz(g, 3)
+    ref = _obstruction_n3_scan(g, cycles)
+    assert has == (ref is not None)
+    if has and witness[0] == "d":   # no cycle gives (a), (b), (c) or (e)
+        assert witness == ref
+    elif has:
+        cycle = witness[2] if witness[0] == "b" else witness[1]
+        assert cycle in cycles
+        assert _obstruction_n3_scan(g, [cycle])[0] == witness[0]
+        shorter = _obstruction_n3_scan(
+            g, [c for c in cycles if len(c) < len(cycle)])
+        assert shorter is None or shorter[0] == "d"
+
+    oracle, reference = SubgraphOracle(g), _enumeration_order_oracle(g)
+    for n in (2, 3, 4, 5):
+        _check_oracle_hit(oracle.nonhyperbolic(n), reference.nonhyperbolic(n),
+                          oracle, C._NONHYPERBOLIC_SCANS)
+        _check_oracle_hit(oracle.f2xz(n), reference.f2xz(n),
+                          oracle, C._F2XZ_SCANS)
+    assert sorted(oracle.witnesses(), key=repr) == sorted(
+        reference.witnesses(), key=repr)
+
+
+def test_oracle_on_k55_flags_one_witness_at_three_particles():
+    # enumeration order reached the first hit after 2,701 witnesses,
+    # 1,440 of them Hamiltonian cycles
+    oracle = SubgraphOracle(F.complete_bipartite(5, 5))
+    assert oracle.nonhyperbolic(3).verdict and oracle.f2xz(3).verdict
+    assert len(oracle._flags) == 1
+
+
+def _free_certificate_by_full_intersection(g, n):
+    shape = classify_shape(g)
+    if n == 1 or shape.is_a(ROSE):
+        return free_certificate(g, n)
+    if n == 2:
+        cycles = simple_cycles(g)
+        if not cycles:
+            return ("free", "no cycles at all")
+        common = frozenset.intersection(*[c.vertex_set for c in cycles])
+        if common:
+            v = sorted(common, key=idkey)[0]
+            return ("free", f"vertex {v} lies on every cycle")
+    return ("unknown", "no freeness criterion applies")
+
+
+def test_free_certificate_matches_the_full_intersection_on_the_atlas():
+    checked = 0
+    for G in nx.graph_atlas_g():
+        if 1 <= G.number_of_nodes() <= 6 and nx.is_connected(G):
+            g = Graph.make([str(v) for v in G.nodes],
+                           [(f"e{i}", str(u), str(v))
+                            for i, (u, v) in enumerate(G.edges)])
+            assert free_certificate(g, 2) == \
+                _free_certificate_by_full_intersection(g, 2), sorted(G.edges)
+            checked += 1
+    assert checked == 143
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_component_betti_matches_the_edge_scan(data):
+    n = data.draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=20)) if pairs else []
+    g = Graph.make([str(v) for v in range(n)],
+                   [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(chosen)])
+    banned = frozenset(data.draw(st.lists(st.sampled_from(g.vertices))))
+    for comp in C._complement_components(g, banned):
+        assert C._component_betti(g, comp) == _betti_by_edge_scan(g, comp)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from(("a", "9", "10", "zz", "v7", "v12", "b")),
                 min_size=1, max_size=7, unique=True), st.data())
@@ -465,7 +649,7 @@ def _uncovered_pair_by_pairs(cycles, collection):
     """Condition 1 as it was first written: both cycles' vertex sets are
     rebuilt for every pair."""
     for a, b in itertools.combinations(cycles, 2):
-        if not a.disjoint_from(b):
+        if not a.vertex_set.isdisjoint(b.vertex_set):
             continue
         if not any(C._subgraph_contains_cycle(s, a)
                    and C._subgraph_contains_cycle(s, b) for s in collection):

@@ -442,8 +442,8 @@ def test_subgraph_disjointness():
     g = F.complete_graph(6)
     a = g.induced(["1", "2", "3"])
     b = g.induced(["4", "5", "6"])
-    assert a.vertex_disjoint(b)
-    assert not a.vertex_disjoint(g.induced(["3", "4"]))
+    assert a.vertices.isdisjoint(b.vertices)
+    assert not a.vertices.isdisjoint(g.induced(["3", "4"]).vertices)
 
 
 # -- the shared component search and union-find ----------------------------
