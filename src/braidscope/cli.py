@@ -442,7 +442,15 @@ def cmd_table(args) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for `argv` (default ``sys.argv[1:]``).
+
+    All six subcommands are registered, so the top-level help and usage
+    errors list them all, but only those named by a word of `argv` get
+    their options.  argparse parses with the subcommand that the first
+    positional word names, so that one always has them.
+    """
+    named = set(sys.argv[1:] if argv is None else argv)
     top = argparse.ArgumentParser(
         prog="braidscope",
         description="configuration spaces of graphs and braid group classification")
@@ -456,51 +464,57 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-cells", type=int, default=None)
 
     p = sub.add_parser("analyze", help="classification report")
-    common(p, max_cells=False)
-    p.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-    p.set_defaults(func=cmd_analyze)
+    if "analyze" in named:
+        common(p, max_cells=False)
+        p.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
+        p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("build", help="build the configuration complex")
-    common(p, formats=("json", "table", "dot"))
-    p.add_argument("--max-dim", type=int, default=None)
-    p.add_argument("--subdivide", action="store_true",
-                   help="subdivide for the particle count first")
-    p.add_argument("--dot-what", choices=("skeleton", "coloring"),
-                   default="skeleton")
-    p.set_defaults(func=cmd_build)
+    if "build" in named:
+        common(p, formats=("json", "table", "dot"))
+        p.add_argument("--max-dim", type=int, default=None)
+        p.add_argument("--subdivide", action="store_true",
+                       help="subdivide for the particle count first")
+        p.add_argument("--dot-what", choices=("skeleton", "coloring"),
+                       default="skeleton")
+        p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("word", help="validate / reduce / compare words")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--base", required=True, help="comma-separated vertices")
-    p.add_argument("--compare", default=None,
-                   help="second word as one whitespace-separated string")
-    p.add_argument("--cyclic", action="store_true",
-                   help="also cyclically reduce (spherical words)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("letters", nargs="*", help="word tokens +eID / -eID")
-    p.set_defaults(func=cmd_word)
+    if "word" in named:
+        p.add_argument("--graph", required=True)
+        p.add_argument("--base", required=True, help="comma-separated vertices")
+        p.add_argument("--compare", default=None,
+                       help="second word as one whitespace-separated string")
+        p.add_argument("--cyclic", action="store_true",
+                       help="also cyclically reduce (spherical words)")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.add_argument("letters", nargs="*", help="word tokens +eID / -eID")
+        p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("homology", help="integer homology summary")
-    common(p)
-    p.add_argument("--subdivide", action="store_true")
-    p.set_defaults(func=cmd_homology)
+    if "homology" in named:
+        common(p)
+        p.add_argument("--subdivide", action="store_true")
+        p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("relhyp-check",
                        help="verify a peripheral collection (two particles)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--collection", required=True,
-                   help="file with one subgraph per line ('-' for stdin)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_relhyp)
+    if "relhyp-check" in named:
+        p.add_argument("--graph", required=True)
+        p.add_argument("--collection", required=True,
+                       help="file with one subgraph per line ('-' for stdin)")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(func=cmd_relhyp)
 
     p = sub.add_parser("table", help="classification grid over a family")
-    p.add_argument("--family", choices=("complete", "bipartite"),
-                   required=True)
-    p.add_argument("--min", type=int, default=1)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--particles", required=True, help="e.g. 2..5 or 3")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_table)
+    if "table" in named:
+        p.add_argument("--family", choices=("complete", "bipartite"),
+                       required=True)
+        p.add_argument("--min", type=int, default=1)
+        p.add_argument("--max", type=int, required=True)
+        p.add_argument("--particles", required=True, help="e.g. 2..5 or 3")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.set_defaults(func=cmd_table)
     return top
 
 
@@ -518,7 +532,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = make_parser()
+    parser = make_parser(argv)
     args = parser.parse_args(argv)
     # argparse before 3.12 drops the value of "--opt=--" and leaves an
     # empty list where one string was wanted; `letters` alone takes a list

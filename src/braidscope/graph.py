@@ -399,16 +399,6 @@ def _subdivided(e: Edge, times: int) -> tuple:
                          for i in range(len(chain) - 1)]
 
 
-def subdivide_edge(g: Graph, edge_id: str, times: int = 1) -> Graph:
-    """Replace one edge by a path with `times` interior vertices."""
-    if times < 1:
-        return g
-    inner, path = _subdivided(g.edge_by_id[edge_id], times)
-    return Graph._make(
-        list(g.vertices) + inner,
-        [(x.id, x.u, x.v) for x in g.edges if x.id != edge_id] + path)
-
-
 def subdivide_all(g: Graph, times: int) -> Graph:
     """Subdivide every edge the same number of times, in one Graph._make."""
     if times < 1:

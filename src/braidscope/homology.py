@@ -7,8 +7,19 @@ d o d = 0 is a unit test rather than a convention discussion.
 
 Each boundary map is stored once, column by column: the column of a
 d-cube is a dict {(d-1)-cube index: +-1}, built straight from the
-bitmask facets.  The d o d check and the Smith form read that one form;
-the (row, col) dict view is built only on request.
+bitmask facets.  The sorted d-cube keys come grouped by moving-edge mask
+m, and the cubes of one group share their facet pattern: for each bit b
+of m, the (d-1)-cubes with moving edges m ^ b, the ends (u, v) of b and
+the sign.  So each group gets one template, and a cube (m, s) reads its
+2d rows from the per-mask row tables at s | v and s | u.  The d o d
+check and the Smith form read that one form; the (row, col) dict view
+is built only on request.
+
+The d o d check composes each column of d_d with d_{d-1}.  While every
+entry it meets is +-1, so is every term, and the column composes to
+zero exactly when the sorted rows of its +1 terms equal those of its -1
+terms; a column that meets any other entry is summed row by row, so the
+check stays exact on any integer columns (:func:`verify_dd_zero`).
 
 Smith normal form runs sparsely: unit pivots are eliminated first
 (boundary matrices are +-1 filled and collapse almost entirely), and
@@ -96,17 +107,29 @@ def chain_complex(x: CubeComplex) -> ChainComplex:
     bases = tuple(tuple(sorted(level)) for level in x.levels)
     columns = [None]
     for d in range(1, len(bases)):
-        row = {k: i for i, k in enumerate(bases[d - 1])}
+        rows = {}   # moving-edge mask -> {stationary mask: row index}
+        for i, (m, s) in enumerate(bases[d - 1]):
+            at = rows.get(m)
+            if at is None:
+                at = rows[m] = {}
+            at[s] = i
         cols = []
-        # the 2d facets of a cube are distinct cells: no entry is hit twice
-        for (m, s) in bases[d]:
+        last = None
+        # one facet template per moving-edge mask (module docstring); the
+        # 2d facets of a cube are distinct cells: no entry is hit twice
+        for m, s in bases[d]:
+            if m != last:
+                last = m
+                template = []
+                sign = 1
+                for b in bits(m):
+                    u, v = ends[b]
+                    template.append((rows[m ^ b], v, u, sign, -sign))
+                    sign = -sign
             col = {}
-            sign = 1
-            for b in bits(m):
-                u, v = ends[b]
-                col[row[(m ^ b, s | v)]] = sign
-                col[row[(m ^ b, s | u)]] = -sign
-                sign = -sign
+            for at, v, u, sign_v, sign_u in template:
+                col[at[s | v]] = sign_v
+                col[at[s | u]] = sign_u
             cols.append(col)
         columns.append(tuple(cols))
     out = ChainComplex(bases, tuple(columns))
@@ -116,10 +139,47 @@ def chain_complex(x: CubeComplex) -> ChainComplex:
 
 
 def verify_dd_zero(c: ChainComplex) -> bool:
-    """Check d_{d-1} o d_d = 0, one column of d_d at a time."""
+    """Check d_{d-1} o d_d = 0, one column of d_d at a time.
+
+    Column j of d_{d-1} o d_d is the sum, over the entries v of column j
+    of d_d and the entries w of the lower column v stands in, of the
+    terms v * w at rows r.  When every v and w is +-1, so is every term,
+    and row r sums to zero exactly when it has as many +1 terms as -1
+    terms.  So the column is zero exactly when the sorted rows of its
+    +1 terms equal the sorted rows of its -1 terms, and the check
+    compares those two lists.  A column that meets an entry other than
+    +-1 is summed row by row instead, so the check is exact on any
+    integer columns.
+    """
     for d in range(2, len(c.columns)):
         lo = c.columns[d - 1]
         for col in c.columns[d]:
+            plus = []
+            minus = []
+            for mid, v in col.items():
+                if v == 1:
+                    same, other = plus, minus
+                elif v == -1:
+                    same, other = minus, plus
+                else:
+                    break
+                for r, w in lo[mid].items():
+                    if w == 1:
+                        same.append(r)
+                    elif w == -1:
+                        other.append(r)
+                    else:
+                        break
+                else:
+                    continue
+                break   # the lower column holds an entry other than +-1
+            else:
+                plus.sort()
+                minus.sort()
+                if plus != minus:
+                    return False
+                continue
+            # an entry other than +-1: sum the column row by row
             acc = {}
             for mid, v in col.items():
                 for r, w in lo[mid].items():

@@ -14,8 +14,7 @@ from braidscope.graph import (
     CYCLE, CYCLE_TWO_RAYS, GENERAL, HGRAPH, PULSAR, ROSE, SEGMENT, STAR,
     SUN, THETA, TREE,
     Graph, UnionFind, classify_shape, connected_components, first_betti,
-    normalize, simple_cycles, smooth, subdivide_all, subdivide_edge,
-    subdivide_for,
+    _subdivided, normalize, simple_cycles, smooth, subdivide_all, subdivide_for,
 )
 
 
@@ -28,6 +27,16 @@ def to_nx_multigraph(g):
 
 def homeomorphic_multigraphs(a, b):
     return nx.is_isomorphic(to_nx_multigraph(a), to_nx_multigraph(b))
+
+
+def subdivide_edge(g: Graph, edge_id: str, times: int = 1) -> Graph:
+    """Replace one edge by a path with `times` interior vertices."""
+    if times < 1:
+        return g
+    inner, path = _subdivided(g.edge_by_id[edge_id], times)
+    return Graph._make(
+        list(g.vertices) + inner,
+        [(x.id, x.u, x.v) for x in g.edges if x.id != edge_id] + path)
 
 
 def random_connected_graph(rng, nv):
@@ -154,7 +163,6 @@ def test_subdivide_for_refuses_a_hopeless_count_at_once(monkeypatch):
     # a component on c vertices lacks n - c vertices; from n = cap + c
     # on, they alone reach the cap, so not a single edge may be split
     import braidscope.graph as G
-    monkeypatch.setattr(G, "subdivide_edge", None)
     monkeypatch.setattr(G, "_split_least", None)
     g = F.path_graph(3)
     for n in (G.SUBDIVIDE_PASS_CAP + len(g.vertices), 10**20):

@@ -5,16 +5,17 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidscope
 import mod2_ranks
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.errors import PreconditionError, ResourceLimitError
-from braidscope.graph import subdivide_for
+from braidscope.graph import Graph, normalize, subdivide_for
 import braidscope.homology as H
 from braidscope.homology import (
-    check_column_cap, chain_complex, homology, smith_invariants,
+    ChainComplex, check_column_cap, chain_complex, homology, smith_invariants,
     verify_dd_zero,
 )
 
@@ -80,26 +81,45 @@ def _complex(g, n):
     return x, chain_complex(x)
 
 
-def boundaries_from_labels(x, c):
-    """d_d as (row, col) -> entry, from the string cube labels and the
-    sign rule of the module docstring, apart from the bitmask facets."""
+def columns_from_labels(x, c):
+    """Per dimension d >= 1, the items of each column of d_d in order,
+    from the string cube labels and the sign rule of the module
+    docstring, apart from the bitmask facets: by ascending edge, the
+    target end +, then the source end -."""
     out = [None]
     for d in range(1, len(c.bases)):
         row = {k: i for i, k in enumerate(c.bases[d - 1])}
-        entries = {}
-        for col, key in enumerate(c.bases[d]):
+        cols = []
+        for key in c.bases[d]:
             facets = x.index.cube(key).facets()   # (source, target) per edge
+            items = []
             for i in range(d):
                 sign = (-1) ** i
-                entries[row[x.index.encode(facets[2 * i + 1])], col] = sign
-                entries[row[x.index.encode(facets[2 * i])], col] = -sign
-        out.append(entries)
-    return tuple(out)
+                items.append((row[x.index.encode(facets[2 * i + 1])], sign))
+                items.append((row[x.index.encode(facets[2 * i])], -sign))
+            cols.append(items)
+        out.append(cols)
+    return out
+
+
+def boundaries_from_labels(x, c):
+    """d_d as (row, col) -> entry, from :func:`columns_from_labels`."""
+    return (None,) + tuple(
+        {(r, j): v for j, items in enumerate(cols) for r, v in items}
+        for cols in columns_from_labels(x, c)[1:])
+
+
+def _assert_columns_in_label_order(x, c):
+    # the Smith sweep's pivots follow the columns' insertion order
+    labelled = columns_from_labels(x, c)
+    for d in range(1, len(c.bases)):
+        assert [list(col.items()) for col in c.columns[d]] == labelled[d], d
 
 
 @pytest.mark.parametrize("g,n", COLUMN_FIXTURES)
 def test_boundary_view_matches_labels_and_counts(g, n):
     x, c = _complex(g, n)
+    _assert_columns_in_label_order(x, c)
     assert c.boundaries == boundaries_from_labels(x, c)
     # 2d nonzeros per d-cube: the count the benchmark tracer reports
     dims = c.dims()
@@ -130,6 +150,154 @@ def test_dd_check_sees_one_flipped_sign_in_any_dimension(g, n):
     assert verify_dd_zero(c)
     assert flipped == 2 * top >= 4
 
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Up to 4 vertices and 1 to 5 edges, loops and parallel edges
+    allowed, normalized."""
+    nv = draw(st.integers(1, 4))
+    ends = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=5))
+    return normalize(Graph.make(
+        [f"v{i}" for i in range(nv)],
+        [(f"e{i}", f"v{u}", f"v{v}") for i, (u, v) in enumerate(edges)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_multigraphs(), st.integers(2, 4))
+def test_random_subdivided_columns_keep_the_label_order(g, n):
+    x = build(subdivide_for(g, n), n)
+    _assert_columns_in_label_order(x, chain_complex(x))
+
+
+def test_chain_complex_checks_d_d_once_per_complex(monkeypatch):
+    # the benchmark's homology.verify_dd_zero span wraps this module global
+    seen = []
+    real = H.verify_dd_zero
+
+    def counting(c):
+        seen.append(c)
+        return real(c)
+
+    monkeypatch.setattr(H, "verify_dd_zero", counting)
+    made = [chain_complex(build(g, n)) for g, n in
+            [(F.complete_graph(4), 2), (F.cycle_graph(4), 2),
+             (subdivide_for(F.theta_graph(2, 2, 2), 3), 3)]]
+    assert len(seen) == 3 and all(a is b for a, b in zip(seen, made))
+
+
+# -- the d o d check against plain sums --------------------------------------------
+
+def dd_zero_by_sums(c):
+    """d_{d-1} o d_d = 0 by summing each column of the product row by row."""
+    for d in range(2, len(c.columns)):
+        lo = c.columns[d - 1]
+        for col in c.columns[d]:
+            acc = {}
+            for mid, v in col.items():
+                for r, w in lo[mid].items():
+                    acc[r] = acc.get(r, 0) + v * w
+            if any(acc.values()):
+                return False
+    return True
+
+
+def _two_maps(lo, hi):
+    return ChainComplex(((), (), ()), (None, tuple(lo), tuple(hi)))
+
+
+UNITS_AND_TWOS = st.sampled_from((-2, -1, 1, 2))
+
+
+@st.composite
+def composing_to_zero(draw):
+    """Lower columns on shared rows, in pairs b = s * a, and upper
+    columns that each take some pairs as t * s * a - t * b, so each
+    upper column composes to zero; entries are in {-2, -1, 1, 2}."""
+    rows = draw(st.integers(1, 5))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.dictionaries(st.integers(0, rows - 1), UNITS_AND_TWOS,
+                                 min_size=1, max_size=3))
+        units = all(abs(w) == 1 for w in a.values())
+        s = draw(st.sampled_from((-2, -1, 1, 2) if units else (-1, 1)))
+        t = draw(st.sampled_from((-1, 1) if abs(s) == 2 else (-2, -1, 1, 2)))
+        pairs.append((a, {r: s * w for r, w in a.items()}, s * t, -t))
+    # the lower columns in a drawn order, so pairs need not sit side by side
+    order = draw(st.permutations(range(2 * len(pairs))))
+    lo = [None] * len(order)
+    for k, (a, b, _, _) in enumerate(pairs):
+        lo[order[2 * k]], lo[order[2 * k + 1]] = a, b
+    hi = []
+    for _ in range(draw(st.integers(1, 4))):
+        taken = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1,
+                              max_size=len(pairs), unique=True))
+        col = {}
+        for k in taken:
+            _, _, ca, cb = pairs[k]
+            col[order[2 * k]], col[order[2 * k + 1]] = ca, cb
+        hi.append(col)
+    return rows, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(composing_to_zero(), st.data())
+def test_dd_check_agrees_with_sums_on_random_columns(case, data):
+    rows, lo, hi = case
+    assert verify_dd_zero(_two_maps(lo, hi)) and dd_zero_by_sums(_two_maps(lo, hi))
+    # a mutant that may still compose to zero: one entry dropped or
+    # redrawn, in an upper or a lower column
+    maps = {"lo": list(lo), "hi": list(hi)}
+    cols = maps[data.draw(st.sampled_from(("lo", "hi")))]
+    j = data.draw(st.integers(0, len(cols) - 1))
+    col = cols[j] = dict(cols[j])
+    r = data.draw(st.sampled_from(sorted(col)))
+    if data.draw(st.booleans()):
+        del col[r]
+    else:
+        col[r] = data.draw(UNITS_AND_TWOS)
+    c = _two_maps(maps["lo"], maps["hi"])
+    assert verify_dd_zero(c) == dd_zero_by_sums(c)
+    # a mutant that cannot: an upper column reaches a row nothing else hits
+    lonely = _two_maps(lo + [{rows: data.draw(UNITS_AND_TWOS)}],
+                       hi[:-1] + [{**hi[-1], len(lo): data.draw(UNITS_AND_TWOS)}])
+    assert not verify_dd_zero(lonely) and not dd_zero_by_sums(lonely)
+
+
+def _real_mutants(c):
+    """Mutate the first two entries of the first, middle and last column
+    of each d_d in place, one at a time: dropped, set to 2, moved to a
+    row the column lacks.  Yields where, with the mutant in place."""
+    for d in range(1, len(c.columns)):
+        cols = c.columns[d]
+        nrows = len(c.bases[d - 1])
+        for j in sorted({0, len(cols) // 2, len(cols) - 1} if cols else ()):
+            col = cols[j]
+            snapshot = dict(col)
+            for r in list(snapshot)[:2]:
+                free = next(i % nrows for i in range(r + 1, r + nrows)
+                            if i % nrows not in col)
+                for mutant in ("drop", "two", "move"):
+                    v = col.pop(r)
+                    if mutant == "two":
+                        col[r] = 2
+                    elif mutant == "move":
+                        col[free] = v
+                    yield d, j, r, mutant
+                    col.clear()
+                    col.update(snapshot)
+
+
+@pytest.mark.parametrize("g,n", COLUMN_FIXTURES)
+def test_dd_check_catches_what_sums_catch_on_real_mutants(g, n):
+    _, c = _complex(g, n)
+    caught = 0
+    for where in _real_mutants(c):
+        expected = dd_zero_by_sums(c)
+        assert verify_dd_zero(c) == expected, where
+        caught += not expected
+    assert caught and verify_dd_zero(c) and dd_zero_by_sums(c)
 
 CORRUPT_FACET = """
 import sys
