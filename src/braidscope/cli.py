@@ -183,13 +183,14 @@ def cmd_analyze(args) -> int:
 
 
 def dot_skeleton(x) -> str:
+    """The 1-skeleton, configurations by id tuple and 1-cubes by label."""
+    ix = x.index
     lines = ["graph skeleton {"]
-    names = {conf: "C" + "_".join(conf) for (_, conf) in x.cubes[0]}
-    for conf in sorted(names):
-        lines.append(f'  "{names[conf]}";')
-    for key in sorted(x.cubes[1] if len(x.cubes) > 1 else ()):
-        e, a, b = x.edge_ends(key)
-        lines.append(f'  "{names[a]}" -- "{names[b]}" [label="{e.id}"];')
+    for conf in sorted(ix.ids(s) for (_, s) in x.levels[0]):
+        lines.append(f'  "C{"_".join(conf)}";')
+    for m, s in sorted(x.level(1), key=ix.label):
+        a, b = ("C" + "_".join(ix.ids(s | end)) for end in ix.ends[m])
+        lines.append(f'  "{a}" -- "{b}" [label="{ix.edge[m].id}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -11,10 +11,10 @@ sorted).  A configuration is a vertex mask and the d-cubes are the keys
 ``(moving-edge mask, stationary-vertex mask)`` of ``levels[d]``.  The
 facet of (m, s) that leaves edge b's particle at end w is
 ``(m ^ b, s | w)``; edges touch when their vertex masks meet; edge e
-moves at c when ``emask[e] & c`` is neither 0 nor ``emask[e]``.  The
-public views (``cubes``, ``configurations``, ``skeleton``,
-``component_of``, ``edge_ends``, ``has_cube``, ``moves_at``, ...) and
-:class:`Cube` decode to sorted id tuples on demand.
+moves at c when ``emask[e] & c`` is neither 0 nor ``emask[e]``.  Ids
+are decoded only where they are printed: ``BitIndex.ids`` turns a mask
+into a sorted id tuple and ``BitIndex.label`` a cube key into its label
+(moving edge ids, stationary vertex ids).
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ from .graph import Edge, Frozen, Graph, connected_components, idkey
 DEFAULT_CELL_CAP = 10**7
 
 
-def cube_key(moving_ids, stationary) -> tuple:
-    """String cube label: both id tuples sorted by idkey."""
-    return (config_key(moving_ids), config_key(stationary))
-
-
 def config_key(vertices) -> tuple:
     return tuple(sorted(vertices, key=idkey))
 
@@ -45,31 +40,6 @@ def bits(mask: int):
         low = mask & -mask
         yield low
         mask ^= low
-
-
-class Cube(NamedTuple):
-    moving: tuple          # Edge objects, sorted by id
-    stationary: tuple      # vertex ids, sorted
-
-    @property
-    def key(self) -> tuple:
-        return (tuple(e.id for e in self.moving), self.stationary)
-
-    def corners(self) -> tuple:
-        """All 2^d vertex configurations of the cube."""
-        outs = []
-        for picks in itertools.product(*[(e.u, e.v) for e in self.moving]):
-            outs.append(config_key(set(picks) | set(self.stationary)))
-        return tuple(outs)
-
-    def facets(self) -> tuple:
-        """2d facet keys: each moving edge collapsed to one endpoint."""
-        outs = []
-        for i, e in enumerate(self.moving):
-            rest = tuple(x.id for j, x in enumerate(self.moving) if j != i)
-            for end in (e.u, e.v):
-                outs.append(cube_key(rest, set(self.stationary) | {end}))
-        return tuple(outs)
 
 
 class BitIndex:
@@ -91,8 +61,9 @@ class BitIndex:
     def ids(self, conf: int) -> tuple:
         return tuple(self.vname[b] for b in bits(conf))
 
-    def cube(self, key: tuple) -> Cube:
-        return Cube(tuple(self.edge[b] for b in bits(key[0])), self.ids(key[1]))
+    def label(self, key: tuple) -> tuple:
+        """(moving edge ids, stationary vertex ids) of a cube key."""
+        return (tuple(self.edge[b].id for b in bits(key[0])), self.ids(key[1]))
 
     @staticmethod
     def mask(ids, bit: dict) -> Optional[int]:
@@ -105,10 +76,6 @@ class BitIndex:
             out |= b
         return out
 
-    def encode(self, label: tuple) -> Optional[tuple]:
-        m, s = self.mask(label[0], self.ebit), self.mask(label[1], self.vbit)
-        return None if m is None or s is None else (m, s)
-
     def moves(self, conf: int) -> list:
         """(edge bit, vertex mask) of the edges with exactly one end in
         conf, by ascending bit."""
@@ -119,7 +86,10 @@ class BitIndex:
 class CubeComplex(Frozen):
     """UC_n of ``graph`` up to dimension ``max_dim``.  ``levels`` holds,
     per dimension, a dict from cube key to None; ``index`` is the graph's
-    BitIndex and is left out of eq and hash."""
+    BitIndex and is left out of eq and hash.  Views: ``level``,
+    ``adjacency`` and ``components`` on the keys, the counts ``f_vector``,
+    ``dim``, ``component_count`` and ``euler_characteristic``, and
+    ``moves_at`` and ``apply_move`` on id tuples, for :mod:`.diagrams`."""
 
     def __init__(self, graph: Graph, n: int, max_dim: int, levels: tuple,
                  index: BitIndex):
@@ -131,8 +101,6 @@ class CubeComplex(Frozen):
 
     def _key(self) -> tuple:
         return (self.graph, self.n, self.max_dim, self.levels)
-
-    # -- integer views --------------------------------------------------
 
     def level(self, d: int) -> dict:
         """The d-cube keys; empty above the top dimension."""
@@ -155,14 +123,6 @@ class CubeComplex(Frozen):
         nbrs = {a: [b for _, b in around] for a, around in self.adjacency.items()}
         return connected_components(nbrs, nbrs)
 
-    # -- string views ---------------------------------------------------
-
-    @cached_property
-    def cubes(self) -> tuple:
-        """Per dimension: cube label -> Cube."""
-        return tuple({c.key: c for c in map(self.index.cube, level)}
-                     for level in self.levels)
-
     def f_vector(self) -> tuple:
         return tuple(len(level) for level in self.levels)
 
@@ -171,12 +131,6 @@ class CubeComplex(Frozen):
 
     def component_count(self) -> int:
         return len(self.components)
-
-    def configurations(self) -> tuple:
-        return tuple(self.index.ids(s) for (_, s) in self.levels[0])
-
-    def has_cube(self, key: tuple) -> bool:
-        return self.index.encode(key) in self.level(len(key[0]))
 
     def moves_at(self, conf) -> tuple:
         """Edges of the graph with exactly one endpoint occupied."""
@@ -187,42 +141,11 @@ class CubeComplex(Frozen):
         ix = self.index
         return ix.ids(ix.mask(conf, ix.vbit) ^ ix.emask[ix.ebit[edge.id]])
 
-    def edge_ends(self, key: tuple) -> tuple:
-        """(edge, a, b) for a 1-cube label: its moving edge, the end
-        configuration holding the edge's u end and the one holding v."""
-        m, s = self.index.encode(key)
-        u, v = self.index.ends[m]
-        return (self.index.edge[m], self.index.ids(s | u), self.index.ids(s | v))
-
-    @cached_property
-    def skeleton(self) -> dict:
-        """1-skeleton adjacency: config key -> tuple of (edge, other key)."""
-        ix = self.index
-        return {ix.ids(a): tuple((ix.edge[m], ix.ids(b)) for m, b in around)
-                for a, around in self.adjacency.items()}
-
-    @cached_property
-    def component_of(self) -> dict:
-        """Config key -> index of its 1-skeleton component; components are
-        numbered in the order of their first configuration."""
-        return {self.index.ids(conf): label
-                for label, comp in enumerate(self.components) for conf in comp}
-
     def euler_characteristic(self) -> int:
         if self.max_dim < self.n:
             raise PreconditionError(
                 "Euler characteristic needs the full-dimensional complex")
         return sum((-1) ** d * len(level) for d, level in enumerate(self.levels))
-
-    def without_cube(self, key: tuple) -> "CubeComplex":
-        """Copy with one cube of positive dimension dropped (test fixture)."""
-        d = len(key[0])
-        if d == 0 or not self.has_cube(key):
-            raise PreconditionError("can only drop an existing positive-dim cube")
-        gone = self.index.encode(key)
-        levels = tuple({k: None for k in level if k != gone}
-                       for level in self.levels)
-        return CubeComplex(self.graph, self.n, self.max_dim, levels, self.index)
 
 
 def _matchings(edges: list, top: int):
@@ -292,7 +215,7 @@ def euler_characteristic(x: CubeComplex) -> int:
 
 class NpcReport(NamedTuple):
     ok: bool
-    failures: tuple  # (config key, tuple of move edge ids, missing cube key)
+    failures: tuple  # (config key, tuple of move edge ids, missing cube label)
 
     def __bool__(self):
         return self.ok
@@ -316,14 +239,14 @@ def verify_npc(x: CubeComplex) -> NpcReport:
             for b in bits(m):
                 for end in ix.ends[b]:
                     if (m ^ b, s | end) not in below:
-                        failures.append((ix.cube((m, s)).corners()[0],
-                                         ix.cube((m, s)).key[0],
-                                         ix.cube((m ^ b, s | end)).key))
+                        corner = s | sum(ix.ends[c][0] for c in bits(m))
+                        failures.append((ix.ids(corner), ix.label((m, s))[0],
+                                         ix.label((m ^ b, s | end))))
 
     for (_, conf) in x.levels[0]:
         for k, m, used in _matchings(ix.moves(conf), x.n):
             if k >= 2 and (m, conf & ~used) not in x.levels[k]:
-                key = ix.cube((m, conf & ~used)).key
+                key = ix.label((m, conf & ~used))
                 failures.append((ix.ids(conf), key[0], key))
 
     return NpcReport(not failures, tuple(failures))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .complex import CubeComplex, config_key
 from .errors import (
@@ -73,11 +73,20 @@ class LegalWord(NamedTuple):
         return len(self.letters)
 
 
-def check_legal(g: Graph, base, letters) -> LegalWord:
+def _checked_base(g: Graph, base, n: Optional[int] = None) -> tuple:
+    """`base` as a config key: distinct vertices of g, n of them if n is given."""
     base = config_key(base)
     if len(set(base)) < len(base) or not set(base) <= set(g.vertices):
         raise PreconditionError(
             f"base {','.join(base)!r} is not a set of distinct vertices")
+    if n is not None and len(base) != n:
+        raise PreconditionError(
+            f"base {','.join(base)!r} has {len(base)} vertices, not {n}")
+    return base
+
+
+def check_legal(g: Graph, base, letters) -> LegalWord:
+    base = _checked_base(g, base)
     letters = tuple((str(e), int(s)) for e, s in letters)
     term = replay(g, base, letters)
     return LegalWord(g, base, letters, term)
@@ -369,7 +378,7 @@ def ball_oracle(x: CubeComplex, base, radius: int) -> dict:
     if radius > MAX_BALL_RADIUS:
         raise PreconditionError(f"radius capped at {MAX_BALL_RADIUS}")
     g = x.graph
-    base = config_key(base)
+    base = _checked_base(g, base, x.n)
     start = empty_diagram(g, base)
     seen = {start.letters: start}
     layer = [start]
@@ -401,13 +410,14 @@ class CoverBall:
     """
 
     def __init__(self, x: CubeComplex, base, radius: int):
+        base = _checked_base(x.graph, base, x.n)
         self.complex = x
         self.graph = x.graph
         self.radius = radius
         self.proj = []     # vertex -> configuration key
         self.dist = []
         self.edges = []    # vertex -> {edge id: (neighbor, sign from here)}
-        self.root = self._new_vertex(config_key(base), 0)
+        self.root = self._new_vertex(base, 0)
         self._build()
 
     def _new_vertex(self, proj, dist) -> int:

@@ -94,7 +94,8 @@ class ChainComplex(Frozen):
     def boundaries(self) -> tuple:
         """Per dimension d >= 1, d_d as a dict (row, col) -> entry.
 
-        Built on first use; nothing in braidscope reads it."""
+        Built on first use.  Its one reader is the nonzero count of
+        ``bench/tracer.py``; it goes with ROADMAP item 5."""
         return (None,) + tuple(
             {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
             for cols in self.columns[1:])

@@ -18,6 +18,7 @@ import time
 
 import networkx as nx
 
+import labels as L
 from braidscope import families as F
 from braidscope.classifier import (
     SubgraphOracle, check_peripheral_collection, contains_f2xz,
@@ -169,7 +170,7 @@ def test_criterion_5_special_coloring():
     for x in complexes:
         assert verify_special_coloring(x).ok
         assert verify_npc(x).ok
-    mutated = complexes[1].without_cube(next(iter(complexes[1].cubes[2])))
+    mutated = L.without(complexes[1], next(iter(complexes[1].level(2))))
     rep = verify_special_coloring(mutated)
     assert not rep.ok and rep.failed_axioms() == (4,)
     print(f"ACCEPTANCE 5 PASS: coloring axioms on {len(complexes)} complexes,"
@@ -243,7 +244,7 @@ def test_criterion_7_word_problem_soundness():
     total_words = 0
     for g, base, n in fixtures:
         x = build(g, n)
-        assert len(x.cubes[0]) <= 200
+        assert len(x.level(0)) <= 200
         cover = CoverBall(x, base, 6)
         ball = ball_oracle(x, base, 6)
         assert len(ball) == cover.vertex_count()

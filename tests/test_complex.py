@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import labels as L
 from braidscope import families as F
 from braidscope.complex import build, is_surface, verify_npc
 from braidscope.errors import PreconditionError, ResourceLimitError
@@ -12,7 +13,7 @@ def test_f_vector_path():
     x = build(F.path_graph(2), 2)
     assert x.f_vector() == (3, 2, 0)
     assert x.component_count() == 1
-    confs = set(x.configurations())
+    confs = set(L.configuration_ids(x))
     assert confs == {("1", "2"), ("1", "3"), ("2", "3")}
 
 
@@ -48,11 +49,12 @@ def test_every_cube_has_2d_facets_present():
     for g, n in [(F.complete_graph(5), 2),
                  (subdivide_for(F.complete_graph(4), 3), 3)]:
         x = build(g, n)
-        for d in range(1, len(x.cubes)):
-            for cube in x.cubes[d].values():
-                facets = cube.facets()
+        for d in range(1, len(x.levels)):
+            below = {L.label(g, k) for k in x.level(d - 1)}
+            for key in x.level(d):
+                facets = L.facets(g, L.label(g, key))
                 assert len(facets) == 2 * d
-                assert all(x.has_cube(k) for k in facets)
+                assert all(k in below for k in facets)
 
 
 def test_connectivity_after_subdivision():
@@ -77,10 +79,22 @@ def test_npc_passes_on_builds():
 
 def test_npc_fails_after_square_removal():
     x = build(F.cycle_graph(4), 2)
-    mutated = x.without_cube(next(iter(x.cubes[2])))
+    mutated = L.without(x, next(iter(x.level(2))))
     report = verify_npc(mutated)
     assert not report.ok
     assert report.failures
+    # the missing square, once from each of its four corners
+    assert report.failures == tuple(
+        (conf, ("e1", "e3"), (("e1", "e3"), ()))
+        for conf in [("1", "3"), ("1", "4"), ("2", "3"), ("2", "4")])
+
+
+def test_npc_names_the_facet_missing_under_a_kept_square():
+    # the square (e1, e3) at corner (1, 3) lacks the facet e1 with 3 kept
+    x = build(F.cycle_graph(4), 2)
+    mutated = L.without(x, L.key(x.graph, (("e1",), ("3",))))
+    assert verify_npc(mutated).failures == (
+        (("1", "3"), ("e1", "e3"), (("e1",), ("3",))),)
 
 
 def test_surface_k5():
@@ -107,11 +121,13 @@ def test_product_f_vector_multiplicativity():
     right = build(g2, 1)
 
     split_conf = ("a1", "b1")
-    label = x.component_of[tuple(sorted(split_conf, key=lambda t: (len(t), t)))]
-    per_dim = [0] * len(x.cubes)
-    for d, level in enumerate(x.cubes):
-        for cube in level.values():
-            if x.component_of[cube.corners()[0]] == label:
+    numbers = L.component_numbers(x)
+    label = numbers[tuple(sorted(split_conf, key=lambda t: (len(t), t)))]
+    per_dim = [0] * len(x.levels)
+    for d, level in enumerate(x.levels):
+        for (m, s) in level:
+            corner = L.ids(both, s | L.mask(both, [e.u for e in L.moving(both, m)]))
+            if numbers[corner] == label:
                 per_dim[d] += 1
     fl, fr = left.f_vector(), right.f_vector()
     expected = []
@@ -123,20 +139,23 @@ def test_product_f_vector_multiplicativity():
 
 def test_dimension_zero_complex_has_one_component_per_configuration():
     x = build(F.path_graph(3), 1, max_dim=0)
-    assert x.skeleton == {("1",): (), ("2",): (), ("3",): (), ("4",): ()}
+    assert {L.ids(x.graph, a): around for a, around in x.adjacency.items()} \
+        == {("1",): [], ("2",): [], ("3",): [], ("4",): []}
     assert x.component_count() == 4
-    assert sorted(x.component_of.values()) == [0, 1, 2, 3]
+    assert sorted(L.component_numbers(x).values()) == [0, 1, 2, 3]
     y = build(F.complete_graph(4), 2, max_dim=0)
-    assert y.component_count() == len(y.configurations()) == 6
+    assert y.component_count() == len(L.configuration_ids(y)) == 6
 
 
 def test_edge_ends_follow_the_edge_orientation():
     x = build(F.path_graph(2), 2)
-    for key in x.cubes[1]:
-        e, a, b = x.edge_ends(key)
+    g = x.graph
+    for (m, s) in x.level(1):
+        u, v = x.index.ends[m]
+        (e,), a, b = L.moving(g, m), L.ids(g, s | u), L.ids(g, s | v)
         assert (set(a) ^ set(b)) == {e.u, e.v}
         assert e.u in a and e.v in b
-        assert (e, b) in x.skeleton[a] and (e, a) in x.skeleton[b]
+        assert (m, s | v) in x.adjacency[s | u] and (m, s | u) in x.adjacency[s | v]
 
 
 def test_component_count_of_split_configurations():

@@ -348,6 +348,34 @@ def test_cover_matches_ball_layer_by_layer():
         assert len(ends) == cover.vertex_count()
 
 
+@pytest.mark.parametrize("route", [ball_oracle, CoverBall],
+                         ids=["ball_oracle", "CoverBall"])
+@pytest.mark.parametrize("base, message", [
+    (("zz", "1"), "is not a set of distinct vertices"),
+    (("1", "1"), "is not a set of distinct vertices"),
+    (("1",), "has 1 vertices, not 2"),
+    (("1", "2", "3"), "has 3 vertices, not 2"),
+])
+def test_cover_routes_refuse_a_base_outside_the_complex(route, base, message):
+    # each of these once gave a ball: of one vertex for the first two,
+    # of configurations outside UC_2 for the others
+    x = build(F.cycle_graph(4), 2)
+    with pytest.raises(PreconditionError, match=message):
+        route(x, base, 2)
+
+
+def test_cover_routes_keep_their_balls_on_every_base():
+    # vertices per distance, for radius 3 on C_4 at n = 2
+    x = build(F.cycle_graph(4), 2)
+    layers = {("1", "2"): [1, 2, 5, 2], ("1", "3"): [1, 4, 2, 4],
+              ("1", "4"): [1, 2, 5, 2], ("2", "3"): [1, 2, 5, 2],
+              ("2", "4"): [1, 4, 2, 4], ("3", "4"): [1, 2, 5, 2]}
+    for base, counts in layers.items():
+        ball = ball_oracle(x, base[::-1], 3)
+        assert [sum(1 for k in ball if len(k) == r) for r in range(4)] == counts
+        assert [CoverBall(x, base, 3).dist.count(r) for r in range(4)] == counts
+
+
 def test_reduction_sound_against_cover():
     rng = random.Random(20260809)
     fixtures = [

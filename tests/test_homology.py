@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import braidscope
+import labels as L
 import mod2_ranks
 from braidscope import families as F
 from braidscope.complex import build
@@ -83,20 +84,21 @@ def _complex(g, n):
 
 def columns_from_labels(x, c):
     """Per dimension d >= 1, the items of each column of d_d in order,
-    from the string cube labels and the sign rule of the module
-    docstring, apart from the bitmask facets: by ascending edge, the
-    target end +, then the source end -."""
+    from the cube labels that tests/labels.py decodes and the sign rule
+    of the module docstring, apart from the bitmask facets: by ascending
+    edge, the target end +, then the source end -."""
+    g = x.graph
     out = [None]
     for d in range(1, len(c.bases)):
-        row = {k: i for i, k in enumerate(c.bases[d - 1])}
+        row = {L.label(g, k): i for i, k in enumerate(c.bases[d - 1])}
         cols = []
         for key in c.bases[d]:
-            facets = x.index.cube(key).facets()   # (source, target) per edge
+            facets = L.facets(g, L.label(g, key))   # (source, target) per edge
             items = []
             for i in range(d):
                 sign = (-1) ** i
-                items.append((row[x.index.encode(facets[2 * i + 1])], sign))
-                items.append((row[x.index.encode(facets[2 * i])], -sign))
+                items.append((row[facets[2 * i + 1]], sign))
+                items.append((row[facets[2 * i]], -sign))
             cols.append(items)
         out.append(cols)
     return out

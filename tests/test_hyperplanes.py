@@ -3,6 +3,7 @@ from collections import Counter
 
 import networkx as nx
 
+import labels as L
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.graph import Graph, normalize, subdivide_for
@@ -76,7 +77,7 @@ def test_member_counts_sum_to_edge_count():
                  (subdivide_for(F.complete_graph(4), 3), 3)]:
         x = build(g, n)
         hps = hyperplanes_by_bfs(x)
-        assert sum(h.member_count() for h in hps) == len(x.cubes[1])
+        assert sum(h.member_count() for h in hps) == len(x.level(1))
 
 
 def test_coloring_graph_is_disjointness():
@@ -95,7 +96,7 @@ def test_special_coloring_passes_on_builds():
 
 def test_special_coloring_axiom4_fails_on_mutation():
     x = build(F.cycle_graph(4), 2)
-    mutated = x.without_cube(next(iter(x.cubes[2])))
+    mutated = L.without(x, next(iter(x.level(2))))
     report = verify_special_coloring(mutated)
     assert not report.ok
     assert report.failed_axioms() == (4,)

@@ -13,6 +13,7 @@ from math import comb
 
 from hypothesis import assume, given, settings, strategies as st
 
+import labels as L
 from braidscope.complex import build, verify_npc
 from braidscope.graph import Graph, subdivide_for
 from braidscope.hyperplanes import (
@@ -68,8 +69,8 @@ def test_kernel_against_independent_counts(g, n, data):
     n = min(n, len(g.vertices))
     x = build(g, n)
     assert x.f_vector() == reference_f_vector(g, n)
-    assert set(x.configurations()) == set(itertools.combinations(g.vertices, n))
-    assert len(x.configurations()) == comb(len(g.vertices), n)
+    assert set(L.configuration_ids(x)) == set(itertools.combinations(g.vertices, n))
+    assert len(L.configuration_ids(x)) == comb(len(g.vertices), n)
 
     bfs = hyperplanes_by_bfs(x)
     assert as_partition(bfs) == as_partition(hyperplanes_by_components(g, n))
@@ -78,12 +79,24 @@ def test_kernel_against_independent_counts(g, n, data):
 
     assert verify_npc(x).ok
     assert verify_special_coloring(x).ok
-    squares = sorted(x.cubes[2]) if n >= 2 else []
+    squares = sorted(x.level(2), key=lambda k: L.label(g, k))
     if squares:
-        cut = x.without_cube(data.draw(st.sampled_from(squares)))
+        cut = L.without(x, data.draw(st.sampled_from(squares)))
         report = verify_special_coloring(cut)
         assert not report.ok and report.failed_axioms() == (4,)
         assert not verify_npc(cut).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.integers(0, 3))
+def test_labels_decode_by_bit_position(g, n):
+    # the library's decoder against tests/labels.py, which reads the bits
+    # off g.vertices and g.edges without a BitIndex
+    x = build(g, min(n, len(g.vertices)))
+    for level in x.levels:
+        decoded = [x.index.label(k) for k in level]
+        assert decoded == [L.label(g, k) for k in level]
+        assert len(set(decoded)) == len(decoded)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,9 +15,7 @@ from braidscope.classifier import (
     AssignmentReport, ClassificationReport, ComponentVerdict, OracleVerdict,
     ParticleAssignment, PeripheralReport,
 )
-from braidscope.complex import (
-    BitIndex, Cube, CubeComplex, NpcReport, SurfaceReport, build,
-)
+from braidscope.complex import BitIndex, CubeComplex, NpcReport, SurfaceReport, build
 from braidscope.diagrams import Diagram, LegalWord, SupportData
 from braidscope.errors import PreconditionError
 from braidscope.graph import Cycle, Edge, Graph, Shape, Subgraph
@@ -26,7 +24,6 @@ from braidscope.hyperplanes import ColoringReport, Hyperplane
 
 G = Graph.make("123", [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
 H = Graph.make("12", [("a", "1", "2")])
-EDGE = G.edges[0]
 WORD = LegalWord(G, ("1",), (("a", 1),), ("2",))
 DIAGRAM = Diagram(G, ("1",), (), ("1",))
 SUB = Subgraph(G, frozenset("12"), frozenset("a"))
@@ -66,7 +63,6 @@ FIELDS = {
         "fingerprint": ("V:1", "V:2"), "n": (2, 3), "connected": (True, False),
         "assignments": ((), (None,)), "oracle_agreement": (None, {"hyperbolic": True}),
         "oracle_note": ("oracles skipped", "oracles ran")},
-    Cube: {"moving": ((EDGE,), ()), "stationary": (("3",), ("1", "3"))},
     CubeComplex: {"graph": (G, H), "n": (2, 1), "max_dim": (2, 1),
                   "levels": (((0, 3),), ((0, 5),)),
                   "index": (BitIndex(G), BitIndex(G))},
@@ -99,7 +95,7 @@ def make(cls, **changed):
 
 
 def test_every_record_class_is_covered():
-    assert len(FIELDS) == 22
+    assert len(FIELDS) == 21
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
