@@ -43,7 +43,6 @@ from .graph import (
 
 ORACLE_SMOOTH_VERTEX_CAP = 15
 ASSIGNMENT_CAP = 10**5
-PATH_CAP = 200000   # reduced paths checked per peripheral collection
 
 
 # -- elementary verdict helpers -----------------------------------------
@@ -575,79 +574,64 @@ def check_peripheral_collection(
     cycles = simple_cycles(g)
 
     uncovered = _uncovered_cycle_pair(cycles, collection)
-    covered = uncovered is None
-
-    inter_ok, bad_inter = True, None
+    bad_inter = None
     for s1, s2 in itertools.combinations(collection, 2):
-        vs = s1.vertices & s2.vertices
-        es = s1.edge_ids & s2.edge_ids
-        if not vs:
-            continue
-        part = Subgraph(g, vs, es).as_graph()
-        if not all(classify_shape(c).is_a(SEGMENT)
-                   for c in _component_graphs(part)):
-            inter_ok, bad_inter = False, (s1, s2)
+        part = Subgraph(g, s1.vertices & s2.vertices, s1.edge_ids & s2.edge_ids)
+        if not all(classify_shape(c).is_a(SEGMENT)   # vacuous for an empty part
+                   for c in _component_graphs(part.as_graph())):
+            bad_inter = s1, s2
             break
 
-    paths_ok, bad_path = True, None
-    budget = PATH_CAP
+    bad_path = _path_missing_a_cycle(g, cycles, collection)
+    return PeripheralReport(uncovered is None, uncovered, bad_inter is None,
+                            bad_inter, bad_path is None, bad_path,
+                            all(s.is_proper() for s in collection))
+
+
+def _path_missing_a_cycle(g: Graph, cycles, collection) -> Optional[tuple]:
+    """Condition 3: (member, path, cycle) for the first path that joins two
+    member vertices outside the member and misses a member cycle, or None.
+    Such a path is a non-member edge ab or runs through a component of g
+    minus the member touching a and b; it misses the cycles off a and b."""
     for sub in collection:
-        if not paths_ok:
-            break
-        sub_cycles = [c for c in cycles if _subgraph_contains_cycle(sub, c)]
+        sub_cycles = [(c, c.vertex_set) for c in cycles
+                      if _subgraph_contains_cycle(sub, c)]
         if not sub_cycles:
             continue
-        members = sorted(sub.vertices, key=idkey)
-        for a, b in itertools.combinations(members, 2):
-            outside = set(sub.vertices) - {a, b}
-            for path in _simple_paths_avoiding(g, a, b, outside, budget):
-                budget -= 1
-                if budget <= 0:
-                    raise ResourceLimitError("path enumeration cap hit")
-                edges = {g.simple_adjacency[path[i]][path[i + 1]].id
-                         for i in range(len(path) - 1)}
-                if edges <= sub.edge_ids:
-                    continue
-                pv = set(path)
-                for c in sub_cycles:
-                    if pv.isdisjoint(c.vertices):
-                        paths_ok, bad_path = False, (sub, tuple(path), c)
-                        break
-                if not paths_ok:
-                    break
-            if not paths_ok:
-                break
-
-    proper = all(s.is_proper() for s in collection)
-    return PeripheralReport(covered, uncovered, inter_ok, bad_inter,
-                            paths_ok, bad_path, proper)
+        where = {v: i for i, comp in enumerate(connected_components(
+            g.vertices, g.adjacency, sub.vertices)) for v in comp}
+        # what joins v to other member vertices: components, non-member edges
+        joins = {v: {where.get(y, e.id) for y, e in g.simple_adjacency[v].items()
+                     if y in where or e.id not in sub.edge_ids}
+                 for v in sub.vertices}
+        for a, b in itertools.combinations(sorted(sub.vertices, key=idkey), 2):
+            if not joins[a].isdisjoint(joins[b]):
+                for c, vs in sub_cycles:
+                    if a not in vs and b not in vs:
+                        return sub, _first_path(g, sub, a, b), c
+    return None
 
 
-def _simple_paths_avoiding(g: Graph, a: str, b: str, banned: set, cap: int):
-    """Simple a-b paths whose interior avoids `banned`.
-
-    Iterative depth-first search, so long paths need no deep recursion;
-    paths come in the order of a recursive search over sorted neighbours.
-    """
-    path = [a]
-    on_path = {a}
+def _first_path(g: Graph, sub: Subgraph, a: str, b: str) -> tuple:
+    """The first a-b path of a depth-first search over sorted neighbours
+    whose interior avoids the member, other than the member's edge ab.  A
+    vertex that failed to reach b fails from any later prefix too (g is
+    undirected), so one visited set finds the enumeration's first path."""
+    path, seen = [a], {a}
     pending = [iter(g.neighbors(a))]   # unexplored neighbours per path vertex
-    produced = 0
     while pending:
-        for y in pending[-1]:
-            if y == b:
-                yield path + [b]
-                produced += 1
-                if produced > cap:
-                    raise ResourceLimitError("path enumeration cap hit")
-            elif y not in on_path and y not in banned:
-                path.append(y)
-                on_path.add(y)
-                pending.append(iter(g.neighbors(y)))
-                break
-        else:
+        y = next(pending[-1], None)
+        if y is None:
             pending.pop()
-            on_path.remove(path.pop())
+            path.pop()
+        elif y == b and (len(path) > 1 or g.simple_adjacency[a][b].id
+                         not in sub.edge_ids):
+            return tuple(path + [b])
+        elif y not in seen and y not in sub.vertices:
+            seen.add(y)
+            path.append(y)
+            pending.append(iter(g.neighbors(y)))
+    raise InvariantError("no path between a joined pair")
 
 
 # -- aggregation ---------------------------------------------------------

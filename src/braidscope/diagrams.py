@@ -85,6 +85,15 @@ def _checked_base(g: Graph, base, n: Optional[int] = None) -> tuple:
     return base
 
 
+def _checked_ball(x: CubeComplex, base, radius: int) -> tuple:
+    """`base` checked for a ball of `radius` in the universal cover of x."""
+    if not 0 <= radius <= MAX_BALL_RADIUS:
+        raise PreconditionError(f"radius must lie in 0..{MAX_BALL_RADIUS}")
+    if x.max_dim < min(x.n, 2):
+        raise PreconditionError("a cover ball needs the complex's 2-skeleton")
+    return _checked_base(x.graph, base, x.n)
+
+
 def check_legal(g: Graph, base, letters) -> LegalWord:
     base = _checked_base(g, base)
     letters = tuple((str(e), int(s)) for e, s in letters)
@@ -375,10 +384,8 @@ def ball_oracle(x: CubeComplex, base, radius: int) -> dict:
     Breadth-first over normal forms: distance in the cover equals
     diagram length, so layer k holds exactly the length-k diagrams.
     """
-    if radius > MAX_BALL_RADIUS:
-        raise PreconditionError(f"radius capped at {MAX_BALL_RADIUS}")
     g = x.graph
-    base = _checked_base(g, base, x.n)
+    base = _checked_ball(x, base, radius)
     start = empty_diagram(g, base)
     seen = {start.letters: start}
     layer = [start]
@@ -410,7 +417,7 @@ class CoverBall:
     """
 
     def __init__(self, x: CubeComplex, base, radius: int):
-        base = _checked_base(x.graph, base, x.n)
+        base = _checked_ball(x, base, radius)
         self.complex = x
         self.graph = x.graph
         self.radius = radius

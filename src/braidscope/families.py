@@ -11,6 +11,20 @@ import itertools
 from .graph import Graph
 
 
+def _arc(vs: list, es: list, start: str, length: int, vertex_prefix: str,
+         edge_prefix: str, end: str = None) -> None:
+    """Append to vs and es an arc of `length` edges ``{edge_prefix}1..``
+    from `start` through fresh vertices ``{vertex_prefix}1..``, closing on
+    `end` when it is given."""
+    if end is not None and length < 1:
+        raise ValueError("an arc between two vertices needs length >= 1")
+    inner = [f"{vertex_prefix}{i}" for i in range(1, length + (end is None))]
+    vs += inner
+    chain = [start, *inner, end]   # without an end, chain[-1] is never read
+    es += [(f"{edge_prefix}{i}", chain[i - 1], chain[i])
+           for i in range(1, length + 1)]
+
+
 def path_graph(length: int) -> Graph:
     """A segment with `length` edges."""
     vs = [str(i + 1) for i in range(length + 1)]
@@ -27,13 +41,8 @@ def cycle_graph(k: int) -> Graph:
 def star_graph(arms: int, arm_length: int = 1) -> Graph:
     vs = ["c"]
     es = []
-    for a in range(arms):
-        prev = "c"
-        for i in range(arm_length):
-            nxt = f"a{a + 1}v{i + 1}"
-            vs.append(nxt)
-            es.append((f"a{a + 1}e{i + 1}", prev, nxt))
-            prev = nxt
+    for a in range(1, arms + 1):
+        _arc(vs, es, "c", arm_length, f"a{a}v", f"a{a}e")
     return Graph.make(vs, es)
 
 
@@ -57,21 +66,10 @@ def rose_graph(petals: int, petal_length: int, rays: int = 0,
         raise ValueError("petals need length >= 3 to stay simple")
     vs = ["c"]
     es = []
-    for p in range(petals):
-        prev = "c"
-        for i in range(petal_length - 1):
-            nxt = f"p{p + 1}v{i + 1}"
-            vs.append(nxt)
-            es.append((f"p{p + 1}e{i + 1}", prev, nxt))
-            prev = nxt
-        es.append((f"p{p + 1}e{petal_length}", prev, "c"))
-    for r in range(rays):
-        prev = "c"
-        for i in range(ray_length):
-            nxt = f"r{r + 1}v{i + 1}"
-            vs.append(nxt)
-            es.append((f"r{r + 1}e{i + 1}", prev, nxt))
-            prev = nxt
+    for p in range(1, petals + 1):
+        _arc(vs, es, "c", petal_length, f"p{p}v", f"p{p}e", end="c")
+    for r in range(1, rays + 1):
+        _arc(vs, es, "c", ray_length, f"r{r}v", f"r{r}e")
     return Graph.make(vs, es)
 
 
@@ -81,12 +79,7 @@ def sun_graph(cycle_len: int, ray_vertices: tuple, ray_length: int = 1) -> Graph
     vs = list(g.vertices)
     es = [(e.id, e.u, e.v) for e in g.edges]
     for pos in ray_vertices:
-        prev = str(pos)
-        for i in range(ray_length):
-            nxt = f"s{pos}v{i + 1}"
-            vs.append(nxt)
-            es.append((f"s{pos}e{i + 1}", prev, nxt))
-            prev = nxt
+        _arc(vs, es, str(pos), ray_length, f"s{pos}v", f"s{pos}e")
     return Graph.make(vs, es)
 
 
@@ -97,13 +90,7 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
     vs = ["u", "w"]
     es = []
     for name, length in (("a", a), ("b", b), ("c", c)):
-        prev = "u"
-        for i in range(length - 1):
-            nxt = f"{name}{i + 1}"
-            vs.append(nxt)
-            es.append((f"{name}e{i + 1}", prev, nxt))
-            prev = nxt
-        es.append((f"{name}e{length}", prev, "w"))
+        _arc(vs, es, "u", length, name, f"{name}e", end="w")
     return Graph.make(vs, es)
 
 
@@ -111,21 +98,10 @@ def h_graph(bridge_length: int = 1, arm_length: int = 1) -> Graph:
     """Two degree-3 vertices joined by a bridge, two pendant arms each."""
     vs = ["u", "w"]
     es = []
-    prev = "u"
-    for i in range(bridge_length - 1):
-        nxt = f"m{i + 1}"
-        vs.append(nxt)
-        es.append((f"me{i + 1}", prev, nxt))
-        prev = nxt
-    es.append((f"me{bridge_length}", prev, "w"))
+    _arc(vs, es, "u", bridge_length, "m", "me", end="w")
     for hub in ("u", "w"):
         for a in (1, 2):
-            prev = hub
-            for i in range(arm_length):
-                nxt = f"{hub}{a}v{i + 1}"
-                vs.append(nxt)
-                es.append((f"{hub}{a}e{i + 1}", prev, nxt))
-                prev = nxt
+            _arc(vs, es, hub, arm_length, f"{hub}{a}v", f"{hub}{a}e")
     return Graph.make(vs, es)
 
 
@@ -135,21 +111,10 @@ def two_bouquets(circles_a: int, circles_b: int, circle_len: int = 3,
     vs = ["u", "w"]
     es = []
     for side, count in (("u", circles_a), ("w", circles_b)):
-        for p in range(count):
-            prev = side
-            for i in range(circle_len - 1):
-                nxt = f"{side}p{p + 1}v{i + 1}"
-                vs.append(nxt)
-                es.append((f"{side}p{p + 1}e{i + 1}", prev, nxt))
-                prev = nxt
-            es.append((f"{side}p{p + 1}e{circle_len}", prev, side))
-    prev = "u"
-    for i in range(bridge_length - 1):
-        nxt = f"br{i + 1}"
-        vs.append(nxt)
-        es.append((f"bre{i + 1}", prev, nxt))
-        prev = nxt
-    es.append((f"bre{bridge_length}", prev, "w"))
+        for p in range(1, count + 1):
+            _arc(vs, es, side, circle_len, f"{side}p{p}v", f"{side}p{p}e",
+                 end=side)
+    _arc(vs, es, "u", bridge_length, "br", "bre", end="w")
     return Graph.make(vs, es)
 
 

@@ -18,6 +18,7 @@ build through the unchecked ``Graph._make``.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -365,31 +366,20 @@ def normalize(g: Graph) -> Graph:
     if g.is_simple():
         return g
     # every member of a parallel family counts as "a parallel edge"
-    families = {}
-    for e in g.edges:
-        if not e.is_loop():
-            families.setdefault(frozenset((e.u, e.v)), []).append(e)
-    parallels = [e for fam in families.values() if len(fam) > 1 for e in fam]
+    ends = Counter(e.endpoints() for e in g.edges)
+    parallels = {e for e in g.edges if ends[e.endpoints()] > 1}
 
     vertices = list(g.vertices)
     edges = []
     for e in g.edges:
-        if e.is_loop():
-            m1, m2 = f"{e.id}#s1", f"{e.id}#s2"
-            vertices += [m1, m2]
-            edges += [(f"{e.id}#p0", e.u, m1), (f"{e.id}#p1", m1, m2),
-                      (f"{e.id}#p2", m2, e.u)]
-        elif e in parallels:
-            m = f"{e.id}#s1"
-            vertices.append(m)
-            edges += [(f"{e.id}#p0", e.u, m), (f"{e.id}#p1", m, e.v)]
+        if e.is_loop() or e in parallels:
+            # new edges end at fresh vertices named after them: one pass will do
+            inner, path = _subdivided(e, 2 if e.is_loop() else 1)
+            vertices += inner
+            edges += path
         else:
             edges.append((e.id, e.u, e.v))
-    out = Graph._make(vertices, edges)
-    if not out.is_simple():
-        # parallel families of size > 2 over loops etc. may need another pass
-        return normalize(out)
-    return out
+    return Graph._make(vertices, edges)
 
 
 def _subdivided(e: Edge, times: int) -> tuple:

@@ -645,6 +645,33 @@ def test_peripheral_condition3_violation():
     assert not rep.applies
 
 
+def test_peripheral_condition3_witness_is_the_first_enumerated_path():
+    # the member holds the edge 1-2 and a triangle off 1 and 2; outside it,
+    # x joins 1 to 2 through y and through z.  The witness skips the member
+    # edge and takes the first branch in sorted order.
+    g = Graph.make(["1", "2", "t1", "t2", "t3", "x", "y", "z"], [
+        ("m12", "1", "2"), ("m1t", "1", "t1"), ("t12", "t1", "t2"),
+        ("t23", "t2", "t3"), ("t31", "t3", "t1"), ("a", "1", "x"),
+        ("b", "x", "y"), ("c", "x", "z"), ("d", "y", "2"), ("e", "z", "2")])
+    member = Subgraph(g, frozenset(["1", "2", "t1", "t2", "t3"]),
+                      frozenset(["m12", "m1t", "t12", "t23", "t31"]))
+    sub, path, avoided = check_peripheral_collection(g, [member]).bad_path
+    assert path == ("1", "x", "y", "2")
+    assert avoided.vertices == ("t1", "t2", "t3")
+
+
+def test_peripheral_condition3_witness_may_be_long():
+    # the witness search keeps its own stack: a 1500-edge detour from 1 to
+    # 2 around the member needs no deep recursion
+    detour = ["1"] + [f"p{i}" for i in range(1499)] + ["2"]
+    g = Graph.make(detour + ["t1", "t2", "t3"], [
+        ("m1t", "1", "t1"), ("t12", "t1", "t2"), ("t23", "t2", "t3"),
+        ("t31", "t3", "t1")] + [(f"d{i}", u, v) for i, (u, v)
+                                 in enumerate(zip(detour, detour[1:]))])
+    member = g.induced(["1", "2", "t1", "t2", "t3"])
+    assert check_peripheral_collection(g, [member]).bad_path[1] == tuple(detour)
+
+
 def _uncovered_pair_by_pairs(cycles, collection):
     """Condition 1 as it was first written: both cycles' vertex sets are
     rebuilt for every pair."""
@@ -672,6 +699,57 @@ def test_peripheral_report_matches_the_pairwise_reference(data):
     fast = check_peripheral_collection(g, collection)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(C, "_uncovered_cycle_pair", _uncovered_pair_by_pairs)
+        assert check_peripheral_collection(g, collection) == fast
+
+
+def _nx_paths_avoiding(g, a, b, banned):
+    keep = [v for v in g.vertices if v not in banned or v in (a, b)]
+    h = nx.Graph()
+    h.add_nodes_from(keep)
+    for v in keep:   # sorted insertion gives networkx sorted adjacency
+        h.add_edges_from((v, y) for y in g.neighbors(v) if y in h)
+    return [list(p) for p in nx.all_simple_paths(h, a, b)]
+
+
+def _path_missing_a_cycle_by_enumeration(g, cycles, collection):
+    """Condition 3 as it was first written: every simple path between two
+    member vertices, with its interior off the member, that is not made
+    of member edges is tested against every member cycle."""
+    for sub in collection:
+        sub_cycles = [c for c in cycles if C._subgraph_contains_cycle(sub, c)]
+        if not sub_cycles:
+            continue
+        for a, b in itertools.combinations(sorted(sub.vertices, key=idkey), 2):
+            for path in _nx_paths_avoiding(g, a, b, sub.vertices - {a, b}):
+                edges = {g.simple_adjacency[x][y].id
+                         for x, y in zip(path, path[1:])}
+                if edges <= sub.edge_ids:
+                    continue
+                for c in sub_cycles:
+                    if set(path).isdisjoint(c.vertices):
+                        return sub, tuple(path), c
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_peripheral_report_matches_the_path_enumeration(data):
+    # a member is g less a few vertices and a few more edges, so that
+    # complement components and non-member edges join member vertices
+    g = data.draw(connected_graphs())
+    removed = st.sets(st.sampled_from(g.vertices), min_size=1, max_size=4)
+    collection = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        member = g.induced(set(g.vertices) - data.draw(removed))
+        edge_ids = sorted(member.edge_ids)
+        dropped = data.draw(st.sets(st.sampled_from(edge_ids), max_size=2)
+                            if edge_ids else st.just(set()))
+        collection.append(Subgraph(g, member.vertices,
+                                   member.edge_ids - dropped))
+    fast = check_peripheral_collection(g, collection)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "_path_missing_a_cycle",
+                   _path_missing_a_cycle_by_enumeration)
         assert check_peripheral_collection(g, collection) == fast
 
 
@@ -780,36 +858,3 @@ def test_full_report_flags_oracle_skip():
     assert "skipped" in rep.oracle_note
     with pytest.raises(ResourceLimitError):
         full_report(g, 2, run_oracles="on")
-
-
-# -- path enumeration ------------------------------------------------------------
-
-def _nx_paths_avoiding(g, a, b, banned):
-    keep = [v for v in g.vertices if v not in banned or v in (a, b)]
-    h = nx.Graph()
-    h.add_nodes_from(keep)
-    for v in keep:   # sorted insertion gives networkx sorted adjacency
-        h.add_edges_from((v, y) for y in g.neighbors(v) if y in h)
-    return [list(p) for p in nx.all_simple_paths(h, a, b)]
-
-
-def test_simple_paths_avoiding_matches_networkx_in_order():
-    import random
-    rng = random.Random(7)
-    checked = 0
-    for g in (F.complete_graph(5), F.complete_bipartite(3, 3),
-              F.theta_graph(2, 3, 3), F.rose_graph(2, 3, rays=1)):
-        for a, b in itertools.permutations(g.vertices, 2):
-            banned = set(rng.sample(g.vertices, 2))
-            ours = list(C._simple_paths_avoiding(g, a, b, banned, 10**6))
-            assert ours == _nx_paths_avoiding(g, a, b, banned), (a, b, banned)
-            checked += len(ours)
-    assert checked > 300
-
-
-def test_simple_paths_avoiding_long_path():
-    g = F.path_graph(1500)
-    paths = list(C._simple_paths_avoiding(g, "1", "1400", set(), 10))
-    assert paths == [[str(i) for i in range(1, 1401)]]
-    with pytest.raises(ResourceLimitError):
-        list(C._simple_paths_avoiding(F.complete_graph(6), "1", "2", set(), 3))

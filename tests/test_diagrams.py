@@ -6,9 +6,9 @@ import pytest
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.diagrams import (
-    CoverBall, ball_oracle, check_legal, concat, cyclic_centralizer_witness,
-    cyclically_reduce, diagram, empty_diagram, equal, inverse,
-    letters_commute, make_rotation, make_tripod_swap, reduce_word,
+    MAX_BALL_RADIUS, CoverBall, ball_oracle, check_legal, concat,
+    cyclic_centralizer_witness, cyclically_reduce, diagram, empty_diagram,
+    equal, inverse, letters_commute, make_rotation, make_tripod_swap, reduce_word,
 )
 from braidscope.errors import IllegalMoveError, PreconditionError
 from braidscope.graph import simple_cycles
@@ -348,8 +348,11 @@ def test_cover_matches_ball_layer_by_layer():
         assert len(ends) == cover.vertex_count()
 
 
-@pytest.mark.parametrize("route", [ball_oracle, CoverBall],
-                         ids=["ball_oracle", "CoverBall"])
+COVER_ROUTES = pytest.mark.parametrize("route", [ball_oracle, CoverBall],
+                                      ids=["ball_oracle", "CoverBall"])
+
+
+@COVER_ROUTES
 @pytest.mark.parametrize("base, message", [
     (("zz", "1"), "is not a set of distinct vertices"),
     (("1", "1"), "is not a set of distinct vertices"),
@@ -362,6 +365,26 @@ def test_cover_routes_refuse_a_base_outside_the_complex(route, base, message):
     x = build(F.cycle_graph(4), 2)
     with pytest.raises(PreconditionError, match=message):
         route(x, base, 2)
+
+
+@COVER_ROUTES
+@pytest.mark.parametrize("radius", [-1, MAX_BALL_RADIUS + 1])
+def test_cover_routes_refuse_a_radius_out_of_range(route, radius):
+    # radius -1 once gave the one-vertex ball
+    x = build(F.cycle_graph(4), 2)
+    with pytest.raises(PreconditionError, match=r"radius must lie in 0\.\.12"):
+        route(x, ("1", "3"), radius)
+
+
+@COVER_ROUTES
+def test_cover_routes_refuse_a_complex_without_its_squares(route):
+    # without its squares the cover of UC_2(C_4) is a tree, yet both
+    # routes once gave the 13-vertex radius-4 ball of the full complex
+    x = build(F.cycle_graph(4), 2, max_dim=1)
+    with pytest.raises(PreconditionError, match="2-skeleton"):
+        route(x, ("1", "3"), 4)
+    # one particle needs no squares
+    route(build(F.cycle_graph(4), 1, max_dim=1), ("1",), 4)
 
 
 def test_cover_routes_keep_their_balls_on_every_base():

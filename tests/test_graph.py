@@ -201,6 +201,39 @@ def test_smooth_subdivision_invariance():
             assert homeomorphic_multigraphs(left, right)
 
 
+# -- families -------------------------------------------------------------
+
+@pytest.mark.parametrize("graph,vertices,edges", [
+    (F.star_graph(2, 2), "c a1v1 a1v2 a2v1 a2v2",
+     "a1e1:c-a1v1 a1e2:a1v1-a1v2 a2e1:c-a2v1 a2e2:a2v1-a2v2"),
+    (F.rose_graph(1, 3, rays=1, ray_length=2), "c p1v1 p1v2 r1v1 r1v2",
+     "p1e1:c-p1v1 p1e2:p1v1-p1v2 p1e3:p1v2-c r1e1:c-r1v1 r1e2:r1v1-r1v2"),
+    (F.sun_graph(3, (2,), ray_length=2), "1 2 3 s2v1 s2v2",
+     "e1:1-2 e2:2-3 e3:3-1 s2e1:2-s2v1 s2e2:s2v1-s2v2"),
+    (F.theta_graph(1, 2, 3), "u w b1 c1 c2",
+     "ae1:u-w be1:u-b1 be2:b1-w ce1:u-c1 ce2:c1-c2 ce3:c2-w"),
+    (F.h_graph(2, 2), "u w m1 u1v1 u1v2 u2v1 u2v2 w1v1 w1v2 w2v1 w2v2",
+     "me1:u-m1 me2:m1-w u1e1:u-u1v1 u1e2:u1v1-u1v2 u2e1:u-u2v1 "
+     "u2e2:u2v1-u2v2 w1e1:w-w1v1 w1e2:w1v1-w1v2 w2e1:w-w2v1 w2e2:w2v1-w2v2"),
+    (F.two_bouquets(1, 1, circle_len=3, bridge_length=2),
+     "u w br1 up1v1 up1v2 wp1v1 wp1v2",
+     "bre1:u-br1 bre2:br1-w up1e1:u-up1v1 up1e2:up1v1-up1v2 up1e3:up1v2-u "
+     "wp1e1:w-wp1v1 wp1e2:wp1v1-wp1v2 wp1e3:wp1v2-w"),
+], ids=["star", "rose", "sun", "theta", "h_graph", "two_bouquets"])
+def test_family_ids_and_ends(graph, vertices, edges):
+    assert graph.vertices == tuple(vertices.split())
+    assert [f"{e.id}:{e.u}-{e.v}" for e in graph.edges] == edges.split()
+
+
+def test_families_refuse_an_arc_of_length_zero_between_two_vertices():
+    # such an arc once came out as one edge numbered 0
+    for make in (lambda: F.h_graph(bridge_length=0),
+                 lambda: F.two_bouquets(1, 1, bridge_length=0),
+                 lambda: F.two_bouquets(1, 1, circle_len=0)):
+        with pytest.raises(ValueError, match="length >= 1"):
+            make()
+
+
 # -- shapes ---------------------------------------------------------------
 
 def test_shape_spec_examples():
@@ -259,6 +292,7 @@ def test_shape_ignores_labels(data):
     edges += data.draw(st.lists(st.tuples(ends, ends), max_size=4))
     g = Graph.make(map(str, range(nv)),
                    [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(edges)])
+    assert normalize(g).is_simple()
     # normalize and smooth are homeomorphisms: components and b1 stay
     assert components_and_betti(normalize(g)) == components_and_betti(g)
     assert components_and_betti(smooth(g)) == components_and_betti(g)
