@@ -6,7 +6,10 @@ imports the other modules it uses when it runs (with no bytecode cache,
 a run compiles every module it imports).  ``main`` runs with the cyclic
 garbage collector paused: every structure braidscope builds is acyclic,
 so the collector would only scan; the cycles argparse leaves are freed
-once, after parsing.
+once, after parsing.  ``run``, the process entry point, calls ``main``
+and then ``gc.freeze()``, so the interpreter's final collection at exit
+skips every object alive by then; what that saves depends on what the
+interpreter has loaded (mostly ``site`` and its ``.pth`` imports).
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
@@ -571,5 +574,21 @@ def _run(argv) -> int:
         return EXIT_INVARIANT
 
 
+def run() -> None:
+    """Run ``main`` on ``sys.argv[1:]`` and exit the process with its code.
+
+    ``gc.freeze()`` runs on every way out (help, usage errors and
+    interrupts included): the collection at interpreter exit skips
+    frozen objects, while stdio flushing, atexit handlers and module
+    teardown still run.  ``main`` itself never freezes, so in-process
+    callers keep a working collector.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,6 +33,8 @@ def path_graph(length: int) -> Graph:
 
 
 def cycle_graph(k: int) -> Graph:
+    if 0 < k < 3:
+        raise ValueError("cycles need length >= 3 to stay simple")
     vs = [str(i + 1) for i in range(k)]
     es = [(f"e{i + 1}", vs[i], vs[(i + 1) % k]) for i in range(k)]
     return Graph.make(vs, es)
@@ -108,6 +110,8 @@ def h_graph(bridge_length: int = 1, arm_length: int = 1) -> Graph:
 def two_bouquets(circles_a: int, circles_b: int, circle_len: int = 3,
                  bridge_length: int = 2) -> Graph:
     """Two bouquets of circles with centers joined by a segment."""
+    if 0 < circle_len < 3 and (circles_a or circles_b):
+        raise ValueError("circles need length >= 3 to stay simple")
     vs = ["u", "w"]
     es = []
     for side, count in (("u", circles_a), ("w", circles_b)):

@@ -196,10 +196,10 @@ class Graph(Frozen):
 
     @cached_property
     def _memo(self) -> dict:
-        """Per-instance results derived from the value: the cycles of
-        simple_cycles and the classifier's shortest-first view of them,
-        the Shape of classify_shape and the word piler of the diagrams
-        module.  Not a field, so eq and hash ignore it."""
+        """Per-instance results derived from the value: the components,
+        the cycles of simple_cycles and the classifier's shortest-first
+        view of them, the Shape of classify_shape and the word piler of
+        the diagrams module.  Not a field, so eq and hash ignore it."""
         return {}
 
     def is_simple(self) -> bool:
@@ -224,8 +224,12 @@ class Graph(Frozen):
 
     def components(self) -> tuple:
         """Connected components as sorted tuples of vertices."""
-        return tuple(tuple(sorted(comp, key=idkey)) for comp in
-                     connected_components(self.vertices, self.adjacency))
+        comps = self._memo.get("components")
+        if comps is None:
+            comps = self._memo["components"] = tuple(
+                tuple(sorted(comp, key=idkey)) for comp in
+                connected_components(self.vertices, self.adjacency))
+        return comps
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

@@ -176,6 +176,30 @@ def test_free_certificate_never_contradicts_torsion():
             assert all(not t for t in h.torsion)
 
 
+def test_free_certificate_matches_the_homology_of_a_graph_on_the_atlas():
+    # a free group of rank r has H_0 = Z, H_1 = Z^r and nothing above;
+    # UC_n is aspherical, so r = 1 - chi
+    checked = 0
+    for G in nx.graph_atlas_g():
+        if not (2 <= G.number_of_nodes() <= 6 and nx.is_connected(G)):
+            continue
+        g = Graph.make([str(v) for v in G.nodes],
+                       [(f"e{i}", str(u), str(v))
+                        for i, (u, v) in enumerate(G.edges)])
+        for n in (2, 3):
+            if free_certificate(g, n)[0] != "free":
+                continue
+            x = build(subdivide_for(g, n), n)
+            h = homology(chain_complex(x))
+            case = (sorted(G.edges), n)
+            assert h.free_ranks[0] == 1, case
+            assert all(r == 0 for r in h.free_ranks[2:]), case
+            assert all(not t for t in h.torsion), case
+            assert h.free_ranks[1] == 1 - x.euler_characteristic(), case
+            checked += 1
+    assert checked == 103
+
+
 def test_contains_free_nonabelian():
     assert contains_free_nonabelian(F.theta_graph(2, 2, 2), one(1))
     assert not contains_free_nonabelian(F.star_graph(3), one(2))

@@ -415,9 +415,68 @@ def test_main_restores_the_collector_on_every_exit(p3, tmp_path, monkeypatch,
             with pytest.raises(outcome):
                 main(argv)
         assert gc.isenabled() is collecting
+        assert gc.get_freeze_count() == 0   # run() freezes, main() never
     finally:
         (gc.enable if was_on else gc.disable)()
         out.close()
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_run_freezes_on_every_exit(p3, tmp_path, monkeypatch, case):
+    argv, patch, outcome = EXITS[case]
+    monkeypatch.setattr(sys, "argv",
+                        ["braidscope", *(p3 if a == "P3" else a for a in argv)])
+    out = open(tmp_path / "out", "w")
+    if patch == "stdout":
+        monkeypatch.setattr(sys, "stdout", HungUpStdout(out.fileno()))
+    elif patch is not None:
+        monkeypatch.setattr(*patch)
+    raised = SystemExit if isinstance(outcome, int) else outcome
+    try:
+        with pytest.raises(raised) as exc:
+            cli.run()
+        if isinstance(outcome, int):
+            assert exc.value.code == outcome
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        out.close()
+
+
+# the exit code of a process whose main raises SystemExit
+SYSTEM_EXIT_CODES = {"help": 0, "usage-error": 2}
+
+
+@pytest.mark.parametrize("case", sorted(case for case, (_, patch, _) in
+                                        EXITS.items() if patch is None))
+def test_process_ends_as_main_returns(p3, monkeypatch, capsys, case):
+    monkeypatch.setenv("COLUMNS", "80")    # help wraps at the same width
+    argv = [p3 if a == "P3" else a for a in EXITS[case][0]]
+    proc = subprocess.run([sys.executable, "-m", "braidscope.cli", *argv],
+                          capture_output=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert proc.returncode == code == SYSTEM_EXIT_CODES.get(case, EXITS[case][2])
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+def test_process_exit_runs_atexit_handlers(p3):
+    # the frozen objects are skipped by the final collection only; the
+    # interpreter still runs atexit handlers and flushes stdio
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
+        f"sys.argv = ['braidscope', 'build', '--graph', {p3!r}, '-n', '1']\n"
+        "runpy.run_module('braidscope.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["f_vector"] == [3, 2]
+    assert proc.stderr == "atexit ran\n"
 
 
 def test_argparse_cycles_are_freed_before_the_work(p3):
@@ -628,6 +687,21 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_process_writes_all_of_a_large_stdout(tmp_path, capsys):
+    # the DOT skeleton of test_closed_stdout_pipe_exits_quietly, read to
+    # the end: every byte is flushed before the process exits
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 5001)))
+    argv = ["build", "--graph", str(gfile), "-n", "1", "--format", "dot"]
+    proc = subprocess.run([sys.executable, "-m", "braidscope.cli", *argv],
+                          capture_output=True, timeout=60)
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert len(expected) > 200_000
+    assert proc.stdout == expected
 
 
 FUZZ_IDS = ("a", "b", "9", "10", "v7")

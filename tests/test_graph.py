@@ -234,6 +234,22 @@ def test_families_refuse_an_arc_of_length_zero_between_two_vertices():
             make()
 
 
+@pytest.mark.parametrize("length", (1, 2))
+def test_families_refuse_cycles_too_short_to_stay_simple(length):
+    # a loop or a parallel pair once came out, with is_simple() False
+    for make in (lambda: F.cycle_graph(length),
+                 lambda: F.sun_graph(length, (1,)),
+                 lambda: F.two_bouquets(1, 0, circle_len=length),
+                 lambda: F.two_bouquets(0, 2, circle_len=length)):
+        with pytest.raises(ValueError, match="length >= 3 to stay simple"):
+            make()
+    # no circles, nothing to refuse; the shortest simple lengths still build
+    assert F.two_bouquets(0, 0, circle_len=length).is_simple()
+    assert F.cycle_graph(3).is_simple()
+    assert F.sun_graph(3, (1,)).is_simple()
+    assert F.two_bouquets(1, 1, circle_len=3).is_simple()
+
+
 # -- shapes ---------------------------------------------------------------
 
 def test_shape_spec_examples():
@@ -524,6 +540,17 @@ def test_adjacency_is_cached_sorted_and_loop_free():
     assert g.adjacency == {"1": ("2", "10"), "2": ("1",), "10": ("1",)}
     assert g.neighbors("1") is g.neighbors("1")
     assert g.components() == (("1", "2", "10"),)
+
+
+def test_components_are_searched_once_per_graph(monkeypatch):
+    g = Graph.make(["3", "1", "2", "10", "z"],
+                   [("a", "1", "10"), ("b", "3", "2")])
+    first = g.components()
+    assert first == (("1", "10"), ("2", "3"), ("z",))
+    # later calls, is_connected and first_betti read the kept tuple
+    monkeypatch.setattr("braidscope.graph.connected_components", None)
+    assert g.components() is first
+    assert not g.is_connected() and g.first_betti() == 0
 
 
 def test_union_find_joins_classes():

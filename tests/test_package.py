@@ -173,3 +173,19 @@ def test_every_module_level_import_is_used():
                        for alias in node.names
                        if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
+
+
+def test_console_script_calls_what_python_dash_m_calls():
+    # `braidscope` and `python -m braidscope.cli` must start the same way
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["braidscope"]
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    mains = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(mains) == 1
+    (stmt,) = mains[0].body     # one call, with no arguments
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert not stmt.value.args and not stmt.value.keywords
+    assert script == f"braidscope.cli:{ast.unparse(stmt.value.func)}"
