@@ -230,7 +230,10 @@ def cmd_build(args) -> int:
     g = normalize(load_graph(args.graph))
     if args.subdivide:
         g = subdivide_for(g, args.particles)
-    x = build(g, args.particles, max_dim=args.max_dim, cell_cap=cell_cap(args))
+    pairs, cap = math.comb(len(g.edges), 2), cell_cap(args)
+    if args.format == "dot" and args.dot_what == "coloring" and pairs > cap:
+        raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
+    x = build(g, args.particles, max_dim=args.max_dim, cell_cap=cap)
     if args.format == "dot":
         print(dot_coloring(g) if args.dot_what == "coloring"
               else dot_skeleton(x))

@@ -12,18 +12,25 @@ counts per color.
 The coloring map (color every oriented hyperplane by its oriented graph
 edge, adjacency = disjointness of graph edges) satisfies the four
 special-coloring axioms; :func:`verify_special_coloring` rechecks them
-on any complex, mutilated fixtures included.
+on any complex, mutilated fixtures included.  It scans for failures of
+axioms 3 and 4 only where one can be: a 1-cube (m, s) with s off the
+ends u, v of m meets s|u and s|v once each, so only a 1-cube whose s
+meets its edge repeats a color; and every key that the axiom 4 scan
+looks up at an n-vertex configuration lies in U, the keys (a|b, s) with
+a, b disjoint edges and s n-2 vertices off both: |U| = P C(|V|-4, n-2),
+P = C(|E|, 2) - sum over vertices of C(deg, 2) on a simple graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from typing import NamedTuple
 
 from .complex import CubeComplex, build
 from .errors import PreconditionError
-from .graph import Graph, UnionFind, connected_components, idkey
+from .graph import Graph, connected_components, idkey
 
 
 class Hyperplane(NamedTuple):
@@ -49,18 +56,21 @@ def _parallel_classes(x: CubeComplex) -> list:
         raise PreconditionError("hyperplane walk needs the 2-skeleton")
     ends = x.index.ends
     keys = list(x.level(1))
-    pos = {key: i for i, key in enumerate(keys)}
-    uf = UnionFind(len(keys))
-    for (m, s) in x.level(2):
-        a = m & -m
-        b = m ^ a
-        # the two a-colored sides differ by where b sits, and vice versa
-        uf.union(pos[a, s | ends[b][0]], pos[a, s | ends[b][1]])
-        uf.union(pos[b, s | ends[a][0]], pos[b, s | ends[a][1]])
-    classes = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(uf.find(i), []).append(key)
-    return list(classes.values())
+    pos = {}   # moving-edge bit -> {stationary mask: position in keys}
+    for i, (m, s) in enumerate(keys):
+        pos.setdefault(m, {})[s] = i
+    nbrs, last = [[] for _ in keys], None
+    for m, s in x.level(2):
+        if m != last:
+            # the two a-colored sides differ by where b sits, and vice versa
+            last, a = m, m & -m
+            sides = ((pos[a], *ends[m ^ a]), (pos[m ^ a], *ends[a]))
+        for at, u, v in sides:
+            i, j = at[s | u], at[s | v]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    return [[keys[i] for i in sorted(comp)]
+            for comp in connected_components(range(len(keys)), nbrs)]
 
 
 def hyperplanes_by_bfs(x: CubeComplex) -> tuple:
@@ -133,6 +143,8 @@ def verify_special_coloring(x: CubeComplex) -> ColoringReport:
     4. moves with disjoint colors at a common vertex span a square.
 
     The report also counts the square-parallelism classes of each color.
+    Axiom 3 scans only if a 1-cube meets its own edge, axiom 4 only unless
+    every 0-cube has n vertex bits and U (module docstring) is all squares.
     """
     ix = x.index
     failures = []
@@ -149,25 +161,40 @@ def verify_special_coloring(x: CubeComplex) -> ColoringReport:
             if a ^ b != ix.emask[color]:
                 failures.append((1, (ix.edge[color].id, ix.ids(a), ix.ids(b))))
 
-    # axiom 2: squares pair disjoint colors
+    # axiom 2: squares pair disjoint colors; count the squares in U
     squares = x.level(2)
+    nv, n = len(ix.vname), x.n
+    outside = -1 << nv   # the bits that stand for no vertex
+    in_u, last = 0, None
     for (m, s) in squares:
-        a = m & -m
-        if ix.emask[a] & ix.emask[m ^ a]:
+        if m != last:
+            last, a = m, m & -m
+            touch = ix.emask[a] & ix.emask[m ^ a]
+            off = outside | ix.emask[a] | ix.emask[m ^ a]
+        if touch:
             failures.append((2, (ix.edge[a].id, ix.edge[m ^ a].id, ix.ids(s))))
+        elif not s & off and s.bit_count() == n - 2:
+            in_u += 1
 
     # axiom 3: incident edges at a vertex have pairwise distinct colors
-    for conf, around in x.adjacency.items():
-        seen = {}
-        for (m, other) in around:
-            if seen.get(m, other) != other:
-                failures.append((3, (ix.ids(conf), ix.edge[m].id)))
-            seen[m] = other
+    adjacency = x.adjacency   # a 1-cube with a missing end raises here
+    if any(s & ix.emask[m] for m, s in x.level(1)):
+        for conf, around in adjacency.items():
+            seen = {}
+            for (m, other) in around:
+                if seen.get(m, other) != other:
+                    failures.append((3, (ix.ids(conf), ix.edge[m].id)))
+                seen[m] = other
 
     # axiom 4: disjoint-color moves at a vertex span a square
-    for (_, conf) in x.levels[0]:
-        for (a, ea), (b, eb) in itertools.combinations(ix.moves(conf), 2):
-            if not ea & eb and (a | b, conf & ~(ea | eb)) not in squares:
-                failures.append((4, (ix.ids(conf), ix.edge[a].id, ix.edge[b].id)))
+    pairs = math.comb(len(ix.ends), 2) - sum(
+        math.comb(len(around), 2) for around in ix.incident.values())
+    size_u = pairs * math.comb(nv - 4, n - 2) if n >= 2 and nv >= 4 else 0
+    if in_u != size_u or not x.graph.is_simple() or not all(
+            not s & outside and s.bit_count() == n for _, s in x.levels[0]):
+        for (_, conf) in x.levels[0]:
+            for (a, ea), (b, eb) in itertools.combinations(ix.moves(conf), 2):
+                if not ea & eb and (a | b, conf & ~(ea | eb)) not in squares:
+                    failures.append((4, (ix.ids(conf), ix.edge[a].id, ix.edge[b].id)))
 
     return ColoringReport(not failures, tuple(failures), per_color)

@@ -606,17 +606,17 @@ def test_subdivide_refuses_a_long_theta_fast(tmp_path):
 def test_hyperplane_routes_that_disagree_exit_4(tmp_path, monkeypatch,
                                                capsys):
     from braidscope import hyperplanes
+    real = hyperplanes._parallel_classes
 
-    class DropsOneUnion(hyperplanes.UnionFind):
-        """The square route with its first joining union left out."""
+    def splits_one_class(x):
+        """The square route with one class of color e12 cut in two."""
+        classes = real(x)
+        i = next(i for i, members in enumerate(classes)
+                 if x.index.edge[members[0][0]].id == "e12")
+        members = classes[i]
+        return classes[:i] + [members[:1], members[1:]] + classes[i + 1:]
 
-        def union(self, a, b):
-            if self.find(a) != self.find(b) and not hasattr(self, "dropped"):
-                self.dropped = (a, b)
-            else:
-                super().union(a, b)
-
-    monkeypatch.setattr(hyperplanes, "UnionFind", DropsOneUnion)
+    monkeypatch.setattr(hyperplanes, "_parallel_classes", splits_one_class)
     gfile = tmp_path / "k4.txt"
     gfile.write_text(GOLDEN_GRAPHS["k4"])
     rc = main(["build", "--subdivide", "--graph", str(gfile), "-n", "2"])
@@ -687,6 +687,38 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_dot_coloring_of_a_long_path_is_refused_before_the_work(tmp_path):
+    # coloring_graph compares every pair of edges: C(5000, 2) = 12,497,500
+    # pairs exceed the default cell cap of 10^7
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 5001)))
+    t0 = time.monotonic()
+    rc, out, err = run_cli(["build", "--graph", str(gfile), "-n", "1",
+                            "--format", "dot", "--dot-what", "coloring"])
+    assert time.monotonic() - t0 < 2
+    assert rc == 3 and out == ""
+    assert err == "resource limit: 12497500 edge pairs exceed cap 10000000\n"
+    # the cap is the cell cap, so --max-cells moves it
+    rc, out, _ = run_cli(["build", "--graph", str(gfile), "-n", "1",
+                          "--format", "dot", "--dot-what", "coloring",
+                          "--max-cells", "1000"])
+    assert rc == 3 and out == ""
+
+
+def test_dot_coloring_of_k4_is_unchanged(tmp_path):
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(GOLDEN_GRAPHS["k4"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidscope.cli", "build", "--graph",
+         str(gfile), "-n", "2", "--format", "dot", "--dot-what", "coloring"],
+        capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (
+        b'graph coloring {\n  "e12";\n  "e13";\n  "e14";\n  "e23";\n'
+        b'  "e24";\n  "e34";\n  "e12" -- "e34";\n  "e13" -- "e24";\n'
+        b'  "e14" -- "e23";\n}\n')
 
 
 def test_process_writes_all_of_a_large_stdout(tmp_path, capsys):

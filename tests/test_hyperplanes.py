@@ -1,15 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import networkx as nx
 
+import braidscope
+import coloring_reference as R
 import labels as L
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.graph import Graph, normalize, subdivide_for
 from braidscope.hyperplanes import (
-    coloring_graph, hyperplanes_by_bfs, hyperplanes_by_components,
-    verify_special_coloring,
+    _parallel_classes, coloring_graph, hyperplanes_by_bfs,
+    hyperplanes_by_components, verify_special_coloring,
 )
 
 
@@ -100,3 +105,68 @@ def test_special_coloring_axiom4_fails_on_mutation():
     report = verify_special_coloring(mutated)
     assert not report.ok
     assert report.failed_axioms() == (4,)
+
+
+# -- the certificates against the scans as first written ---------------------
+
+def atlas_complexes():
+    """Every connected atlas graph with at most 6 vertices at n = 0..4,
+    built with max_dim None, 1 and 2."""
+    for G in nx.graph_atlas_g():
+        if not 1 <= G.number_of_nodes() <= 6 or not nx.is_connected(G):
+            continue
+        g = Graph.make([str(v) for v in G.nodes],
+                       [(f"e{i}", str(u), str(v))
+                        for i, (u, v) in enumerate(G.edges)])
+        for n in range(min(4, len(g.vertices)) + 1):
+            for max_dim in (None, 1, 2):
+                yield build(g, n, max_dim)
+
+
+def test_special_coloring_matches_the_reference_on_the_atlas():
+    kinds = Counter()
+    for x in atlas_complexes():
+        got = R.outcome(verify_special_coloring, x)
+        assert got == R.outcome(R.reference_special_coloring, x), (
+            x.graph.fingerprint(), x.n, x.max_dim)
+        assert (R.outcome(_parallel_classes, x)
+                == R.outcome(R.reference_classes, x))
+        kinds[isinstance(got, type)] += 1
+    assert kinds == {False: 1702, True: 422}   # reports, PreconditionErrors
+
+
+def test_special_coloring_matches_the_reference_on_mutants():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for x in atlas_complexes():
+        for _ in range(2):
+            y = R.random_mutant(x, rng)
+            got = R.outcome(verify_special_coloring, y)
+            assert got == R.outcome(R.reference_special_coloring, y), (
+                y.graph.fingerprint(), y.n, y.max_dim)
+            assert (R.outcome(_parallel_classes, y)
+                    == R.outcome(R.reference_classes, y))
+            kinds[got if isinstance(got, type) else got.failed_axioms()] += 1
+    # every axiom fails somewhere, and most mutants do not just raise
+    assert {a for k in kinds if isinstance(k, tuple) for a in k} == {1, 2, 3, 4}
+    assert sum(c for k, c in kinds.items() if isinstance(k, tuple)) > 2000
+
+
+def test_each_certificate_reports_what_the_scan_reports():
+    assert R.targeted_mismatches() == []
+
+
+def test_each_certificate_reports_what_the_scan_reports_under_optimize():
+    # the certificates must not rest on assert statements
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(braidscope.__file__))
+    script = ("import sys\n"
+              f"sys.path.insert(0, {tests!r})\n"
+              "from coloring_reference import targeted_mismatches\n"
+              "if not sys.flags.optimize:\n"
+              "    sys.exit('not optimized')\n"
+              "sys.exit(' '.join(targeted_mismatches()) or 0)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
