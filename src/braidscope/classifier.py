@@ -13,14 +13,12 @@ may legitimately keep half-edges toward deleted material.  The two
 routes are checked against each other exhaustively in the test suite.
 
 The criteria are existence statements, so each fast predicate and the
-oracle scan the cycles until the first hit.  They scan shortest first
-(a stable sort by length of the ``simple_cycles`` tuple, memoised on
-the graph next to it): a short cycle leaves the largest complement, so
-a hit, if there is one, comes early, while a long cycle leaves almost
-nothing.  The order decides only which witness is returned, never the
-verdict, since a scan with no hit reads every cycle in any order.  The
-referees ``essential_vertex_off_cycle`` and ``check_peripheral_collection``
-keep the enumeration order.
+oracle scan the cycles until the first hit, in the order of
+``simple_cycles``, which is shortest first: a short cycle leaves the
+largest complement, so a hit, if there is one, comes early, while a
+long cycle leaves almost nothing.  The order decides only which witness
+is returned, never the verdict, since a scan with no hit reads every
+cycle in any order.
 
 Disjoint always means vertex-disjoint; degrees of original vertices are
 preserved by subdivision, which is what makes the complement trick
@@ -144,16 +142,6 @@ def _component_betti(g: Graph, comp: frozenset) -> int:
     return edges - len(comp) + 1
 
 
-def _shortest_first(g: Graph, cycles: tuple) -> tuple:
-    """g's cycles, as simple_cycles(g) returned them, in a stable sort
-    by length; built once per graph and kept in its memo.  Callers pass
-    the tuple of their own simple_cycles call, which enforces the cap."""
-    view = g._memo.get("cycles_by_length")
-    if view is None:
-        view = g._memo["cycles_by_length"] = tuple(sorted(cycles, key=len))
-    return view
-
-
 def disjoint_cycle_pair(g: Graph) -> Optional[tuple]:
     """A vertex-disjoint pair of simple cycles, or None.
 
@@ -164,7 +152,7 @@ def disjoint_cycle_pair(g: Graph) -> Optional[tuple]:
     cycle there; with no pair, every cycle is read, so the verdict does
     not depend on the order.
     """
-    cycles = _shortest_first(g, simple_cycles(g))
+    cycles = simple_cycles(g)
     for c in cycles:
         for comp in _complement_components(g, c.vertex_set):
             if _component_betti(g, comp) >= 1:
@@ -239,7 +227,7 @@ def contains_f2xz(g: Graph, n: int) -> tuple:
     if n == 1:
         return (False, None)
     if n == 2:
-        for c in _shortest_first(g, simple_cycles(g)):
+        for c in simple_cycles(g):
             for comp in _complement_components(g, c.vertex_set):
                 if _component_betti(g, comp) >= 2:
                     return (True, ("cycle with b1>=2 complement", c, comp))
@@ -270,7 +258,7 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
     """
     ess = set(g.essential_vertices())
     deg4 = {v for v in ess if g.degree(v) >= 4}
-    cycles = _shortest_first(g, simple_cycles(g))
+    cycles = simple_cycles(g)
     for c in cycles:
         on = c.vertex_set
         for v in deg4:
@@ -335,7 +323,7 @@ def free_certificate(g: Graph, n: int) -> tuple:
     if shape.is_a(ROSE):
         return ("free", "rose graph")
     if n == 2:
-        cycles = _shortest_first(g, simple_cycles(g))
+        cycles = simple_cycles(g)
         if not cycles:
             return ("free", "no cycles at all")
         common = set(cycles[0].vertices)
@@ -457,7 +445,7 @@ class SubgraphOracle:
         arm edge ids)); removed vertex sets are built by :meth:`removed`."""
         if self._witnesses is not None:
             return self._witnesses
-        cycles = _shortest_first(self.base, simple_cycles(self.base))
+        cycles = simple_cycles(self.base)
         outs = [("cycle", c) for c in cycles]
         for v in self.base.essential_vertices():
             incident = sorted(self.base.incidence[v], key=lambda e: idkey(e.id))

@@ -198,20 +198,19 @@ def dot_skeleton(x) -> str:
     return "\n".join(lines)
 
 
-def dot_coloring(g: Graph) -> str:
-    from .hyperplanes import coloring_graph
-    adj = coloring_graph(g)
-    lines = ["graph coloring {"]
-    for eid in sorted(adj):
-        lines.append(f'  "{eid}";')
-    done = set()
-    for eid in sorted(adj):
-        for other in sorted(adj[eid]):
-            if (other, eid) not in done:
-                done.add((eid, other))
-                lines.append(f'  "{eid}" -- "{other}";')
-    lines.append("}")
-    return "\n".join(lines)
+def dot_coloring(g: Graph) -> None:
+    """Write the coloring graph (edge ids, joined when vertex-disjoint)
+    to stdout: the nodes, then one write per edge of its pairs with the
+    edges after it, all in string order of ids, so memory stays linear
+    in the edge count."""
+    edges = sorted(g.edges, key=lambda e: e.id)
+    write = sys.stdout.write
+    write("graph coloring {\n" + "".join(f'  "{e.id}";\n' for e in edges))
+    for i, a in enumerate(edges):
+        ends = (a.u, a.v)
+        write("".join(f'  "{a.id}" -- "{b.id}";\n' for b in edges[i + 1:]
+                      if b.u not in ends and b.v not in ends))
+    write("}\n")
 
 
 def check_hyperplane_routes(by_components: dict, by_squares: dict) -> None:
@@ -235,8 +234,10 @@ def cmd_build(args) -> int:
         raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
     x = build(g, args.particles, max_dim=args.max_dim, cell_cap=cap)
     if args.format == "dot":
-        print(dot_coloring(g) if args.dot_what == "coloring"
-              else dot_skeleton(x))
+        if args.dot_what == "coloring":
+            dot_coloring(g)
+        else:
+            print(dot_skeleton(x))
         return 0
     hps = hyperplanes_by_components(g, args.particles)
     data = {

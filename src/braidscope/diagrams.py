@@ -25,7 +25,7 @@ from .complex import CubeComplex, config_key
 from .errors import (
     IllegalMoveError, InvariantError, PreconditionError, ResourceLimitError,
 )
-from .graph import Cycle, Frozen, Graph, Subgraph, UnionFind
+from .graph import Cycle, Frozen, Graph, Subgraph, connected_components
 
 MAX_BALL_RADIUS = 12
 BALL_CAP = 2_000_000   # vertices of a ball_oracle or CoverBall ball
@@ -451,7 +451,7 @@ class CoverBall:
                     cand_index[(u, e.id)] = len(candidates)
                     candidates.append((u, e.id, sign,
                                        x.apply_move(conf, e)))
-            uf = UnionFind(len(candidates))
+            same = [[] for _ in candidates]   # square identifications
             if dist >= 1:
                 for z in layers[dist - 1]:
                     ups = [(eid, nbr)
@@ -464,26 +464,27 @@ class CoverBall:
                         cb = cand_index.get((w, ea))
                         if ca is None or cb is None:
                             raise InvariantError("square candidate missing")
-                        uf.union(ca, cb)
-            rep_vertex = {}
-            for ci, (u, eid, sign, tproj) in enumerate(candidates):
-                r = uf.find(ci)
-                v = rep_vertex.get(r)
-                if v is None:
-                    v = self._new_vertex(tproj, dist + 1)
-                    rep_vertex[r] = v
-                    if len(self.proj) > BALL_CAP:
-                        raise ResourceLimitError("cover ball exceeds cap")
+                        same[ca].append(cb)
+                        same[cb].append(ca)
+            # one vertex per class, in the order of its first candidate
+            first = len(self.proj)
+            vertex = [0] * len(candidates)
+            for cls in connected_components(range(len(candidates)), same):
+                v = self._new_vertex(candidates[min(cls)][3], dist + 1)
+                if len(self.proj) > BALL_CAP:
+                    raise ResourceLimitError("cover ball exceeds cap")
+                for ci in cls:
+                    vertex[ci] = v
+            for (u, eid, sign, tproj), v in zip(candidates, vertex):
                 if self.proj[v] != tproj:
                     raise InvariantError("identified candidates disagree")
                 if eid in self.edges[u] or eid in self.edges[v]:
                     raise InvariantError("duplicate color at a cover vertex")
                 self.edges[u][eid] = (v, sign)
                 self.edges[v][eid] = (u, -sign)
-            nxt = sorted(set(rep_vertex.values()))
-            if not nxt:
+            if first == len(self.proj):
                 break
-            layers.append(nxt)
+            layers.append(range(first, len(self.proj)))
 
     def lift(self, letters) -> int:
         """End vertex of the lift of a word starting at the root."""
@@ -498,6 +499,3 @@ class CoverBall:
                 raise PreconditionError("orientation mismatch in lift")
             cur = nbr
         return cur
-
-    def vertex_count(self) -> int:
-        return len(self.proj)

@@ -60,24 +60,6 @@ def connected_components(vertices, adj, banned=()) -> tuple:
     return tuple(comps)
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1, each a singleton until joined."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]   # path halving
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 class Frozen:
     """Base of the immutable values that a NamedTuple cannot model (an
     instance dict for ``cached_property``, a check on input, a field that
@@ -197,9 +179,9 @@ class Graph(Frozen):
     @cached_property
     def _memo(self) -> dict:
         """Per-instance results derived from the value: the components,
-        the cycles of simple_cycles and the classifier's shortest-first
-        view of them, the Shape of classify_shape and the word piler of
-        the diagrams module.  Not a field, so eq and hash ignore it."""
+        the cycles of simple_cycles, the Shape of classify_shape and the
+        word piler of the diagrams module.  Not a field, so eq and hash
+        ignore it."""
         return {}
 
     def is_simple(self) -> bool:
@@ -609,12 +591,15 @@ def classify_shape(g: Graph) -> Shape:
 
 
 def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
-    """All simple cycles of a normalized graph, deterministically ordered.
+    """All simple cycles of a normalized graph, shortest first.
 
-    Iterative backtracking rooted at the least vertex of each cycle,
-    over the 2-core left once the earlier roots are deleted, so trees
-    and hanging trees are never searched and long cycles need no deep
-    recursion; every cycle is emitted once, in its canonical rotation.
+    The order is by length, then by the cycle's vertex ids sorted by
+    ``idkey`` (those tuples compared as strings), then by the vertex
+    tuple of its canonical rotation: the least vertex first, and the
+    second vertex below the last.  Iterative backtracking rooted at the
+    least vertex of each cycle, over the 2-core left once the earlier
+    roots are deleted, so trees and hanging trees are never searched
+    and long cycles need no deep recursion; every cycle is emitted once.
     Raises ResourceLimitError beyond `cap` cycles.  The finished tuple
     is cached on the graph instance and returned as is by later calls
     on it; the cap applies on every call, so a cached tuple longer than
@@ -678,10 +663,11 @@ def _enumerate_cycles(g: Graph, cap: int) -> tuple:
                 on_path.remove(path.pop())
         drop(start)
     # each cycle's ids sorted by position, which is idkey order, then
-    # compared as strings: the order of the key (sorted(ids, key=idkey),
-    # vertices) with no idkey call
+    # compared as strings: the order of the key (len, sorted(ids,
+    # key=idkey), vertices) with no idkey call
     at = order.__getitem__
-    found.sort(key=lambda c: (tuple(sorted(c.vertices, key=at)), c.vertices))
+    found.sort(key=lambda c: (
+        len(c.vertices), tuple(sorted(c.vertices, key=at)), c.vertices))
     return tuple(found)
 
 

@@ -19,8 +19,27 @@ from collections import Counter
 from braidscope import families as F
 from braidscope.complex import CubeComplex, bits, build
 from braidscope.errors import PreconditionError
-from braidscope.graph import UnionFind
 from braidscope.hyperplanes import ColoringReport, verify_special_coloring
+
+
+class UnionFind:
+    """Disjoint sets over 0..size-1, each a singleton until joined; the
+    reference's own, so that it shares no partition code with the
+    library it checks."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
 
 
 def reference_classes(x):

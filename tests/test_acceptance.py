@@ -247,7 +247,7 @@ def test_criterion_7_word_problem_soundness():
         assert len(x.level(0)) <= 200
         cover = CoverBall(x, base, 6)
         ball = ball_oracle(x, base, 6)
-        assert len(ball) == cover.vertex_count()
+        assert len(ball) == len(cover.proj)
         for d in ball.values():
             v = cover.lift(d.letters)
             assert cover.dist[v] == len(d) and cover.proj[v] == d.terminus

@@ -50,13 +50,13 @@ def test_cover_matches_ball_on_three_particles():
     base = tuple(sorted(g.vertices, key=lambda t: (len(t), t)))[:3]
     ball = ball_oracle(x, base, 6)
     cover = CoverBall(x, base, 6)
-    assert len(ball) == cover.vertex_count()
+    assert len(ball) == len(cover.proj)
     seen = set()
     for d in ball.values():
         v = cover.lift(d.letters)
         assert cover.dist[v] == len(d) and cover.proj[v] == d.terminus
         seen.add(v)
-    assert len(seen) == cover.vertex_count()
+    assert len(seen) == len(cover.proj)
 
 
 def test_normalize_random_multigraphs():

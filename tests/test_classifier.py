@@ -141,6 +141,24 @@ def test_f2xz_witnesses_n2():
     assert has and witness[0] == "cycle with b1>=2 complement"
 
 
+def test_f2xz_obstruction_a_at_three_particles():
+    # a triangle bridged to a theta (arcs u-p-w, u-q-w, u-r-s-w): the
+    # theta is the triangle's complement, with b1 = 2; no vertex has
+    # degree 4, so obstruction (b) cannot come first
+    g = Graph.make("t1 t2 t3 u w p q r s".split(),
+                   [("a", "t1", "t2"), ("b", "t2", "t3"), ("c", "t3", "t1"),
+                    ("d", "u", "p"), ("f", "p", "w"), ("h", "u", "q"),
+                    ("i", "q", "w"), ("j", "u", "r"), ("k", "r", "s"),
+                    ("l", "s", "w"), ("m", "t1", "r")])
+    assert max(g.degree(v) for v in g.vertices) == 3
+    (triangle,) = [c for c in simple_cycles(g) if len(c) == 3]
+    assert triangle.vertex_set == {"t1", "t2", "t3"}
+    assert contains_f2xz(g, 3) == (
+        True, ("a", triangle, frozenset({"u", "w", "p", "q", "r", "s"})))
+    rep = full_report(g, 3)
+    assert rep.oracle_agreement == {"hyperbolic": True, "toral_rel_hyp": True}
+
+
 # -- acylindrical trichotomy ----------------------------------------------------
 
 def test_acyl_status():
@@ -363,10 +381,18 @@ def test_one_oracle_serves_every_particle_count():
 
 # -- shortest-first scans against the enumeration-order references -------------
 #
-# The references are the scans as first written: cycles in simple_cycles
-# order, a component's edges counted by a scan of every edge of g.  They
-# take the cycles to scan as an argument, so a scan of one cycle, or of
-# the cycles shorter than a witness, asks whether those give a hit.
+# The references are the scans as first written: cycles in the order
+# simple_cycles had before it put the shortest first, a component's
+# edges counted by a scan of every edge of g.  They take the cycles to
+# scan as an argument, so a scan of one cycle, or of the cycles shorter
+# than a witness, asks whether those give a hit.
+
+def _enumeration_order(g):
+    """g's cycles by their ids sorted by idkey, those tuples compared as
+    strings, ties broken by rotation: no length first."""
+    return sorted(simple_cycles(g), key=lambda c: (
+        tuple(sorted(c.vertices, key=idkey)), c.vertices))
+
 
 def _betti_by_edge_scan(g, comp):
     edges = sum(1 for e in g.edges if e.u in comp and e.v in comp)
@@ -377,7 +403,7 @@ def _pair_scan(g, order):
     for c in order:
         for comp in C._complement_components(g, c.vertex_set):
             if _betti_by_edge_scan(g, comp) >= 1:
-                return (c, next(d for d in simple_cycles(g)
+                return (c, next(d for d in _enumeration_order(g)
                                 if comp.issuperset(d.vertices)))
     return None
 
@@ -409,7 +435,7 @@ def _obstruction_n3_scan(g, order):
                 nbrs = [y for y in g.adjacency[v] if y in comp]
                 if len(connected_components(
                         nbrs, g.adjacency, on | {v})) < len(nbrs):
-                    return ("e", c, next(d for d in simple_cycles(g)
+                    return ("e", c, next(d for d in _enumeration_order(g)
                                          if comp.issuperset(d.vertices)))
     for v in ess:
         for comp in C._complement_components(g, frozenset((v,))):
@@ -419,10 +445,10 @@ def _obstruction_n3_scan(g, order):
 
 
 def _enumeration_order_oracle(g):
-    """An oracle whose cycle witnesses come in simple_cycles order."""
+    """An oracle whose cycle witnesses come in the enumeration order."""
     oracle = SubgraphOracle(g)
     stars = [w for w in oracle.witnesses() if w[0] == "star"]
-    oracle._witnesses = [("cycle", c) for c in simple_cycles(g)] + stars
+    oracle._witnesses = [("cycle", c) for c in _enumeration_order(g)] + stars
     return oracle
 
 
@@ -456,7 +482,7 @@ def _check_oracle_hit(got, ref, oracle, scans):
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs())
 def test_shortest_first_scans_match_the_enumeration_order_references(g):
-    cycles = simple_cycles(g)
+    cycles = _enumeration_order(g)
     pair = disjoint_cycle_pair(g)
     assert (pair is None) == (_pair_scan(g, cycles) is None)
     if pair is not None:

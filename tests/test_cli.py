@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -330,6 +331,122 @@ def test_build_golden_stdout(tmp_path, name, n, fmt, expected):
          "--graph", str(gfile), "-n", str(n), "--format", fmt],
         capture_output=True)
     assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+# stdout of the text formats of analyze, relhyp-check, word and table,
+# and of table on the bipartite family; `{graph}` and `{collection}`
+# name the input files
+GOLDEN_TEXT_GRAPHS = {
+    "k4": GOLDEN_GRAPHS["k4"],
+    "theta222": GOLDEN_GRAPHS["theta222"],
+    "two": "e a 1 2\ne b 2 3\ne c 3 1\ne d 4 5\n",
+    "bowtie": "e a 1 2\ne b 2 3\ne c 3 1\ne d 3 4\ne f 4 5\ne g 5 6\ne h 6 4\n",
+}
+GOLDEN_TEXT = [
+    ("k4-analyze", "k4", None,
+     ["analyze", "--graph", "{graph}", "-n", "2", "--format", "table"],
+     b"graph V:1,2,3,4;E:e12:1:2;E:e13:1:3;E:e14:1:4;E:e23:2:3;E:e24:2:4;..."
+     b" n=2\n  split=[2] trivial=False Z=False hyp=True toralRH=True"
+     b" acyl=acylindrically_hyperbolic free=unknown F2=True F2xZ=False\n"
+     b"  oracle: oracles ran\n"),
+    ("theta222-analyze-oracle", "theta222", None,
+     ["analyze", "--graph", "{graph}", "-n", "3", "--format", "table",
+      "--oracle", "on"],
+     b"graph V:u,w,a1,b1,c1;E:ae1:u:a1;E:ae2:a1:w;E:be1:u:b1;E:be2:b1:w;E..."
+     b" n=3\n  split=[3] trivial=False Z=False hyp=True toralRH=True"
+     b" acyl=acylindrically_hyperbolic free=unknown F2=True F2xZ=False\n"
+     b"  oracle: oracles ran\n"),
+    ("two-analyze", "two", None,
+     ["analyze", "--graph", "{graph}", "-n", "3", "--format", "table"],
+     b"graph V:1,2,3,4,5;E:a:1:2;E:b:2:3;E:c:3:1;E:d:4:5 n=3\n"
+     b"  split=[0, 3] trivial=True Z=False hyp=True toralRH=True acyl=trivial"
+     b" free=free F2=False F2xZ=False\n"
+     b"  split=[1, 2] trivial=False Z=True hyp=True toralRH=True"
+     b" acyl=infinite_cyclic free=free F2=False F2xZ=False\n"
+     b"  split=[2, 1] trivial=False Z=True hyp=True toralRH=True"
+     b" acyl=infinite_cyclic free=free F2=False F2xZ=False\n"
+     b"  split=[3, 0] trivial=False Z=True hyp=True toralRH=True"
+     b" acyl=infinite_cyclic free=free F2=False F2xZ=False\n"
+     b"  oracle: oracles skipped\n"),
+    ("bowtie-relhyp", "bowtie", "1,2,3\n",
+     ["relhyp-check", "--graph", "{graph}", "--collection", "{collection}",
+      "--format", "table"],
+     b"cycle_pairs_covered: False\nintersections_ok: True\npaths_ok: True\n"
+     b"all_proper: True\ncriterion_applies: False\ncriterion inconclusive\n"),
+    ("k4-relhyp", "k4", "1,2,3\n3,4\n",
+     ["relhyp-check", "--graph", "{graph}", "--collection", "{collection}",
+      "--format", "table"],
+     b"cycle_pairs_covered: True\nintersections_ok: True\npaths_ok: True\n"
+     b"all_proper: True\ncriterion_applies: True\n"
+     b"relatively hyperbolic by the peripheral criterion\n"),
+    ("k4-word", "k4", None,
+     ["word", "--graph", "{graph}", "--base", "1,2", "--format", "table",
+      "--", "+e13", "+e24", "-e13", "-e24"],
+     b"legal; terminus 1,2; normal form (empty)\n"),
+    ("k4-word-compare", "k4", None,
+     ["word", "--graph", "{graph}", "--base", "1,2", "--format", "table",
+      "--compare", "+e24 +e13", "--", "+e13", "+e24"],
+     b"legal; terminus 3,4; normal form +e13 +e24\nequal: True\n"),
+    ("complete-table", None, None,
+     ["table", "--family", "complete", "--min", "3", "--max", "5",
+      "--particles", "2..4", "--format", "table"],
+     b"graph       n trivial Z     hyp   toralRH free    acyl\n"
+     b"K_3         2 False   True  True  True    free    infinite_cyclic\n"
+     b"K_3         3 False   True  True  True    free    infinite_cyclic\n"
+     b"K_3         4 False   True  True  True    free    infinite_cyclic\n"
+     b"K_4         2 False   False True  True    unknown acylindrically_hyperbolic\n"
+     b"K_4         3 False   False False True    unknown acylindrically_hyperbolic\n"
+     b"K_4         4 False   False False False   unknown acylindrically_hyperbolic\n"
+     b"K_5         2 False   False True  True    unknown acylindrically_hyperbolic\n"
+     b"K_5         3 False   False False False   unknown acylindrically_hyperbolic\n"
+     b"K_5         4 False   False False False   unknown acylindrically_hyperbolic\n"),
+    ("bipartite-json", None, None,
+     ["table", "--family", "bipartite", "--min", "2", "--max", "3",
+      "--particles", "2..3"],
+     b'{"rows":[{"acyl_status":"infinite_cyclic","free":"free","graph":"K_2,2",'
+     b'"hyperbolic":true,"infinite_cyclic":true,"n":2,"toral_rel_hyp":true,'
+     b'"trivial":false},{"acyl_status":"infinite_cyclic","free":"free",'
+     b'"graph":"K_2,2","hyperbolic":true,"infinite_cyclic":true,"n":3,'
+     b'"toral_rel_hyp":true,"trivial":false},'
+     b'{"acyl_status":"acylindrically_hyperbolic","free":"free","graph":"K_2,3",'
+     b'"hyperbolic":true,"infinite_cyclic":false,"n":2,"toral_rel_hyp":true,'
+     b'"trivial":false},{"acyl_status":"acylindrically_hyperbolic",'
+     b'"free":"unknown","graph":"K_2,3","hyperbolic":true,'
+     b'"infinite_cyclic":false,"n":3,"toral_rel_hyp":true,"trivial":false},'
+     b'{"acyl_status":"acylindrically_hyperbolic","free":"unknown",'
+     b'"graph":"K_3,3","hyperbolic":true,"infinite_cyclic":false,"n":2,'
+     b'"toral_rel_hyp":true,"trivial":false},'
+     b'{"acyl_status":"acylindrically_hyperbolic","free":"unknown",'
+     b'"graph":"K_3,3","hyperbolic":false,"infinite_cyclic":false,"n":3,'
+     b'"toral_rel_hyp":false,"trivial":false}],"schema":1}\n'),
+    ("bipartite-table", None, None,
+     ["table", "--family", "bipartite", "--min", "2", "--max", "3",
+      "--particles", "2..3", "--format", "table"],
+     b"graph       n trivial Z     hyp   toralRH free    acyl\n"
+     b"K_2,2       2 False   True  True  True    free    infinite_cyclic\n"
+     b"K_2,2       3 False   True  True  True    free    infinite_cyclic\n"
+     b"K_2,3       2 False   False True  True    free    acylindrically_hyperbolic\n"
+     b"K_2,3       3 False   False True  True    unknown acylindrically_hyperbolic\n"
+     b"K_3,3       2 False   False True  True    unknown acylindrically_hyperbolic\n"
+     b"K_3,3       3 False   False False False   unknown acylindrically_hyperbolic\n"),
+]
+
+
+@pytest.mark.parametrize("name,collection,argv,expected",
+                         [c[1:] for c in GOLDEN_TEXT],
+                         ids=[c[0] for c in GOLDEN_TEXT])
+def test_text_formats_golden_stdout(tmp_path, name, collection, argv,
+                                    expected):
+    gfile, cfile = tmp_path / "graph.txt", tmp_path / "collection.txt"
+    if name is not None:
+        gfile.write_text(GOLDEN_TEXT_GRAPHS[name])
+    if collection is not None:
+        cfile.write_text(collection)
+    argv = [a.format(graph=gfile, collection=cfile) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "braidscope.cli", *argv],
+                          capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == expected
 
 
@@ -705,6 +822,29 @@ def test_dot_coloring_of_a_long_path_is_refused_before_the_work(tmp_path):
                           "--format", "dot", "--dot-what", "coloring",
                           "--max-cells", "1000"])
     assert rc == 3 and out == ""
+
+
+def test_dot_coloring_of_a_long_path_is_written_as_found(tmp_path):
+    # 1,500 edges, 1,122,751 disjoint pairs: writing each edge's pairs
+    # as they are found keeps the peak near the interpreter's own, where
+    # building every pair line first peaked at 423 MB
+    gfile = tmp_path / "path.txt"
+    gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 1501)))
+    out = tmp_path / "out.dot"
+    with open(out, "wb") as fh:   # the DOT text, then the peak RSS line
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, sys.executable, "-m",
+             "braidscope.cli", "build", "--graph", str(gfile), "-n", "1",
+             "--format", "dot", "--dot-what", "coloring"],
+            stdout=fh, stderr=subprocess.PIPE)
+    assert proc.returncode == 0 and proc.stderr == b""
+    data = out.read_bytes()
+    dot, peak = data[:data.rindex(b"}\n") + 2], data[data.rindex(b"}\n") + 2:]
+    # the nodes, then the pairs, in string order of ids (23 MB)
+    assert len(dot) == 23_058_752
+    assert hashlib.sha256(dot).hexdigest() == (
+        "b81b7eda781b7dff29a84e30a560e3f3d0d4056cf10912d2ab602bca955dc386")
+    assert int(peak) <= 60 * 1024
 
 
 def test_dot_coloring_of_k4_is_unchanged(tmp_path):

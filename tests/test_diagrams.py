@@ -338,14 +338,14 @@ def test_cover_matches_ball_layer_by_layer():
         x = build(g, 2)
         ball = ball_oracle(x, base, radius)
         cover = CoverBall(x, base, radius)
-        assert len(ball) == cover.vertex_count()
+        assert len(ball) == len(cover.proj)
         ends = set()
         for d in ball.values():
             v = cover.lift(d.letters)
             assert cover.proj[v] == d.terminus
             assert cover.dist[v] == len(d)
             ends.add(v)
-        assert len(ends) == cover.vertex_count()
+        assert len(ends) == len(cover.proj)
 
 
 COVER_ROUTES = pytest.mark.parametrize("route", [ball_oracle, CoverBall],

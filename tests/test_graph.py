@@ -13,7 +13,7 @@ from braidscope.errors import PreconditionError, ResourceLimitError
 from braidscope.graph import (
     CYCLE, CYCLE_TWO_RAYS, GENERAL, HGRAPH, PULSAR, ROSE, SEGMENT, STAR,
     SUN, THETA, TREE,
-    Graph, UnionFind, classify_shape, connected_components, first_betti,
+    Graph, classify_shape, connected_components, first_betti,
     _subdivided, normalize, simple_cycles, smooth, subdivide_all, subdivide_for,
 )
 
@@ -420,15 +420,16 @@ def graphs_with_mixed_id_lengths(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(graphs_with_mixed_id_lengths())
-def test_cycle_order_is_the_idkey_sorted_ids_compared_as_strings(g):
-    # the order simple_cycles has always had: each cycle's ids sorted by
-    # idkey, those tuples compared as strings, ties broken by rotation
+def test_cycle_order_is_shortest_first_then_the_idkey_sorted_ids_as_strings(g):
+    # shortest first; one length in the order simple_cycles had before:
+    # each cycle's ids sorted by idkey, those tuples compared as strings,
+    # ties broken by rotation
     from braidscope.graph import idkey
     assert sorted(g.vertices) != list(g.vertices)
     cycles = simple_cycles(g)
     assert len(cycles) >= 3
     assert list(cycles) == sorted(cycles, key=lambda c: (
-        tuple(sorted(c.vertices, key=idkey)), c.vertices))
+        len(c), tuple(sorted(c.vertices, key=idkey)), c.vertices))
 
 
 def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap():
@@ -551,15 +552,6 @@ def test_components_are_searched_once_per_graph(monkeypatch):
     monkeypatch.setattr("braidscope.graph.connected_components", None)
     assert g.components() is first
     assert not g.is_connected() and g.first_betti() == 0
-
-
-def test_union_find_joins_classes():
-    uf = UnionFind(6)
-    uf.union(1, 2)
-    uf.union(3, 4)
-    uf.union(2, 4)
-    assert len({uf.find(x) for x in (1, 2, 3, 4)}) == 1
-    assert uf.find(5) == 5 and uf.find(1) != uf.find(5)
 
 
 @pytest.mark.parametrize("times", [1, 2, 3])

@@ -109,6 +109,15 @@ def test_special_coloring_axiom4_fails_on_mutation():
 
 # -- the certificates against the scans as first written ---------------------
 
+def test_reference_union_find_joins_classes():
+    uf = R.UnionFind(6)
+    uf.union(1, 2)
+    uf.union(3, 4)
+    uf.union(2, 4)
+    assert len({uf.find(x) for x in (1, 2, 3, 4)}) == 1
+    assert uf.find(5) == 5 and uf.find(1) != uf.find(5)
+
+
 def atlas_complexes():
     """Every connected atlas graph with at most 6 vertices at n = 0..4,
     built with max_dim None, 1 and 2."""
