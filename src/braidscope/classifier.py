@@ -255,9 +255,12 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
     (c) a cycle with a complement component holding two essential vertices;
     (d) an essential vertex whose complement has a b1 >= 2 component;
     (e) a cycle disjoint from a cycle through an essential vertex.
+
+    Vertices are tried in vertex order, so the (b) and (d) witnesses
+    are the least that qualify.
     """
-    ess = set(g.essential_vertices())
-    deg4 = {v for v in ess if g.degree(v) >= 4}
+    ess = g.essential_vertices()
+    deg4 = [v for v in ess if g.degree(v) >= 4]
     cycles = simple_cycles(g)
     for c in cycles:
         on = c.vertex_set
@@ -268,13 +271,14 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
             b1 = _component_betti(g, comp)
             if b1 >= 2:
                 return ("a", c, comp)
-            if len(comp & ess) >= 2:
+            held = comp.intersection(ess)
+            if len(held) >= 2:
                 return ("c", c, comp)
-            if b1 >= 1 and (comp & ess):
+            if b1 >= 1 and held:
                 # b1(comp) = 1 and comp holds one essential vertex v: v is
                 # on comp's one cycle iff two of its neighbours there are
                 # joined in comp - v
-                (v,) = comp & ess
+                (v,) = held
                 nbrs = [y for y in g.adjacency[v] if y in comp]
                 if len(connected_components(
                         nbrs, g.adjacency, on | {v})) < len(nbrs):
@@ -731,6 +735,8 @@ def full_report(g: Graph, n: int, run_oracles: str = "auto") -> ClassificationRe
     graph is connected and small enough, 'on' forces them (may raise),
     'off' skips.  Skips are flagged, never silent.
     """
+    if n < 0:
+        raise PreconditionError("particle count must be >= 0")
     g = normalize(g)
     reports = []
     comps = _component_graphs(g)

@@ -1,6 +1,16 @@
 """Command-line front end.
 
 Subcommands: analyze, build, word, homology, relhyp-check, table.
+Every run takes one path from argv to stdout.  ``_run`` parses the
+arguments and, for the five subcommands that read ``--graph``, loads and
+normalizes the graph once (and applies ``--subdivide`` where the
+subcommand has it).  Each ``cmd_*(args, g)`` returns its result as one
+dict; ``_run`` adds ``schema`` and writes it as JSON, or, under
+``--format table``, prints the text that the subcommand's ``*_table``
+renderer makes from that same dict, so the text is a view of the JSON
+and is made only when asked for.  ``build --format dot`` writes its
+graph as it goes and returns None.
+
 Only ``errors`` and ``graph`` are imported at start-up; each subcommand
 imports the other modules it uses when it runs (with no bytecode cache,
 a run compiles every module it imports).  ``main`` runs with the cyclic
@@ -16,8 +26,10 @@ diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
 violation, 3 resource limit, 4 failed internal consistency check (such
 as a full ``build`` whose two hyperplane routes count differently; one
 ``internal check failed:`` line on stderr) or any other unexpected
-exception (one ``internal error:`` line); never a traceback.  A reader
-that closes stdout early (``| head``) ends the run quietly with exit 0.
+exception (one ``internal error:`` line); never a traceback.  A negative
+particle count, a negative ``--max-dim`` and a ``table --min`` below 1
+are precondition violations.  A reader that closes stdout early
+(``| head``) ends the run quietly with exit 0.
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
@@ -131,8 +143,9 @@ def cell_cap(args) -> int:
 # -- report serialisation -------------------------------------------------
 
 def report_payload(rep: ClassificationReport) -> dict:
+    """The JSON data of a report: each assignment's split, shapes and
+    every verdict of ``AssignmentReport`` under its field name."""
     payload = {
-        "schema": JSON_SCHEMA_VERSION,
         "fingerprint": rep.fingerprint,
         "particles": rep.n,
         "connected": rep.connected,
@@ -143,46 +156,32 @@ def report_payload(rep: ClassificationReport) -> dict:
         payload["oracle_agreement"] = {
             k: bool(v) for k, v in sorted(rep.oracle_agreement.items())}
     for a in rep.assignments:
-        payload["assignments"].append({
-            "split": list(a.assignment),
-            "trivial": a.trivial,
-            "infinite_cyclic": a.infinite_cyclic,
-            "hyperbolic": a.hyperbolic,
-            "toral_rel_hyp": a.toral_rel_hyp,
-            "acyl_status": a.acyl_status,
-            "free": a.free,
-            "contains_f2": a.contains_f2,
-            "contains_f2xz": a.contains_f2xz,
-            "shapes": [c.shape_tag for c in a.per_component],
-        })
+        row = a._asdict()
+        row["split"] = list(row.pop("assignment"))
+        row["shapes"] = [c.shape_tag for c in row.pop("per_component")]
+        payload["assignments"].append(row)
     return payload
 
 
-def report_table(rep: ClassificationReport) -> str:
-    lines = [f"graph {rep.fingerprint[:60]}... n={rep.n}"
-             if len(rep.fingerprint) > 60 else
-             f"graph {rep.fingerprint} n={rep.n}"]
-    for a in rep.assignments:
+def report_table(data: dict) -> str:
+    fp = data["fingerprint"]
+    fp = fp if len(fp) <= 60 else fp[:60] + "..."
+    lines = [f"graph {fp} n={data['particles']}"]
+    for a in data["assignments"]:
         lines.append(
-            f"  split={list(a.assignment)} trivial={a.trivial}"
-            f" Z={a.infinite_cyclic} hyp={a.hyperbolic}"
-            f" toralRH={a.toral_rel_hyp} acyl={a.acyl_status}"
-            f" free={a.free} F2={a.contains_f2} F2xZ={a.contains_f2xz}")
-    lines.append(f"  oracle: {rep.oracle_note}")
+            f"  split={a['split']} trivial={a['trivial']}"
+            f" Z={a['infinite_cyclic']} hyp={a['hyperbolic']}"
+            f" toralRH={a['toral_rel_hyp']} acyl={a['acyl_status']}"
+            f" free={a['free']} F2={a['contains_f2']} F2xZ={a['contains_f2xz']}")
+    lines.append(f"  oracle: {data['oracle']}")
     return "\n".join(lines)
 
 
 # -- subcommands ----------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, g) -> dict:
     from .classifier import full_report
-    g = normalize(load_graph(args.graph))
-    rep = full_report(g, args.particles, run_oracles=args.oracle)
-    if args.format == "json":
-        emit_json(report_payload(rep))
-    else:
-        print(report_table(rep))
-    return 0
+    return report_payload(full_report(g, args.particles, run_oracles=args.oracle))
 
 
 def dot_skeleton(x) -> str:
@@ -223,12 +222,10 @@ def check_hyperplane_routes(by_components: dict, by_squares: dict) -> None:
                                  f"{a} by components, {b} by squares")
 
 
-def cmd_build(args) -> int:
+def cmd_build(args, g):
+    """The build's data; with --format dot, None once the graph is written."""
     from .complex import build
     from .hyperplanes import hyperplanes_by_components, verify_special_coloring
-    g = normalize(load_graph(args.graph))
-    if args.subdivide:
-        g = subdivide_for(g, args.particles)
     pairs, cap = math.comb(len(g.edges), 2), cell_cap(args)
     if args.format == "dot" and args.dot_what == "coloring" and pairs > cap:
         raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
@@ -238,10 +235,9 @@ def cmd_build(args) -> int:
             dot_coloring(g)
         else:
             print(dot_skeleton(x))
-        return 0
+        return None
     hps = hyperplanes_by_components(g, args.particles)
     data = {
-        "schema": JSON_SCHEMA_VERSION,
         "f_vector": list(x.f_vector()),
         "components": x.component_count(),
         "hyperplanes": len(hps),
@@ -255,26 +251,24 @@ def cmd_build(args) -> int:
         report = verify_special_coloring(x)
         data["npc"] = bool(report.ok)
         check_hyperplane_routes(per, report.classes_per_color)
-    if args.format == "json":
-        emit_json(data)
-    else:
-        print(f"f-vector: {data['f_vector']}")
-        print(f"components: {data['components']}")
-        if "euler_characteristic" in data:
-            print(f"euler characteristic: {data['euler_characteristic']}")
-        print(f"hyperplanes: {data['hyperplanes']}")
-    return 0
+    return data
 
 
-def cmd_word(args) -> int:
+def build_table(data: dict) -> str:
+    lines = [f"f-vector: {data['f_vector']}", f"components: {data['components']}"]
+    if "euler_characteristic" in data:
+        lines.append(f"euler characteristic: {data['euler_characteristic']}")
+    lines.append(f"hyperplanes: {data['hyperplanes']}")
+    return "\n".join(lines)
+
+
+def cmd_word(args, g) -> dict:
     from .diagrams import check_legal, cyclically_reduce, diagram, equal
-    g = normalize(load_graph(args.graph))
     base = tuple(args.base.split(","))
     letters = parse_word_tokens(args.letters)
     word = check_legal(g, base, letters)
     d = diagram(g, base, letters)
     data = {
-        "schema": JSON_SCHEMA_VERSION,
         "legal": True,
         "terminus": list(word.terminus),
         "length": len(d),
@@ -292,22 +286,20 @@ def cmd_word(args) -> int:
             ("+" if s > 0 else "-") + e for (e, s) in sd.cyclic_reduction.letters]
         data["support_vertices"] = sorted(sd.support.vertices)
         data["particles"] = sorted(sd.particles)
-    if args.format == "json":
-        emit_json(data)
-    else:
-        print(f"legal; terminus {','.join(word.terminus)}; "
-              f"normal form {' '.join(data['normal_form']) or '(empty)'}")
-        if "equal" in data:
-            print(f"equal: {data['equal']}")
-    return 0
+    return data
 
 
-def cmd_homology(args) -> int:
+def word_table(data: dict) -> str:
+    lines = [f"legal; terminus {','.join(data['terminus'])}; "
+             f"normal form {' '.join(data['normal_form']) or '(empty)'}"]
+    if "equal" in data:
+        lines.append(f"equal: {data['equal']}")
+    return "\n".join(lines)
+
+
+def cmd_homology(args, g) -> dict:
     from .complex import build
     from .homology import chain_complex, check_column_cap, homology
-    g = normalize(load_graph(args.graph))
-    if args.subdivide:
-        g = subdivide_for(g, args.particles)
     n, nv, cap = args.particles, len(g.vertices), cell_cap(args)
     if g.edges and n > 0 and math.comb(nv, n) <= cap:
         # f_1 = |E| C(|V|-2, n-1): refuse before indexing a large graph
@@ -315,19 +307,16 @@ def cmd_homology(args) -> int:
     x = build(g, n, cell_cap=cap)
     check_column_cap(x.f_vector())
     h = homology(chain_complex(x))
-    data = {
-        "schema": JSON_SCHEMA_VERSION,
+    return {
         "free_ranks": list(h.free_ranks),
         "torsion": [list(t) for t in h.torsion],
         "groups": [h.group(d) for d in range(len(h.free_ranks))],
         "euler_characteristic": x.euler_characteristic(),
     }
-    if args.format == "json":
-        emit_json(data)
-    else:
-        for d, grp in enumerate(data["groups"]):
-            print(f"H_{d} = {grp}")
-    return 0
+
+
+def homology_table(data: dict) -> str:
+    return "\n".join(f"H_{d} = {grp}" for d, grp in enumerate(data["groups"]))
 
 
 def parse_collection_text(g: Graph, text: str) -> list:
@@ -354,9 +343,8 @@ def parse_collection_text(g: Graph, text: str) -> list:
     return subs
 
 
-def cmd_relhyp(args) -> int:
+def cmd_relhyp(args, g) -> dict:
     from .classifier import check_peripheral_collection
-    g = normalize(load_graph(args.graph))
     if args.collection == "-":
         text = sys.stdin.read()
     else:
@@ -367,8 +355,7 @@ def cmd_relhyp(args) -> int:
             raise ParseError(str(exc)) from exc
     collection = parse_collection_text(g, text)
     rep = check_peripheral_collection(g, collection)
-    data = {
-        "schema": JSON_SCHEMA_VERSION,
+    return {
         "members": len(collection),
         "cycle_pairs_covered": rep.cycle_pairs_covered,
         "intersections_ok": rep.intersections_ok,
@@ -379,14 +366,13 @@ def cmd_relhyp(args) -> int:
         "note": ("relatively hyperbolic by the peripheral criterion"
                  if rep.applies else "criterion inconclusive"),
     }
-    if args.format == "json":
-        emit_json(data)
-    else:
-        for k in ("cycle_pairs_covered", "intersections_ok", "paths_ok",
-                  "all_proper", "criterion_applies"):
-            print(f"{k}: {data[k]}")
-        print(data["note"])
-    return 0
+
+
+def relhyp_table(data: dict) -> str:
+    lines = [f"{k}: {data[k]}" for k in ("cycle_pairs_covered", "intersections_ok",
+                                         "paths_ok", "all_proper", "criterion_applies")]
+    lines.append(data["note"])
+    return "\n".join(lines)
 
 
 def _family_graphs(args):
@@ -417,37 +403,32 @@ def parse_particle_range(text: str) -> tuple:
     return tuple(range(a, b + 1))
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, g) -> dict:
+    """One row per family graph and particle count: the main assignment's
+    verdicts, all but contains_f2 and contains_f2xz."""
     from .classifier import full_report
     ns = parse_particle_range(args.particles)
     if args.max > MAX_FAMILY_SIZE:
         raise ResourceLimitError(
             f"--max {args.max} exceeds cap {MAX_FAMILY_SIZE}")
+    if args.min < 1:
+        raise PreconditionError("--min must be >= 1")
     rows = []
-    for name, g in _family_graphs(args):
+    for name, member in _family_graphs(args):
         for n in ns:
-            rep = full_report(g, n, run_oracles="off")
-            a = rep.main
-            rows.append({
-                "graph": name,
-                "n": n,
-                "trivial": a.trivial,
-                "infinite_cyclic": a.infinite_cyclic,
-                "hyperbolic": a.hyperbolic,
-                "toral_rel_hyp": a.toral_rel_hyp,
-                "acyl_status": a.acyl_status,
-                "free": a.free,
-            })
-    if args.format == "json":
-        emit_json({"schema": JSON_SCHEMA_VERSION, "rows": rows})
-    else:
-        head = f"{'graph':10s} {'n':>2s} {'trivial':7s} {'Z':5s} {'hyp':5s} {'toralRH':7s} {'free':7s} acyl"
-        print(head)
-        for r in rows:
-            print(f"{r['graph']:10s} {r['n']:2d} {str(r['trivial']):7s}"
-                  f" {str(r['infinite_cyclic']):5s} {str(r['hyperbolic']):5s}"
-                  f" {str(r['toral_rel_hyp']):7s} {r['free']:7s} {r['acyl_status']}")
-    return 0
+            a = full_report(member, n, run_oracles="off").main
+            rows.append(dict(zip(a._fields[2:-2], a[2:-2]), graph=name, n=n))
+    return {"rows": rows}
+
+
+def grid_table(data: dict) -> str:
+    lines = [f"{'graph':10s} {'n':>2s} {'trivial':7s} {'Z':5s} {'hyp':5s}"
+             f" {'toralRH':7s} {'free':7s} acyl"]
+    for r in data["rows"]:
+        lines.append(f"{r['graph']:10s} {r['n']:2d} {str(r['trivial']):7s}"
+                     f" {str(r['infinite_cyclic']):5s} {str(r['hyperbolic']):5s}"
+                     f" {str(r['toral_rel_hyp']):7s} {r['free']:7s} {r['acyl_status']}")
+    return "\n".join(lines)
 
 
 def make_parser(argv=None) -> argparse.ArgumentParser:
@@ -475,7 +456,7 @@ def make_parser(argv=None) -> argparse.ArgumentParser:
     if "analyze" in named:
         common(p, max_cells=False)
         p.add_argument("--oracle", choices=("auto", "on", "off"), default="auto")
-        p.set_defaults(func=cmd_analyze)
+        p.set_defaults(func=cmd_analyze, render=report_table)
 
     p = sub.add_parser("build", help="build the configuration complex")
     if "build" in named:
@@ -485,7 +466,7 @@ def make_parser(argv=None) -> argparse.ArgumentParser:
                        help="subdivide for the particle count first")
         p.add_argument("--dot-what", choices=("skeleton", "coloring"),
                        default="skeleton")
-        p.set_defaults(func=cmd_build)
+        p.set_defaults(func=cmd_build, render=build_table)
 
     p = sub.add_parser("word", help="validate / reduce / compare words")
     if "word" in named:
@@ -497,13 +478,13 @@ def make_parser(argv=None) -> argparse.ArgumentParser:
                        help="also cyclically reduce (spherical words)")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("letters", nargs="*", help="word tokens +eID / -eID")
-        p.set_defaults(func=cmd_word)
+        p.set_defaults(func=cmd_word, render=word_table)
 
     p = sub.add_parser("homology", help="integer homology summary")
     if "homology" in named:
         common(p)
         p.add_argument("--subdivide", action="store_true")
-        p.set_defaults(func=cmd_homology)
+        p.set_defaults(func=cmd_homology, render=homology_table)
 
     p = sub.add_parser("relhyp-check",
                        help="verify a peripheral collection (two particles)")
@@ -512,7 +493,7 @@ def make_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--collection", required=True,
                        help="file with one subgraph per line ('-' for stdin)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.set_defaults(func=cmd_relhyp)
+        p.set_defaults(func=cmd_relhyp, render=relhyp_table)
 
     p = sub.add_parser("table", help="classification grid over a family")
     if "table" in named:
@@ -522,7 +503,7 @@ def make_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--max", type=int, required=True)
         p.add_argument("--particles", required=True, help="e.g. 2..5 or 3")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.set_defaults(func=cmd_table)
+        p.set_defaults(func=cmd_table, render=grid_table)
     return top
 
 
@@ -551,9 +532,18 @@ def _run(argv) -> int:
     # (argparse's metavar check); free them, young, before the work
     gc.collect(0)
     try:
-        code = args.func(args)
+        g = None
+        if "graph" in args:
+            g = normalize(load_graph(args.graph))
+            if getattr(args, "subdivide", False):
+                g = subdivide_for(g, args.particles)
+        data = args.func(args, g)
+        if args.format == "json":
+            emit_json(dict(data, schema=JSON_SCHEMA_VERSION))
+        elif args.format == "table":    # text only when asked for
+            print(args.render(data))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader hung up; writes to come, as at exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

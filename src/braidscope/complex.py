@@ -178,6 +178,8 @@ def build(g: Graph, n: int, max_dim: Optional[int] = None,
         raise PreconditionError("build expects a normalized graph")
     if n < 0:
         raise PreconditionError("particle count must be >= 0")
+    if max_dim is not None and max_dim < 0:
+        raise PreconditionError("max_dim must be >= 0")
     if len(g.vertices) < n:
         raise PreconditionError(
             f"graph has {len(g.vertices)} vertices, cannot place {n} particles")

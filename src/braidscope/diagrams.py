@@ -172,9 +172,6 @@ class Diagram(Frozen):
     def is_trivial(self) -> bool:
         return not self.letters
 
-    def key(self) -> tuple:
-        return (self.base, self.letters)
-
 
 def reduce_word(w: LegalWord) -> Diagram:
     """Cancel across commuting letters and canonicalize."""

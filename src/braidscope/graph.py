@@ -590,7 +590,7 @@ def classify_shape(g: Graph) -> Shape:
     return shape
 
 
-def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
+def simple_cycles(g: Graph) -> tuple:
     """All simple cycles of a normalized graph, shortest first.
 
     The order is by length, then by the cycle's vertex ids sorted by
@@ -600,18 +600,16 @@ def simple_cycles(g: Graph, cap: int = DEFAULT_CYCLE_CAP) -> tuple:
     least vertex of each cycle, over the 2-core left once the earlier
     roots are deleted, so trees and hanging trees are never searched
     and long cycles need no deep recursion; every cycle is emitted once.
-    Raises ResourceLimitError beyond `cap` cycles.  The finished tuple
-    is cached on the graph instance and returned as is by later calls
-    on it; the cap applies on every call, so a cached tuple longer than
-    `cap` raises too.  An enumeration that raises caches nothing.
+    Raises ResourceLimitError beyond ``DEFAULT_CYCLE_CAP`` cycles, read
+    when the enumeration runs.  The finished tuple is cached on the
+    graph instance and returned as is by later calls on it; an
+    enumeration that raises caches nothing.
     """
     cached = g._memo.get("cycles")
     if cached is None:
         if not g.is_simple():
             raise PreconditionError("simple_cycles expects a normalized graph")
-        cached = g._memo["cycles"] = _enumerate_cycles(g, cap)
-    elif len(cached) > cap:
-        raise ResourceLimitError(f"cycle count exceeds cap {cap}")
+        cached = g._memo["cycles"] = _enumerate_cycles(g, DEFAULT_CYCLE_CAP)
     return cached
 
 

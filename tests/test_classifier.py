@@ -159,6 +159,20 @@ def test_f2xz_obstruction_a_at_three_particles():
     assert rep.oracle_agreement == {"hyperbolic": True, "toral_rel_hyp": True}
 
 
+def test_f2xz_witness_at_three_particles_is_the_same_under_every_hash_seed():
+    # K_9 has degree-8 vertices off its first cycle (1, 2, 3): the (b)
+    # witness is the least of them, whatever order sets of ids iterate in
+    code = ("from braidscope import classifier, families\n"
+            "has, w = classifier.contains_f2xz(families.complete_graph(9), 3)\n"
+            "print(has, w[:2], w[2].vertices)\n")
+    outs = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, check=True, env=dict(
+                               os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                               PYTHONHASHSEED=seed)).stdout
+            for seed in ("0", "3")}
+    assert outs == {"True ('b', '4') ('1', '2', '3')\n"}
+
+
 # -- acylindrical trichotomy ----------------------------------------------------
 
 def test_acyl_status():
@@ -417,8 +431,9 @@ def _f2xz_n2_scan(g, order):
 
 
 def _obstruction_n3_scan(g, order):
-    ess = set(g.essential_vertices())
-    deg4 = {v for v in ess if g.degree(v) >= 4}
+    in_order = g.essential_vertices()   # tried in vertex order, as the library does
+    ess = set(in_order)
+    deg4 = [v for v in in_order if g.degree(v) >= 4]
     for c in order:
         on = c.vertex_set
         comps = C._complement_components(g, on)
@@ -437,7 +452,7 @@ def _obstruction_n3_scan(g, order):
                         nbrs, g.adjacency, on | {v})) < len(nbrs):
                     return ("e", c, next(d for d in _enumeration_order(g)
                                          if comp.issuperset(d.vertices)))
-    for v in ess:
+    for v in in_order:
         for comp in C._complement_components(g, frozenset((v,))):
             if _betti_by_edge_scan(g, comp) >= 2:
                 return ("d", v, comp)

@@ -334,9 +334,8 @@ def test_build_golden_stdout(tmp_path, name, n, fmt, expected):
     assert proc.stdout == expected
 
 
-# stdout of the text formats of analyze, relhyp-check, word and table,
-# and of table on the bipartite family; `{graph}` and `{collection}`
-# name the input files
+# stdout of analyze, relhyp-check, word and table, in the text format
+# and in JSON; `{graph}` and `{collection}` name the input files
 GOLDEN_TEXT_GRAPHS = {
     "k4": GOLDEN_GRAPHS["k4"],
     "theta222": GOLDEN_GRAPHS["theta222"],
@@ -380,6 +379,58 @@ GOLDEN_TEXT = [
      b"cycle_pairs_covered: True\nintersections_ok: True\npaths_ok: True\n"
      b"all_proper: True\ncriterion_applies: True\n"
      b"relatively hyperbolic by the peripheral criterion\n"),
+    ("k4-analyze-json", "k4", None,
+     ["analyze", "--graph", "{graph}", "-n", "2"],
+     b'{"assignments":[{"acyl_status":"acylindrically_hyperbolic",'
+     b'"contains_f2":true,"contains_f2xz":false,"free":"unknown",'
+     b'"hyperbolic":true,"infinite_cyclic":false,"shapes":["general"],'
+     b'"split":[2],"toral_rel_hyp":true,"trivial":false}],"connected":true,'
+     b'"fingerprint":"V:1,2,3,4;E:e12:1:2;E:e13:1:3;E:e14:1:4;E:e23:2:3;'
+     b'E:e24:2:4;E:e34:3:4","oracle":"oracles ran",'
+     b'"oracle_agreement":{"hyperbolic":true,"toral_rel_hyp":true},'
+     b'"particles":2,"schema":1}\n'),
+    ("two-analyze-json", "two", None,
+     ["analyze", "--graph", "{graph}", "-n", "3"],
+     b'{"assignments":[{"acyl_status":"trivial","contains_f2":false,'
+     b'"contains_f2xz":false,"free":"free","hyperbolic":true,'
+     b'"infinite_cyclic":false,"shapes":["cycle","segment"],"split":[0,3],'
+     b'"toral_rel_hyp":true,"trivial":true},{"acyl_status":"infinite_cyclic",'
+     b'"contains_f2":false,"contains_f2xz":false,"free":"free",'
+     b'"hyperbolic":true,"infinite_cyclic":true,"shapes":["cycle","segment"],'
+     b'"split":[1,2],"toral_rel_hyp":true,"trivial":false},'
+     b'{"acyl_status":"infinite_cyclic","contains_f2":false,'
+     b'"contains_f2xz":false,"free":"free","hyperbolic":true,'
+     b'"infinite_cyclic":true,"shapes":["cycle","segment"],"split":[2,1],'
+     b'"toral_rel_hyp":true,"trivial":false},{"acyl_status":"infinite_cyclic",'
+     b'"contains_f2":false,"contains_f2xz":false,"free":"free",'
+     b'"hyperbolic":true,"infinite_cyclic":true,"shapes":["cycle","segment"],'
+     b'"split":[3,0],"toral_rel_hyp":true,"trivial":false}],"connected":false,'
+     b'"fingerprint":"V:1,2,3,4,5;E:a:1:2;E:b:2:3;E:c:3:1;E:d:4:5",'
+     b'"oracle":"oracles skipped","particles":3,"schema":1}\n'),
+    ("bowtie-relhyp-json", "bowtie", "1,2,3\n",
+     ["relhyp-check", "--graph", "{graph}", "--collection", "{collection}"],
+     b'{"all_proper":true,"criterion_applies":false,'
+     b'"cycle_pairs_covered":false,"intersections_ok":true,"members":1,'
+     b'"note":"criterion inconclusive","paths_ok":true,"schema":1,'
+     b'"valid":false}\n'),
+    ("k4-relhyp-json", "k4", "1,2,3\n3,4\n",
+     ["relhyp-check", "--graph", "{graph}", "--collection", "{collection}"],
+     b'{"all_proper":true,"criterion_applies":true,"cycle_pairs_covered":true,'
+     b'"intersections_ok":true,"members":2,'
+     b'"note":"relatively hyperbolic by the peripheral criterion",'
+     b'"paths_ok":true,"schema":1,"valid":true}\n'),
+    ("k4-word-compare-json", "k4", None,
+     ["word", "--graph", "{graph}", "--base", "1,2",
+      "--compare", "+e24 +e13", "--", "+e13", "+e24"],
+     b'{"equal":true,"legal":true,"length":2,"normal_form":["+e13","+e24"],'
+     b'"schema":1,"spherical":false,"terminus":["3","4"]}\n'),
+    ("k4-word-cyclic-json", "k4", None,
+     ["word", "--graph", "{graph}", "--base", "1,2", "--cyclic",
+      "--", "+e24", "+e12", "+e23", "-e13", "-e24"],
+     b'{"cyclic_reduction":["+e12","+e23","-e13"],"legal":true,"length":5,'
+     b'"normal_form":["+e24","+e12","+e23","-e13","-e24"],"particles":["1"],'
+     b'"schema":1,"spherical":true,"support_vertices":["1","2","3"],'
+     b'"terminus":["1","2"]}\n'),
     ("k4-word", "k4", None,
      ["word", "--graph", "{graph}", "--base", "1,2", "--format", "table",
       "--", "+e13", "+e24", "-e13", "-e24"],
@@ -433,21 +484,46 @@ GOLDEN_TEXT = [
 ]
 
 
-@pytest.mark.parametrize("name,collection,argv,expected",
-                         [c[1:] for c in GOLDEN_TEXT],
-                         ids=[c[0] for c in GOLDEN_TEXT])
-def test_text_formats_golden_stdout(tmp_path, name, collection, argv,
-                                    expected):
+def _golden_argv(tmp_path, name, collection, argv):
+    """argv with its input files written to tmp_path."""
     gfile, cfile = tmp_path / "graph.txt", tmp_path / "collection.txt"
     if name is not None:
         gfile.write_text(GOLDEN_TEXT_GRAPHS[name])
     if collection is not None:
         cfile.write_text(collection)
-    argv = [a.format(graph=gfile, collection=cfile) for a in argv]
+    return [a.format(graph=gfile, collection=cfile) for a in argv]
+
+
+@pytest.mark.parametrize("name,collection,argv,expected",
+                         [c[1:] for c in GOLDEN_TEXT],
+                         ids=[c[0] for c in GOLDEN_TEXT])
+def test_text_formats_golden_stdout(tmp_path, name, collection, argv,
+                                    expected):
+    argv = _golden_argv(tmp_path, name, collection, argv)
     proc = subprocess.run([sys.executable, "-m", "braidscope.cli", *argv],
                           capture_output=True)
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == expected
+
+
+GOLDEN_TABLES = [c for c in GOLDEN_TEXT if "--format" in c[3]]
+
+
+@pytest.mark.parametrize("name,collection,argv,expected",
+                         [c[1:] for c in GOLDEN_TABLES],
+                         ids=[c[0] for c in GOLDEN_TABLES])
+def test_text_format_renders_the_json_of_the_same_argv(tmp_path, capsys, name,
+                                                       collection, argv,
+                                                       expected):
+    # the text is a view of the JSON: the command's renderer, applied to
+    # the JSON that the argv without `--format table` prints
+    argv = _golden_argv(tmp_path, name, collection, argv)
+    at = argv.index("--format")
+    assert argv[at + 1] == "table"
+    assert main(argv[:at] + argv[at + 2:]) == 0
+    data = json.loads(capsys.readouterr().out)
+    render = cli.make_parser(argv).parse_args(argv).render
+    assert (render(data) + "\n").encode() == expected
 
 
 def test_unexpected_exception_exits_4_without_traceback(p3, monkeypatch,
@@ -509,7 +585,31 @@ EXITS = {
     "interrupt": (["build", "--graph", "P3", "-n", "1"],
                   ("braidscope.complex.build", _raise(KeyboardInterrupt)),
                   KeyboardInterrupt),
+    "negative-particles": (["analyze", "--graph", "P3", "-n", "-1"], None, 2),
+    "negative-max-dim": (["build", "--graph", "P3", "-n", "1", "--max-dim", "-1"],
+                         None, 2),
+    "table-negative-particles": (["table", "--family", "complete", "--max", "3",
+                                  "--particles", "-1"], None, 2),
+    "table-min-0": (["table", "--family", "complete", "--min", "0", "--max", "3",
+                     "--particles", "2"], None, 2),
 }
+
+# the message of each refusal of a negative or zero count
+REFUSALS = {
+    "negative-particles": "particle count must be >= 0",
+    "negative-max-dim": "max_dim must be >= 0",
+    "table-negative-particles": "particle count must be >= 0",
+    "table-min-0": "--min must be >= 1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_negative_counts_are_refused(p3, capsys, case):
+    argv = [p3 if a == "P3" else a for a in EXITS[case][0]]
+    assert main(argv) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"precondition violation: {REFUSALS[case]}\n"
 
 
 @pytest.mark.parametrize("collecting", (True, False), ids=("gc-on", "gc-off"))

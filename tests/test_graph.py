@@ -432,14 +432,18 @@ def test_cycle_order_is_shortest_first_then_the_idkey_sorted_ids_as_strings(g):
         len(c), tuple(sorted(c.vertices, key=idkey)), c.vertices))
 
 
-def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap():
+def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap(monkeypatch):
+    import braidscope.graph as G
+    monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 37)
     g = F.complete_graph(5)
     cycles = simple_cycles(g)
     assert len(cycles) == 37
     assert simple_cycles(g) is cycles
-    assert simple_cycles(g, cap=37) is cycles
+    # the cap is read when an enumeration runs; a cached tuple is returned
+    monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 36)
+    assert simple_cycles(g) is cycles
     with pytest.raises(ResourceLimitError):
-        simple_cycles(g, cap=36)
+        simple_cycles(F.complete_graph(5))
     # the cache is no field: equality and hashing ignore it
     assert g == F.complete_graph(5) and hash(g) == hash(F.complete_graph(5))
 
@@ -454,12 +458,14 @@ def test_cycle_enumeration_that_raises_caches_nothing(monkeypatch):
         return enumerate_cycles(g, cap)
 
     monkeypatch.setattr(G, "_enumerate_cycles", counting)
+    monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 36)
     g = F.complete_graph(5)
     with pytest.raises(ResourceLimitError):
-        simple_cycles(g, cap=36)
+        simple_cycles(g)
+    monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 37)
     cycles = simple_cycles(g)
     assert len(cycles) == 37 and simple_cycles(g) is cycles
-    assert calls == [36, G.DEFAULT_CYCLE_CAP]
+    assert calls == [36, 37]
 
 
 def test_cycles_project_under_subdivision():

@@ -175,6 +175,16 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_cli_loads_graphs_and_writes_json_in_one_place():
+    # _run loads the graph and emits the JSON that each subcommand
+    # returns; a subcommand that did either itself would fork that path
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    called = [ast.unparse(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)]
+    assert called.count("emit_json") == 1
+    assert called.count("load_graph") == 1
+
+
 def test_console_script_calls_what_python_dash_m_calls():
     # `braidscope` and `python -m braidscope.cli` must start the same way
     tomllib = pytest.importorskip("tomllib")
