@@ -23,18 +23,19 @@ interpreter has loaded (mostly ``site`` and its ``.pth`` imports).
 Results go to stdout (JSON is canonical: sorted keys, no floats, one
 trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
-violation, 3 resource limit, 4 failed internal consistency check (such
-as a full ``build`` whose two hyperplane routes count differently; one
-``internal check failed:`` line on stderr) or any other unexpected
-exception (one ``internal error:`` line); never a traceback.  A negative
-particle count, a negative ``--max-dim`` and a ``table --min`` below 1
-are precondition violations.  A reader that closes stdout early
-(``| head``) ends the run quietly with exit 0.
+violation or argparse usage error, 3 resource limit, 4 failed internal
+consistency check (such as a full ``build`` whose two hyperplane routes
+count differently; one ``internal check failed:`` line on stderr) or any
+other unexpected exception (one ``internal error:`` line); never a
+traceback.  A negative particle count, a negative ``--max-dim`` and a
+``table --min`` below 1 are precondition violations.  A reader that
+closes stdout early (``| head``) ends the run quietly with exit 0.
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
-tokens.  Words use ``+eID``/``-eID`` tokens.  The cell cap can be
-overridden with the BRAIDSCOPE_MAX_CELLS environment variable.
+tokens.  Words use ``+eID``/``-eID`` tokens, after ``--`` if any is a
+``-eID``.  The cell cap can be overridden with the BRAIDSCOPE_MAX_CELLS
+environment variable.
 """
 
 from __future__ import annotations
@@ -223,18 +224,24 @@ def check_hyperplane_routes(by_components: dict, by_squares: dict) -> None:
 
 
 def cmd_build(args, g):
-    """The build's data; with --format dot, None once the graph is written."""
+    """The build's data; with --format dot, None once the graph is written.
+    The coloring graph is the graph's alone, so no complex is built for it."""
+    cap = cell_cap(args)
+    if args.format == "dot" and args.dot_what == "coloring":
+        pairs = math.comb(len(g.edges), 2)
+        if pairs > cap:
+            raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
+        if args.particles < 0:
+            raise PreconditionError("particle count must be >= 0")
+        if args.max_dim is not None and args.max_dim < 0:
+            raise PreconditionError("max_dim must be >= 0")
+        dot_coloring(g)
+        return None
     from .complex import build
     from .hyperplanes import hyperplanes_by_components, verify_special_coloring
-    pairs, cap = math.comb(len(g.edges), 2), cell_cap(args)
-    if args.format == "dot" and args.dot_what == "coloring" and pairs > cap:
-        raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
     x = build(g, args.particles, max_dim=args.max_dim, cell_cap=cap)
     if args.format == "dot":
-        if args.dot_what == "coloring":
-            dot_coloring(g)
-        else:
-            print(dot_skeleton(x))
+        print(dot_skeleton(x))
         return None
     hps = hyperplanes_by_components(g, args.particles)
     data = {
@@ -263,14 +270,13 @@ def build_table(data: dict) -> str:
 
 
 def cmd_word(args, g) -> dict:
-    from .diagrams import check_legal, cyclically_reduce, diagram, equal
+    from .diagrams import cyclically_reduce, diagram, equal
     base = tuple(args.base.split(","))
     letters = parse_word_tokens(args.letters)
-    word = check_legal(g, base, letters)
     d = diagram(g, base, letters)
     data = {
         "legal": True,
-        "terminus": list(word.terminus),
+        "terminus": list(d.terminus),
         "length": len(d),
         "normal_form": [("+" if s > 0 else "-") + e for (e, s) in d.letters],
         "spherical": d.is_spherical(),

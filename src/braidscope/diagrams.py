@@ -7,7 +7,8 @@ cancellation, insertion and commutation (letters commute when their
 edges are vertex-disjoint), and every equivalence class owns one normal
 form: the lexicographically least representative of the fully cancelled
 word.  Reduction runs by piling (Wrathall's stack algorithm for
-partially commutative groups), so it is linear in word length.
+partially commutative groups), so it is linear in word length; cyclic
+reduction strips x ... x^-1 pairs off the ends of the same piles.
 
 Two independent routes through the universal cover live here as well:
 :func:`ball_oracle` walks normal forms, while :class:`CoverBall` glues
@@ -37,23 +38,14 @@ def inverse_letter(letter: Letter) -> Letter:
     return (letter[0], -letter[1])
 
 
-def letters_commute(g: Graph, a: Letter, b: Letter) -> bool:
-    return not g.edge_by_id[a[0]].touches(g.edge_by_id[b[0]])
-
-
-def oriented_ends(g: Graph, letter: Letter) -> tuple:
-    """(origin, target) of the letter's move."""
-    e = g.edge_by_id[letter[0]]
-    return (e.u, e.v) if letter[1] > 0 else (e.v, e.u)
-
-
 def replay(g: Graph, base, letters) -> tuple:
     """Terminus of the word, raising IllegalMoveError on the first bad move."""
     occupied = set(base)
-    for i, letter in enumerate(letters):
-        if letter[0] not in g.edge_by_id:
+    for i, (eid, sign) in enumerate(letters):
+        e = g.edge_by_id.get(eid)
+        if e is None:
             raise IllegalMoveError(i, "unknown edge")
-        o, t = oriented_ends(g, letter)
+        o, t = (e.u, e.v) if sign > 0 else (e.v, e.u)
         if o not in occupied:
             raise IllegalMoveError(i, "origin unoccupied")
         if t in occupied:
@@ -103,18 +95,16 @@ def check_legal(g: Graph, base, letters) -> LegalWord:
 
 class _Piler:
     """Wrathall piling for the trace group on edges with disjointness
-    commutation; one per graph instance, kept in its memo."""
+    commutation; one per graph instance, kept in its memo.  ``dep[e]``
+    holds e and every edge that shares an end with it."""
 
     def __init__(self, g: Graph):
         self.gens = tuple(e.id for e in g.edges)
-        dep = {e.id: {e.id} for e in g.edges}
-        for a, b in itertools.combinations(g.edges, 2):
-            if a.touches(b):
-                dep[a.id].add(b.id)
-                dep[b.id].add(a.id)
-        self.dep = dep
+        inc = g.incidence
+        self.dep = {e.id: {f.id for f in inc[e.u] + inc[e.v]} for e in g.edges}
 
-    def reduce(self, letters) -> tuple:
+    def pile(self, letters) -> dict:
+        """Per generator, its letters' signs and a 0 per other dep letter."""
         piles = {gid: deque() for gid in self.gens}
         for (gid, eps) in letters:
             pile = piles[gid]
@@ -126,6 +116,10 @@ class _Piler:
                 for j in self.dep[gid]:
                     if j != gid:
                         piles[j].append(0)
+        return piles
+
+    def read(self, piles) -> tuple:
+        """The lexicographically least word of the piles, emptying them."""
         out = []
         remaining = sum(1 for gid in self.gens for x in piles[gid] if x != 0)
         while remaining:
@@ -140,6 +134,9 @@ class _Piler:
             else:
                 raise InvariantError("piling stuck; dependence data corrupt")
         return tuple(out)
+
+    def reduce(self, letters) -> tuple:
+        return self.read(self.pile(letters))
 
 
 def _piler(g: Graph) -> _Piler:
@@ -223,15 +220,6 @@ class SupportData(NamedTuple):
         return len(sg.vertices) == 0 or sg.is_connected()
 
 
-def _front_movable(g: Graph, letters, i: int) -> bool:
-    return all(letters_commute(g, letters[k], letters[i]) for k in range(i))
-
-
-def _back_movable(g: Graph, letters, j: int) -> bool:
-    return all(letters_commute(g, letters[k], letters[j])
-               for k in range(j + 1, len(letters)))
-
-
 def cyclically_reduce(d: Diagram) -> SupportData:
     """Strip conjugating pairs until no representative is x ... x^-1.
 
@@ -239,34 +227,30 @@ def cyclically_reduce(d: Diagram) -> SupportData:
     rotation, so support and particle data are canonical), the
     accumulated conjugator, the support subgraph and the moving
     particles.
+
+    Exact on the piles of the word: x can lead a representative iff it
+    heads its pile and x^-1 can end one iff it tails that pile, and then
+    every other pile of ``dep[x]`` has interchangeable 0s at both ends,
+    so popping both ends of each leaves the piles of the stripped word,
+    a factor of a reduced word, which needs no re-piling.  Minimal
+    letters come in increasing generator order in the normal form, so
+    the least such generator first is the normal form's strip order.
     """
     if not d.is_spherical():
         raise PreconditionError("cyclic reduction needs a spherical diagram")
     g = d.graph
+    piler = _piler(g)
+    piles = piler.pile(d.letters)
     base = d.base
-    letters = d.letters
     stripped = []
-    while True:
-        found = None
-        for i in range(len(letters)):
-            if not _front_movable(g, letters, i):
-                continue
-            want = inverse_letter(letters[i])
-            for j in range(len(letters) - 1, i, -1):
-                if letters[j] == want and _back_movable(g, letters, j):
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        x = letters[i]
+    while (x := next(((gid, p[0]) for gid, p in piles.items()
+                      if p and p[0] != 0 and p[-1] == -p[0]), None)):
         stripped.append(x)
-        new_base = replay(g, base, (x,))
-        rest = letters[:i] + letters[i + 1:j] + letters[j + 1:]
-        base = new_base
-        letters = _piler(g).reduce(rest)
+        base = replay(g, base, (x,))
+        for j in piler.dep[x[0]]:
+            piles[j].popleft()
+            piles[j].pop()
+    letters = piler.read(piles)
 
     reduction = Diagram(g, base, letters, replay(g, base, letters))
     conj = check_legal(g, d.base, tuple(stripped))

@@ -435,8 +435,8 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     """
     if not g.is_simple():
         raise PreconditionError("subdivide_for expects a normalized graph")
-    if n < 1:
-        raise PreconditionError("particle count must be >= 1")
+    if n < 0:
+        raise PreconditionError("particle count must be >= 0")
     if not g.edges and len(g.vertices) < n:
         raise PreconditionError(
             f"cannot host {n} particles on an edgeless graph")

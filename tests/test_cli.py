@@ -592,6 +592,16 @@ EXITS = {
                                   "--particles", "-1"], None, 2),
     "table-min-0": (["table", "--family", "complete", "--min", "0", "--max", "3",
                      "--particles", "2"], None, 2),
+    "subdivide-zero-particles": (["build", "--graph", "P3", "-n", "0",
+                                  "--subdivide"], None, 0),
+    "subdivide-negative-particles": (["homology", "--graph", "P3", "-n", "-1",
+                                      "--subdivide"], None, 2),
+    "dot-coloring-negative-particles": (["build", "--graph", "P3", "-n", "-1",
+                                         "--format", "dot", "--dot-what",
+                                         "coloring"], None, 2),
+    "dot-coloring-negative-max-dim": (["build", "--graph", "P3", "-n", "1",
+                                       "--max-dim", "-1", "--format", "dot",
+                                       "--dot-what", "coloring"], None, 2),
 }
 
 # the message of each refusal of a negative or zero count
@@ -600,6 +610,9 @@ REFUSALS = {
     "negative-max-dim": "max_dim must be >= 0",
     "table-negative-particles": "particle count must be >= 0",
     "table-min-0": "--min must be >= 1",
+    "subdivide-negative-particles": "particle count must be >= 0",
+    "dot-coloring-negative-particles": "particle count must be >= 0",
+    "dot-coloring-negative-max-dim": "max_dim must be >= 0",
 }
 
 
@@ -959,6 +972,77 @@ def test_dot_coloring_of_k4_is_unchanged(tmp_path):
         b'graph coloring {\n  "e12";\n  "e13";\n  "e14";\n  "e23";\n'
         b'  "e24";\n  "e34";\n  "e12" -- "e34";\n  "e13" -- "e24";\n'
         b'  "e14" -- "e23";\n}\n')
+
+
+def test_dot_coloring_builds_no_complex(tmp_path):
+    # K_{4,4} subdivided for 4 particles: the coloring graph of its 40
+    # edges is 30 KB, where building UC_4 first took 1.3 s and 265 MB
+    gfile = tmp_path / "k44.txt"
+    gfile.write_text("".join(f"e e{i}{j} a{i} b{j}\n"
+                             for i in range(1, 5) for j in range(1, 5)))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "braidscope.cli",
+         "build", "--subdivide", "--graph", str(gfile), "-n", "4",
+         "--format", "dot", "--dot-what", "coloring"],
+        capture_output=True)
+    assert time.monotonic() - t0 < 2
+    assert proc.returncode == 0 and proc.stderr == b""
+    data = proc.stdout
+    dot, peak = data[:data.rindex(b"}\n") + 2], data[data.rindex(b"}\n") + 2:]
+    assert len(dot) == 30_067
+    assert hashlib.sha256(dot).hexdigest() == (
+        "ea961d3e94a4ea5c0de8dda23edf630c739ce98269c2b8c7cb72e97308e8fb14")
+    assert int(peak) <= 60 * 1024
+
+
+def test_dot_coloring_answers_for_any_particle_count(p3, capsys):
+    # the coloring graph does not depend on n, so counts that UC_n refuses
+    # (more particles than vertices, more configurations than the cap)
+    # still get it
+    expected = 'graph coloring {\n  "e1";\n  "e2";\n}\n'
+    for n in ("0", "1", "3", "4", "400"):
+        assert main(["build", "--graph", p3, "-n", n, "--max-cells", "2",
+                     "--format", "dot", "--dot-what", "coloring"]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("command", ["build", "homology"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+def test_subdivide_for_no_particles_changes_nothing(tmp_path, capsys, command,
+                                                     name):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(GOLDEN_GRAPHS[name])
+    argv = [command, "--graph", str(gfile), "-n", "0"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--subdivide"]) == 0
+    assert capsys.readouterr() == plain and plain.err == ""
+
+
+def test_word_cyclic_on_a_long_rose_conjugate(tmp_path):
+    # a^1600 b a^-1600 on the rose with two triangle petals, one particle
+    # at the centre: 9,603 tokens, piled once and stripped 1,600 times
+    # (24.6 s when each strip rescanned and re-piled the word)
+    gfile = tmp_path / "rose.txt"
+    gfile.write_text("e p1e1 c p1v1\ne p1e2 p1v1 p1v2\ne p1e3 p1v2 c\n"
+                     "e p2e1 c p2v1\ne p2e2 p2v1 p2v2\ne p2e3 p2v2 c\n")
+    a, b = ["+p1e1", "+p1e2", "+p1e3"], ["+p2e1", "+p2e2", "+p2e3"]
+    tokens = a * 1600 + b + ["-p1e3", "-p1e2", "-p1e1"] * 1600
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidscope.cli", "word", "--graph", str(gfile),
+         "--base", "c", "--cyclic", "--", *tokens], capture_output=True)
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 0 and proc.stderr == b""
+    expected = json.dumps({
+        "cyclic_reduction": b, "legal": True, "length": len(tokens),
+        "normal_form": tokens, "particles": ["c"], "schema": 1,
+        "spherical": True, "support_vertices": ["c", "p2v1", "p2v2"],
+        "terminus": ["c"]}, sort_keys=True, separators=(",", ":")) + "\n"
+    assert proc.stdout == expected.encode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "3c55cf0f73d38e5b6d9f45026430c2b88da8015e46e5177bd7fbd7f45a2c983d")
 
 
 def test_process_writes_all_of_a_large_stdout(tmp_path, capsys):

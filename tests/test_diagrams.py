@@ -1,17 +1,19 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
+import cyclic_reference as R
 from braidscope import families as F
 from braidscope.complex import build
 from braidscope.diagrams import (
-    MAX_BALL_RADIUS, CoverBall, ball_oracle, check_legal, concat,
+    MAX_BALL_RADIUS, CoverBall, _Piler, ball_oracle, check_legal, concat,
     cyclic_centralizer_witness, cyclically_reduce, diagram, empty_diagram,
-    equal, inverse, letters_commute, make_rotation, make_tripod_swap, reduce_word,
+    equal, inverse, make_rotation, make_tripod_swap, reduce_word,
 )
 from braidscope.errors import IllegalMoveError, PreconditionError
-from braidscope.graph import simple_cycles
+from braidscope.graph import Graph, simple_cycles
 from braidscope.hyperplanes import coloring_graph
 
 
@@ -104,7 +106,8 @@ def test_reduce_is_idempotent_and_order_independent():
         for _ in range(12):
             i = rng.randrange(len(shuffled)) if shuffled else 0
             if (shuffled and i + 1 < len(shuffled)
-                    and letters_commute(g, shuffled[i], shuffled[i + 1])):
+                    and not g.edge_by_id[shuffled[i][0]].touches(
+                        g.edge_by_id[shuffled[i + 1][0]])):
                 shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
         d2 = diagram(g, ("1", "2"), shuffled)
         assert equal(d, d2)
@@ -240,6 +243,100 @@ def test_non_spherical_rejected():
     d = diagram(g, ("1", "3"), [("e1", 1)])
     with pytest.raises(PreconditionError):
         cyclically_reduce(d)
+
+
+def path_back(x, start, goal) -> list:
+    """Letters of a shortest path from configuration start to goal."""
+    prev = {start: None}
+    todo = deque([start])
+    while goal not in prev:
+        conf = todo.popleft()
+        occupied = set(conf)
+        for e in x.moves_at(conf):
+            nxt = x.apply_move(conf, e)
+            if nxt not in prev:
+                prev[nxt] = (conf, (e.id, 1 if e.u in occupied else -1))
+                todo.append(nxt)
+    letters = []
+    while prev[goal] is not None:
+        goal, letter = prev[goal]
+        letters.append(letter)
+    return letters[::-1]
+
+
+def random_spherical_word(rng, x, base, max_len) -> list:
+    """A random walk from base, then shortest paths through a random
+    configuration back to base."""
+    walk = random_legal_word(rng, x, base, max_len)
+    via = x.index.ids(rng.choice(list(x.levels[0]))[1])
+    return (walk + path_back(x, check_legal(x.graph, base, walk).terminus, via)
+            + path_back(x, via, base))
+
+
+CYCLIC_GRAPHS = [F.cycle_graph(4), F.cycle_graph(5), F.complete_graph(4),
+                 F.complete_graph(5), F.complete_bipartite(2, 3),
+                 F.star_graph(3), F.theta_graph(1, 2, 2), F.rose_graph(2, 3),
+                 F.sun_graph(3, (1,)), F.tripod_graph(3)[0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("g", CYCLIC_GRAPHS, ids=[
+    "C4", "C5", "K4", "K5", "K23", "star3", "theta122", "rose23", "sun3",
+    "tripod3"])
+def test_cyclic_reduction_matches_the_pairwise_scan(g, n):
+    # whole SupportData, conjugator letters included, on random spherical
+    # words and on conjugates of them by a random walk
+    rng = random.Random(len(g.edges) * 10 + n)
+    x = build(g, n)
+    base = tuple(g.vertices[:n])
+    for _ in range(60):
+        inner = random_legal_word(rng, x, base, 4)
+        at = check_legal(g, base, inner).terminus
+        loop = random_spherical_word(rng, x, at, 8)
+        back = [(e, -s) for (e, s) in reversed(inner)]
+        d = diagram(g, base, inner + loop + back)
+        assert cyclically_reduce(d) == R.reference_cyclically_reduce(d)
+
+
+def _conjugates(rng, x, d, count):
+    for _ in range(count):
+        walk = random_legal_word(rng, x, d.base, 6)
+        a = diagram(x.graph, d.base, walk)
+        yield concat(concat(inverse(a), d), a)
+
+
+def test_cyclic_reduction_of_conjugated_witnesses_matches_the_scan():
+    rng = random.Random(24)
+    witnesses = []
+    for g, n in ((F.cycle_graph(5), 2), (F.complete_graph(4), 2),
+                 (F.sun_graph(3, (1, 2), ray_length=2), 2),
+                 (F.theta_graph(2, 2, 3), 3)):
+        for cyc in simple_cycles(g)[:3]:
+            if len(cyc) > n:
+                witnesses.append(make_rotation(g, cyc, cyc.vertices[:n]))
+    for n in (2, 3):
+        g, spine, spike = F.tripod_graph(n)
+        witnesses.append(make_tripod_swap(g, spine, spike))
+    stripped = 0
+    for r in witnesses:
+        x = build(r.graph, len(r.base))
+        for d in _conjugates(rng, x, r, 12):
+            got = cyclically_reduce(d)
+            assert got == R.reference_cyclically_reduce(d)
+            assert len(got.cyclic_reduction) == len(r)
+            stripped += len(got.conjugator)
+    assert stripped > 0
+
+
+def test_piler_dependence_sets_match_pairwise_touches():
+    # random multigraphs with loops and parallel edges
+    rng = random.Random(2009)
+    for _ in range(200):
+        nv = rng.randint(1, 6)
+        edges = [(f"e{i}", str(rng.randrange(nv)), str(rng.randrange(nv)))
+                 for i in range(rng.randint(0, 12))]
+        g = Graph.make([str(v) for v in range(nv)], edges)
+        assert _Piler(g).dep == R.pairwise_dep(g)
 
 
 # -- witness elements -----------------------------------------------------------

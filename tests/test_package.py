@@ -103,7 +103,7 @@ BASE = "cli errors graph"
     (["homology", "--graph", "G", "-n", "2"], BASE + " complex homology"),
     (["build", "--graph", "G", "-n", "2"], BASE + " complex hyperplanes"),
     (["build", "--graph", "G", "-n", "2", "--format", "dot",
-      "--dot-what", "coloring"], BASE + " complex hyperplanes"),
+      "--dot-what", "coloring"], BASE + " complex"),
     (["analyze", "--graph", "G", "-n", "2"], BASE + " classifier"),
     (["relhyp-check", "--graph", "G", "--collection", "C"], BASE + " classifier"),
     (["table", "--family", "complete", "--max", "3", "--particles", "2"],
