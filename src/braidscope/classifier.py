@@ -20,6 +20,10 @@ long cycle leaves almost nothing.  The order decides only which witness
 is returned, never the verdict, since a scan with no hit reads every
 cycle in any order.
 
+A vertex v is off some cycle iff g - v has one; on a connected graph
+with a cycle, v lies on every cycle iff g - v is a forest.  The vertex
+questions (freeness, obstruction (b)) read g - v, not the cycles.
+
 Disjoint always means vertex-disjoint; degrees of original vertices are
 preserved by subdivision, which is what makes the complement trick
 sound.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
@@ -62,10 +66,6 @@ class ParticleAssignment(NamedTuple):
     """Particle counts per connected component, in component order."""
 
     counts: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def assignments(g: Graph, n: int) -> tuple:
@@ -129,17 +129,17 @@ def is_infinite_cyclic(g: Graph, n: int) -> bool:
 
 # -- disjoint-cycle machinery -------------------------------------------
 
-def _complement_components(g: Graph, banned: frozenset) -> tuple:
-    """Vertex sets of the components of g minus a vertex set."""
-    return connected_components(g.vertices, g.adjacency, banned)
-
-
-def _component_betti(g: Graph, comp: frozenset) -> int:
-    """First Betti number of a connected vertex set of a simple graph:
-    its edges are half the degree sum inside it."""
+def _complement(g: Graph, banned) -> Iterator[tuple]:
+    """(vertex set, b1) of each component of a simple graph minus a vertex
+    set; a component's edges are half its degree sum inside it."""
     adj = g.adjacency
-    edges = sum(1 for x in comp for y in adj[x] if y in comp) // 2
-    return edges - len(comp) + 1
+    for comp in connected_components(g.vertices, adj, banned):
+        edges = sum(1 for x in comp for y in adj[x] if y in comp) // 2
+        yield comp, edges - len(comp) + 1
+
+
+def _first_cycle_in(cycles, comp: frozenset) -> Cycle:
+    return next(d for d in cycles if comp.issuperset(d.vertices))
 
 
 def disjoint_cycle_pair(g: Graph) -> Optional[tuple]:
@@ -154,23 +154,21 @@ def disjoint_cycle_pair(g: Graph) -> Optional[tuple]:
     """
     cycles = simple_cycles(g)
     for c in cycles:
-        for comp in _complement_components(g, c.vertex_set):
-            if _component_betti(g, comp) >= 1:
-                return (c, next(
-                    d for d in cycles if comp.issuperset(d.vertices)))
+        for comp, b1 in _complement(g, c.vertex_set):
+            if b1 >= 1:
+                return (c, _first_cycle_in(cycles, comp))
     return None
 
 
 def essential_vertex_off_cycle(g: Graph) -> Optional[tuple]:
-    """An essential vertex not on some simple cycle, or None."""
-    ess = g.essential_vertices()
-    if not ess:
-        return None
-    for c in simple_cycles(g):
-        on = c.vertex_set
-        for v in ess:
-            if v not in on:
-                return (v, c)
+    """(v, component) for the least essential vertex v off some simple
+    cycle, with the first component of g - v that has a cycle, or None."""
+    if not g.is_simple():
+        raise PreconditionError("expects a normalized graph")
+    for v in g.essential_vertices():
+        for comp, b1 in _complement(g, (v,)):
+            if b1 >= 1:
+                return (v, comp)
     return None
 
 
@@ -228,8 +226,8 @@ def contains_f2xz(g: Graph, n: int) -> tuple:
         return (False, None)
     if n == 2:
         for c in simple_cycles(g):
-            for comp in _complement_components(g, c.vertex_set):
-                if _component_betti(g, comp) >= 2:
+            for comp, b1 in _complement(g, c.vertex_set):
+                if b1 >= 2:
                     return (True, ("cycle with b1>=2 complement", c, comp))
         return (False, None)
     if n == 3:
@@ -247,8 +245,7 @@ def contains_f2xz(g: Graph, n: int) -> tuple:
 
 
 def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
-    """First matching three-particle obstruction, or None; the cycles
-    are scanned shortest first.
+    """First matching three-particle obstruction, or None.
 
     (a) a cycle with a complement component of first Betti number >= 2;
     (b) a degree->=4 vertex off some cycle;
@@ -256,19 +253,15 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
     (d) an essential vertex whose complement has a b1 >= 2 component;
     (e) a cycle disjoint from a cycle through an essential vertex.
 
-    Vertices are tried in vertex order, so the (b) and (d) witnesses
-    are the least that qualify.
+    A pass over the cycles, shortest first, looks for (a), (c) and (e);
+    then the essential vertices, in vertex order, for (d) and (b), as v
+    is off some cycle iff g - v has a component with b1 >= 1.
     """
     ess = g.essential_vertices()
-    deg4 = [v for v in ess if g.degree(v) >= 4]
     cycles = simple_cycles(g)
     for c in cycles:
         on = c.vertex_set
-        for v in deg4:
-            if v not in on:
-                return ("b", v, c)
-        for comp in _complement_components(g, on):
-            b1 = _component_betti(g, comp)
+        for comp, b1 in _complement(g, on):
             if b1 >= 2:
                 return ("a", c, comp)
             held = comp.intersection(ess)
@@ -282,12 +275,13 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
                 nbrs = [y for y in g.adjacency[v] if y in comp]
                 if len(connected_components(
                         nbrs, g.adjacency, on | {v})) < len(nbrs):
-                    return ("e", c, next(
-                        d for d in cycles if comp.issuperset(d.vertices)))
+                    return ("e", c, _first_cycle_in(cycles, comp))
     for v in ess:
-        for comp in _complement_components(g, frozenset((v,))):
-            if _component_betti(g, comp) >= 2:
+        for comp, b1 in _complement(g, (v,)):
+            if b1 >= 2:
                 return ("d", v, comp)
+            if b1 >= 1 and g.degree(v) >= 4:
+                return ("b", v, comp)
     return None
 
 
@@ -313,31 +307,35 @@ def acyl_hyp_status(g: Graph, n: int) -> str:
 def free_certificate(g: Graph, n: int) -> tuple:
     """('free'|'unknown', reason).  Never claims non-freeness.
 
-    Two particles: free when some vertex lies on every cycle.  The
-    cycles' vertex sets are intersected shortest first, and the scan
-    stops once the common set is empty; a vertex on every cycle is in
-    the intersection whatever the order, so the verdict and the vertex
-    named (the least one in the full intersection) do not depend on it.
+    Two particles: free when some vertex v lies on every cycle, which on
+    a connected graph with a cycle means that g - v is a forest.  The
+    vertex named is the first such in vertex order; no cycle is listed.
     """
     if not g.is_connected():
         raise PreconditionError("expects a connected graph")
     if n == 1:
         return ("free", "one-particle groups are graph fundamental groups")
-    shape = classify_shape(g)
-    if shape.is_a(ROSE):
+    if classify_shape(g).is_a(ROSE):
         return ("free", "rose graph")
     if n == 2:
-        cycles = simple_cycles(g)
-        if not cycles:
+        b1 = g.first_betti()
+        if b1 == 0:
             return ("free", "no cycles at all")
-        common = set(cycles[0].vertices)
-        for c in cycles:
-            common.intersection_update(c.vertices)
-            if not common:
-                break
-        else:
-            v = min(common, key=idkey)
-            return ("free", f"vertex {v} lies on every cycle")
+        if not g.is_simple():
+            raise PreconditionError("expects a normalized graph")
+        # g - v is a forest only if v has more than b1 edges in the 2-core,
+        # which holds every cycle: one cycle, or at most two vertices
+        adj = g.adjacency
+        core = {v: len(nb) for v, nb in adj.items()}
+        leaves = [v for v, d in core.items() if d <= 1]
+        while leaves:   # strip the hanging trees, leaving them at <= 1
+            for y in adj[leaves.pop()]:
+                core[y] -= 1
+                if core[y] == 1:
+                    leaves.append(y)
+        for v in g.vertices:
+            if core[v] > b1 and all(k == 0 for _, k in _complement(g, (v,))):
+                return ("free", f"vertex {v} lies on every cycle")
     return ("unknown", "no freeness criterion applies")
 
 

@@ -26,7 +26,7 @@ from .complex import CubeComplex, config_key
 from .errors import (
     IllegalMoveError, InvariantError, PreconditionError, ResourceLimitError,
 )
-from .graph import Cycle, Frozen, Graph, Subgraph, connected_components
+from .graph import Cycle, Frozen, Graph, Subgraph, connected_components, idkey
 
 MAX_BALL_RADIUS = 12
 BALL_CAP = 2_000_000   # vertices of a ball_oracle or CoverBall ball
@@ -119,20 +119,21 @@ class _Piler:
         return piles
 
     def read(self, piles) -> tuple:
-        """The lexicographically least word of the piles, emptying them."""
+        """The lexicographically least word of the piles, emptying them.
+        Ready generators (own letter on top) pairwise commute, so a letter
+        readies only generators of its dep set, kept in a heap of idkeys."""
+        import heapq   # here, as in homology: few CLI runs reduce words
+        ready = [idkey(e) for e in self.gens if piles[e] and piles[e][0]]
         out = []
-        remaining = sum(1 for gid in self.gens for x in piles[gid] if x != 0)
-        while remaining:
-            for gid in self.gens:  # gens sorted by id already
-                pile = piles[gid]
-                if pile and pile[0] != 0:
-                    out.append((gid, pile[0]))
-                    for j in self.dep[gid]:
-                        piles[j].popleft()
-                    remaining -= 1
-                    break
-            else:
-                raise InvariantError("piling stuck; dependence data corrupt")
+        while ready:   # gens are sorted by idkey, so a heap from the start
+            gid = heapq.heappop(ready)[1]
+            out.append((gid, piles[gid][0]))
+            for j in self.dep[gid]:
+                piles[j].popleft()
+                if piles[j] and piles[j][0] != 0:
+                    heapq.heappush(ready, idkey(j))
+        if any(piles.values()):
+            raise InvariantError("piling stuck; dependence data corrupt")
         return tuple(out)
 
     def reduce(self, letters) -> tuple:

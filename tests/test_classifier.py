@@ -160,17 +160,23 @@ def test_f2xz_obstruction_a_at_three_particles():
 
 
 def test_f2xz_witness_at_three_particles_is_the_same_under_every_hash_seed():
-    # K_9 has degree-8 vertices off its first cycle (1, 2, 3): the (b)
+    # a triangle 1-2-3 with a three-leaf star on 4 hung from 1 and one on 5
+    # hung from 2: no cycle gives (a), (c) or (e), and the degree-4 vertices
+    # 4 and 5 are both off the triangle, so the vertex pass finds (b); the
     # witness is the least of them, whatever order sets of ids iterate in
-    code = ("from braidscope import classifier, families\n"
-            "has, w = classifier.contains_f2xz(families.complete_graph(9), 3)\n"
-            "print(has, w[:2], w[2].vertices)\n")
+    code = ("from braidscope import classifier\n"
+            "from braidscope.graph import Graph\n"
+            "pairs = '1-2 2-3 3-1 1-4 4-6 4-7 4-8 2-5 5-9 5-10 5-11'.split()\n"
+            "g = Graph.make([str(v) for v in range(1, 12)],\n"
+            "               [(f'e{i}', *p.split('-')) for i, p in enumerate(pairs)])\n"
+            "has, w = classifier.contains_f2xz(g, 3)\n"
+            "print(has, w[:2], sorted(w[2]))\n")
     outs = {subprocess.run([sys.executable, "-c", code], capture_output=True,
                            text=True, check=True, env=dict(
                                os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                                PYTHONHASHSEED=seed)).stdout
             for seed in ("0", "3")}
-    assert outs == {"True ('b', '4') ('1', '2', '3')\n"}
+    assert outs == {"True ('b', '4') ['1', '10', '11', '2', '3', '5', '9']\n"}
 
 
 # -- acylindrical trichotomy ----------------------------------------------------
@@ -413,9 +419,13 @@ def _betti_by_edge_scan(g, comp):
     return edges - len(comp) + 1
 
 
+def _components_without(g, banned):
+    return connected_components(g.vertices, g.adjacency, banned)
+
+
 def _pair_scan(g, order):
     for c in order:
-        for comp in C._complement_components(g, c.vertex_set):
+        for comp in _components_without(g, c.vertex_set):
             if _betti_by_edge_scan(g, comp) >= 1:
                 return (c, next(d for d in _enumeration_order(g)
                                 if comp.issuperset(d.vertices)))
@@ -424,7 +434,7 @@ def _pair_scan(g, order):
 
 def _f2xz_n2_scan(g, order):
     for c in order:
-        for comp in C._complement_components(g, c.vertex_set):
+        for comp in _components_without(g, c.vertex_set):
             if _betti_by_edge_scan(g, comp) >= 2:
                 return ("cycle with b1>=2 complement", c, comp)
     return None
@@ -433,14 +443,9 @@ def _f2xz_n2_scan(g, order):
 def _obstruction_n3_scan(g, order):
     in_order = g.essential_vertices()   # tried in vertex order, as the library does
     ess = set(in_order)
-    deg4 = [v for v in in_order if g.degree(v) >= 4]
     for c in order:
         on = c.vertex_set
-        comps = C._complement_components(g, on)
-        for v in deg4:
-            if v not in on:
-                return ("b", v, c)
-        for comp in comps:
+        for comp in _components_without(g, on):
             if _betti_by_edge_scan(g, comp) >= 2:
                 return ("a", c, comp)
             if len(comp & ess) >= 2:
@@ -453,9 +458,23 @@ def _obstruction_n3_scan(g, order):
                     return ("e", c, next(d for d in _enumeration_order(g)
                                          if comp.issuperset(d.vertices)))
     for v in in_order:
-        for comp in C._complement_components(g, frozenset((v,))):
+        for comp in _components_without(g, {v}):
             if _betti_by_edge_scan(g, comp) >= 2:
                 return ("d", v, comp)
+            if g.degree(v) >= 4 and _betti_by_edge_scan(g, comp) >= 1:
+                return ("b", v, comp)
+    return None
+
+
+def _essential_vertex_off_cycle_by_scan(g):
+    """The least essential vertex off some cycle, by a scan of the
+    cycles, with the first component of g - v that holds a cycle."""
+    cycles = simple_cycles(g)
+    for v in g.essential_vertices():
+        if any(v not in c.vertex_set for c in cycles):
+            return (v, next(comp for comp in _components_without(g, {v})
+                            if any(comp.issuperset(c.vertices)
+                                   for c in cycles)))
     return None
 
 
@@ -513,15 +532,18 @@ def test_shortest_first_scans_match_the_enumeration_order_references(g):
     has, witness = contains_f2xz(g, 3)
     ref = _obstruction_n3_scan(g, cycles)
     assert has == (ref is not None)
-    if has and witness[0] == "d":   # no cycle gives (a), (b), (c) or (e)
+    if has and witness[0] in ("b", "d"):   # no cycle gives (a), (c) or (e)
         assert witness == ref
     elif has:
-        cycle = witness[2] if witness[0] == "b" else witness[1]
+        cycle = witness[1]
         assert cycle in cycles
         assert _obstruction_n3_scan(g, [cycle])[0] == witness[0]
         shorter = _obstruction_n3_scan(
             g, [c for c in cycles if len(c) < len(cycle)])
-        assert shorter is None or shorter[0] == "d"
+        assert shorter is None or shorter[0] in ("b", "d")
+
+    assert free_certificate(g, 2) == _free_certificate_by_full_intersection(g, 2)
+    assert essential_vertex_off_cycle(g) == _essential_vertex_off_cycle_by_scan(g)
 
     oracle, reference = SubgraphOracle(g), _enumeration_order_oracle(g)
     for n in (2, 3, 4, 5):
@@ -556,7 +578,14 @@ def _free_certificate_by_full_intersection(g, n):
     return ("unknown", "no freeness criterion applies")
 
 
-def test_free_certificate_matches_the_full_intersection_on_the_atlas():
+def _no_cycles(g):
+    raise AssertionError("cycles enumerated")
+
+
+def test_free_certificate_matches_the_full_intersection_on_the_atlas(
+        monkeypatch):
+    # the library reads the components of g - v, never the cycles
+    monkeypatch.setattr(C, "simple_cycles", _no_cycles)
     checked = 0
     for G in nx.graph_atlas_g():
         if 1 <= G.number_of_nodes() <= 6 and nx.is_connected(G):
@@ -565,8 +594,35 @@ def test_free_certificate_matches_the_full_intersection_on_the_atlas():
                             for i, (u, v) in enumerate(G.edges)])
             assert free_certificate(g, 2) == \
                 _free_certificate_by_full_intersection(g, 2), sorted(G.edges)
+            assert essential_vertex_off_cycle(g) == \
+                _essential_vertex_off_cycle_by_scan(g), sorted(G.edges)
             checked += 1
     assert checked == 143
+
+
+def test_free_certificate_tries_only_vertices_of_the_two_core():
+    # a 300-cycle with two 1,000-vertex rays that come first in vertex
+    # order: a component search from every ray vertex took about 4 s
+    rays = [[str(r * 1000 + i) for i in range(1, 1001)] for r in (0, 1)]
+    cycle = [str(v) for v in range(2001, 2301)]
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    for hub, ray in zip((cycle[0], cycle[150]), rays):
+        edges += list(zip([hub] + ray, ray))
+    g = Graph.make(cycle + rays[0] + rays[1],
+                   [(f"e{i}", u, v) for i, (u, v) in enumerate(edges)])
+    t0 = time.monotonic()
+    assert free_certificate(g, 2) == ("free", "vertex 2001 lies on every cycle")
+    assert time.monotonic() - t0 < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(max_vertices=9))
+def test_vertex_questions_match_the_cycle_scans_without_enumerating(g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "simple_cycles", _no_cycles)
+        got = free_certificate(g, 2), essential_vertex_off_cycle(g)
+    assert got == (_free_certificate_by_full_intersection(g, 2),
+                   _essential_vertex_off_cycle_by_scan(g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -579,8 +635,10 @@ def test_component_betti_matches_the_edge_scan(data):
     g = Graph.make([str(v) for v in range(n)],
                    [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(chosen)])
     banned = frozenset(data.draw(st.lists(st.sampled_from(g.vertices))))
-    for comp in C._complement_components(g, banned):
-        assert C._component_betti(g, comp) == _betti_by_edge_scan(g, comp)
+    got = list(C._complement(g, banned))
+    assert [comp for comp, _ in got] == list(_components_without(g, banned))
+    for comp, b1 in got:
+        assert b1 == _betti_by_edge_scan(g, comp)
 
 
 @settings(max_examples=100, deadline=None)

@@ -526,12 +526,19 @@ def test_text_format_renders_the_json_of_the_same_argv(tmp_path, capsys, name,
     assert (render(data) + "\n").encode() == expected
 
 
+def _patch_build(monkeypatch, fake):
+    # hyperplanes binds complex.build when it is first imported: import it
+    # before the patch, or it keeps the fake for the rest of the session
+    import braidscope.hyperplanes  # noqa: F401
+    monkeypatch.setattr("braidscope.complex.build", fake)
+
+
 def test_unexpected_exception_exits_4_without_traceback(p3, monkeypatch,
                                                         capsys):
     def broken(g, n, **kwargs):
         raise KeyError("e7")
 
-    monkeypatch.setattr("braidscope.complex.build", broken)
+    _patch_build(monkeypatch, broken)
     rc = main(["build", "--graph", p3, "-n", "2"])
     assert rc == cli.EXIT_INVARIANT == 4
     captured = capsys.readouterr()
@@ -543,7 +550,7 @@ def test_keyboard_interrupt_still_propagates(p3, monkeypatch):
     def interrupted(g, n, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("braidscope.complex.build", interrupted)
+    _patch_build(monkeypatch, interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["build", "--graph", p3, "-n", "2"])
 

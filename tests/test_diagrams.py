@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
@@ -337,6 +338,56 @@ def test_piler_dependence_sets_match_pairwise_touches():
                  for i in range(rng.randint(0, 12))]
         g = Graph.make([str(v) for v in range(nv)], edges)
         assert _Piler(g).dep == R.pairwise_dep(g)
+
+
+def _read_by_scan(piler, piles):
+    """`_Piler.read` as first written: for every output letter, scan the
+    generators from the first for one whose pile starts with its letter."""
+    out = []
+    remaining = sum(1 for gid in piler.gens for x in piles[gid] if x != 0)
+    while remaining:
+        for gid in piler.gens:
+            pile = piles[gid]
+            if pile and pile[0] != 0:
+                out.append((gid, pile[0]))
+                for j in piler.dep[gid]:
+                    piles[j].popleft()
+                remaining -= 1
+                break
+        else:
+            raise AssertionError("piling stuck")
+    return tuple(out)
+
+
+def test_piler_read_matches_the_generator_scan():
+    # random multigraphs with loops and parallel edges, random words with
+    # cancellations: the ready heap reads the scan's word
+    rng = random.Random(2311)
+    for _ in range(300):
+        nv = rng.randint(1, 6)
+        edges = [(f"e{i}", str(rng.randrange(nv)), str(rng.randrange(nv)))
+                 for i in range(rng.randint(1, 12))]
+        piler = _Piler(Graph.make([str(v) for v in range(nv)], edges))
+        word = [(rng.choice(piler.gens), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 30))]
+        got = piler.read(piler.pile(word))
+        assert got == _read_by_scan(piler, piler.pile(word)), word
+        assert piler.reduce(got) == got
+
+
+def test_piler_reads_a_long_walk_in_near_linear_time():
+    # 12,000 letters walking C_2003 backwards from its last edge: each
+    # letter depends on the next, so the word is its own normal form,
+    # and every letter sits near the end of the generator order, where
+    # the scan took about a second
+    g = F.cycle_graph(2003)
+    word = [(f"e{2003 - i % 2003}", -1) for i in range(12000)]
+    piler = _Piler(g)
+    piles = piler.pile(word)
+    t0 = time.monotonic()
+    assert piler.read(piles) == tuple(word)
+    assert time.monotonic() - t0 < 0.5
+    assert not any(piles.values())
 
 
 # -- witness elements -----------------------------------------------------------
