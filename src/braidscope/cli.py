@@ -25,17 +25,25 @@ trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
 violation or argparse usage error, 3 resource limit, 4 failed internal
 consistency check (such as a full ``build`` whose two hyperplane routes
-count differently; one ``internal check failed:`` line on stderr) or any
-other unexpected exception (one ``internal error:`` line); never a
-traceback.  A negative particle count, a negative ``--max-dim`` and a
-``table --min`` below 1 are precondition violations.  A reader that
-closes stdout early (``| head``) ends the run quietly with exit 0.
+count differently, or Świątkowski homology that does not fit the cube
+complex; one ``internal check failed:`` line on stderr) or any other
+unexpected exception (one ``internal error:`` line); never a traceback.
+A negative particle count, a negative ``--max-dim``, a negative cell cap
+and a ``table --min`` below 1 are precondition violations.  A reader
+that closes stdout early (``| head``) ends the run quietly with exit 0.
+
+``homology --subdivide`` asks for H_* of the configuration space
+UConf_n.  The cube complex of the subdivided graph is built for its
+f-vector, χ and caps, and the reduced Świątkowski complex of the
+smoothed graph (``braidscope.swiatkowski``) answers when it has fewer
+cells and no dimension over the Smith cap; its groups must fit the cube
+complex's dimensions and χ.  Otherwise the cube complex answers.
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
 tokens.  Words use ``+eID``/``-eID`` tokens, after ``--`` if any is a
 ``-eID``.  The cell cap can be overridden with the BRAIDSCOPE_MAX_CELLS
-environment variable.
+environment variable, and ``--max-cells`` overrides both.
 """
 
 from __future__ import annotations
@@ -54,7 +62,8 @@ from .errors import (
     BraidscopeError, InvariantError, ParseError, PreconditionError,
     ResourceLimitError,
 )
-from .graph import Graph, Subgraph, idkey, normalize, subdivide_for
+from .graph import (Graph, Subgraph, idkey, normalize, smooth,
+                    subdivide_for)
 
 if TYPE_CHECKING:
     from .classifier import ClassificationReport
@@ -130,15 +139,18 @@ def emit_json(obj) -> None:
 
 def cell_cap(args) -> int:
     from .complex import DEFAULT_CELL_CAP
-    env = os.environ.get("BRAIDSCOPE_MAX_CELLS")
-    if args.max_cells is not None:
-        return args.max_cells
-    if env is not None:
+    cap = args.max_cells
+    if cap is None:
+        env = os.environ.get("BRAIDSCOPE_MAX_CELLS")
+        if env is None:
+            return DEFAULT_CELL_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ParseError("BRAIDSCOPE_MAX_CELLS must be an integer") from exc
-    return DEFAULT_CELL_CAP
+    if cap < 0:
+        raise PreconditionError("cell cap must be >= 0")
+    return cap
 
 
 # -- report serialisation -------------------------------------------------
@@ -304,20 +316,33 @@ def word_table(data: dict) -> str:
 
 
 def cmd_homology(args, g) -> dict:
+    """H_* of the cube complex UC_n of `g`; under --subdivide, of UConf_n,
+    from the smaller model (module docstring)."""
     from .complex import build
-    from .homology import chain_complex, check_column_cap, homology
+    from .homology import (DEFAULT_COLUMN_CAP, chain_complex,
+                           check_column_cap, homology, swiatkowski_dims)
     n, nv, cap = args.particles, len(g.vertices), cell_cap(args)
     if g.edges and n > 0 and math.comb(nv, n) <= cap:
         # f_1 = |E| C(|V|-2, n-1): refuse before indexing a large graph
         check_column_cap((0, len(g.edges) * math.comb(nv - 2, n - 1)))
     x = build(g, n, cell_cap=cap)
-    check_column_cap(x.f_vector())
-    h = homology(chain_complex(x))
+    f = x.f_vector()
+    check_column_cap(f)
+    euler = x.euler_characteristic()
+    h = None
+    if args.subdivide:
+        m = smooth(g)
+        dims = swiatkowski_dims(m, n)
+        if sum(dims) < sum(f) and max(dims) <= DEFAULT_COLUMN_CAP:
+            from .swiatkowski import fitted, reduced_complex
+            h = fitted(homology(reduced_complex(m, n)), len(f) - 1, euler)
+    if h is None:
+        h = homology(chain_complex(x))
     return {
         "free_ranks": list(h.free_ranks),
         "torsion": [list(t) for t in h.torsion],
         "groups": [h.group(d) for d in range(len(h.free_ranks))],
-        "euler_characteristic": x.euler_characteristic(),
+        "euler_characteristic": euler,
     }
 
 

@@ -61,12 +61,12 @@ pivots are handed down; the dense residue's rows stay in.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
 from typing import NamedTuple
 
 from .complex import CubeComplex, bits
 from .errors import InvariantError, PreconditionError, ResourceLimitError
-from .graph import Frozen
+from .graph import Frozen, Graph
 
 DEFAULT_COLUMN_CAP = 20000
 
@@ -200,6 +200,31 @@ def check_column_cap(f_vector, column_cap: int = DEFAULT_COLUMN_CAP) -> None:
         if cols_n > column_cap:
             raise ResourceLimitError(
                 f"{cols_n} columns exceed Smith-form cap {column_cap}")
+
+
+def swiatkowski_dims(m: Graph, n: int) -> tuple:
+    """|C_i|, i = 0..n, of the weight-n reduced Świątkowski complex of
+    `m` (:mod:`.swiatkowski`) in closed form, so that a caller can choose
+    between it and the cube complex before building either: e_i(deg v - 1
+    over the vertices with an edge) times Σ_t C(#isolated, t) times the
+    number of monomials of degree n - i - t in the |E| edges."""
+    sym = [1]   # elementary symmetric polynomials, up to degree n
+    isolated = 0
+    for v in m.vertices:
+        k = m.degree(v) - 1
+        if k < 0:
+            isolated += 1
+        elif k:
+            sym = [a + k * b for a, b in zip(sym + [0], [0] + sym)][:n + 1]
+    e = len(m.edges)
+
+    def monomials(k):
+        return comb(k + e - 1, k) if e else int(k == 0)
+
+    return tuple((sym[i] if i < len(sym) else 0)
+                 * sum(comb(isolated, t) * monomials(n - i - t)
+                       for t in range(min(isolated, n - i) + 1))
+                 for i in range(n + 1))
 
 
 def smith_invariants(columns, shape: tuple,

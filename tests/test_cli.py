@@ -175,6 +175,18 @@ def test_env_cell_cap(p3, k5, tmp_path):
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("command", ["homology", "build"])
+def test_negative_env_cell_cap_is_refused(p3, monkeypatch, capsys, command):
+    monkeypatch.setenv("BRAIDSCOPE_MAX_CELLS", "-5")
+    assert main([command, "--graph", p3, "-n", "1"]) == cli.EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition violation: cell cap must be >= 0\n"
+    # the flag wins over the variable, and a cap of 0 is a cap
+    assert main([command, "--graph", p3, "-n", "1", "--max-cells", "0"]) == 3
+    assert main([command, "--graph", p3, "-n", "1", "--max-cells", "9"]) == 0
+
+
 def test_json_determinism_and_roundtrip(k5):
     rc1, out1, _ = run_cli(["analyze", "--graph", k5, "-n", "2"])
     rc2, out2, _ = run_cli(["analyze", "--graph", k5, "-n", "2"])
@@ -609,6 +621,14 @@ EXITS = {
     "dot-coloring-negative-max-dim": (["build", "--graph", "P3", "-n", "1",
                                        "--max-dim", "-1", "--format", "dot",
                                        "--dot-what", "coloring"], None, 2),
+    "homology-negative-max-cells": (["homology", "--graph", "P3", "-n", "1",
+                                     "--max-cells", "-5"], None, 2),
+    "build-negative-max-cells": (["build", "--graph", "P3", "-n", "1",
+                                  "--max-cells", "-5"], None, 2),
+    "dot-coloring-negative-max-cells": (["build", "--graph", "P3", "-n", "1",
+                                         "--format", "dot", "--dot-what",
+                                         "coloring", "--max-cells", "-5"],
+                                        None, 2),
 }
 
 # the message of each refusal of a negative or zero count
@@ -620,6 +640,9 @@ REFUSALS = {
     "subdivide-negative-particles": "particle count must be >= 0",
     "dot-coloring-negative-particles": "particle count must be >= 0",
     "dot-coloring-negative-max-dim": "max_dim must be >= 0",
+    "homology-negative-max-cells": "cell cap must be >= 0",
+    "build-negative-max-cells": "cell cap must be >= 0",
+    "dot-coloring-negative-max-cells": "cell cap must be >= 0",
 }
 
 

@@ -101,6 +101,12 @@ BASE = "cli errors graph"
     ([], "errors"),
     (["cli"], BASE),
     (["homology", "--graph", "G", "-n", "2"], BASE + " complex homology"),
+    # K_4 at n=2: the cube complex is the smaller, and answers
+    (["homology", "--graph", "K", "-n", "2", "--subdivide"],
+     BASE + " complex homology"),
+    # the triangle with a tail at n=2: 7 Świątkowski cells against 15 cubes
+    (["homology", "--graph", "G", "-n", "2", "--subdivide"],
+     BASE + " complex homology swiatkowski"),
     (["build", "--graph", "G", "-n", "2"], BASE + " complex hyperplanes"),
     (["build", "--graph", "G", "-n", "2", "--format", "dot",
       "--dot-what", "coloring"], BASE + " complex"),
@@ -109,14 +115,18 @@ BASE = "cli errors graph"
     (["table", "--family", "complete", "--max", "3", "--particles", "2"],
      BASE + " classifier families"),
     (["word", "--graph", "G", "--base", "1,3", "+d"], BASE + " complex diagrams"),
-], ids=("import", "cli-import", "homology", "build", "build-dot-coloring",
+], ids=("import", "cli-import", "homology", "homology-subdivide-cubical",
+        "homology-subdivide-swiatkowski", "build", "build-dot-coloring",
         "analyze", "relhyp-check", "table", "word"))
 def test_each_subcommand_imports_only_what_it_uses(tmp_path, argv, loaded):
     graph = tmp_path / "g.txt"
     graph.write_text("e a 1 2\ne b 2 3\ne c 3 1\ne d 3 4\n")
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("e a 1 2\ne b 1 3\ne c 1 4\ne d 2 3\ne e 2 4\ne f 3 4\n")
     collection = tmp_path / "c.txt"
     collection.write_text("1,2;3\n")
-    argv = [{"G": str(graph), "C": str(collection)}.get(a, a) for a in argv]
+    argv = [{"G": str(graph), "K": str(k4), "C": str(collection)}.get(a, a)
+            for a in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-c", STARTUP, *argv], env=env,
                           capture_output=True, text=True, check=False)
