@@ -25,19 +25,25 @@ trailing newline, so identical inputs yield byte-identical output);
 diagnostics go to stderr.  Exit codes: 1 parse error, 2 precondition
 violation or argparse usage error, 3 resource limit, 4 failed internal
 consistency check (such as a full ``build`` whose two hyperplane routes
-count differently, or Świątkowski homology that does not fit the cube
-complex; one ``internal check failed:`` line on stderr) or any other
+count differently, Świątkowski homology that does not fit the cube
+complex, or an H_0 that is not free of rank the number of components;
+one ``internal check failed:`` line on stderr) or any other
 unexpected exception (one ``internal error:`` line); never a traceback.
 A negative particle count, a negative ``--max-dim``, a negative cell cap
 and a ``table --min`` below 1 are precondition violations.  A reader
 that closes stdout early (``| head``) ends the run quietly with exit 0.
 
-``homology --subdivide`` asks for H_* of the configuration space
-UConf_n.  The cube complex of the subdivided graph is built for its
-f-vector, χ and caps, and the reduced Świątkowski complex of the
+``homology`` counts the cube complex before building it: its f-vector,
+χ and caps come from ``complex.count_cubes``, which refuses exactly as
+``complex.build`` would.  ``homology --subdivide`` asks for H_* of the
+configuration space UConf_n: the reduced Świątkowski complex of the
 smoothed graph (``braidscope.swiatkowski``) answers when it has fewer
-cells and no dimension over the Smith cap; its groups must fit the cube
-complex's dimensions and χ.  Otherwise the cube complex answers.
+cells than the cube complex of the subdivided graph and no dimension
+over the Smith cap; its groups must fit the cube complex's dimensions
+and χ.  Otherwise the cube complex is built, its f-vector must equal the
+count, and it answers.  Whichever complex answers, H_0 must be free of
+rank its number of path components, which checks d_1 where d∘d reads
+nothing.
 
 Graph files are UTF-8 text: optional ``v <id>`` lines, one
 ``e <id> <u> <v>`` line per edge, ``#`` comments.  Ids are alphanumeric
@@ -318,26 +324,34 @@ def word_table(data: dict) -> str:
 def cmd_homology(args, g) -> dict:
     """H_* of the cube complex UC_n of `g`; under --subdivide, of UConf_n,
     from the smaller model (module docstring)."""
-    from .complex import build
+    from .complex import build, count_cubes
     from .homology import (DEFAULT_COLUMN_CAP, chain_complex,
-                           check_column_cap, homology, swiatkowski_dims)
+                           check_column_cap, check_components,
+                           configuration_components, homology,
+                           swiatkowski_dims)
     n, nv, cap = args.particles, len(g.vertices), cell_cap(args)
     if g.edges and n > 0 and math.comb(nv, n) <= cap:
         # f_1 = |E| C(|V|-2, n-1): refuse before indexing a large graph
         check_column_cap((0, len(g.edges) * math.comb(nv - 2, n - 1)))
-    x = build(g, n, cell_cap=cap)
-    f = x.f_vector()
+    # the cube complex is counted first, and built only where it answers
+    f = count_cubes(g, n, cap)
     check_column_cap(f)
-    euler = x.euler_characteristic()
+    euler = sum((-1) ** d * k for d, k in enumerate(f))
     h = None
     if args.subdivide:
         m = smooth(g)
         dims = swiatkowski_dims(m, n)
         if sum(dims) < sum(f) and max(dims) <= DEFAULT_COLUMN_CAP:
             from .swiatkowski import fitted, reduced_complex
-            h = fitted(homology(reduced_complex(m, n)), len(f) - 1, euler)
+            h = fitted(homology(reduced_complex(m, n)), len(f) - 1, euler,
+                       configuration_components(m, n))
     if h is None:
+        x = build(g, n, cell_cap=cap)
+        if x.f_vector() != f:
+            raise InvariantError(f"cube complex has f-vector {list(x.f_vector())}, "
+                                 f"its count {list(f)}")
         h = homology(chain_complex(x))
+        check_components(h, x.component_count(), "cube complex")
     return {
         "free_ranks": list(h.free_ranks),
         "torsion": [list(t) for t in h.torsion],

@@ -167,13 +167,8 @@ def _matchings(edges: list, top: int):
                 stack.append((i + 1, m | b, used | em, d + 1))
 
 
-def build(g: Graph, n: int, max_dim: Optional[int] = None,
-          cell_cap: int = DEFAULT_CELL_CAP) -> CubeComplex:
-    """Enumerate UC_n(g) up to dimension min(n, max_dim).
-
-    The caller chooses whether to subdivide first; the complex is built
-    for the graph exactly as given.
-    """
+def _admit(g: Graph, n: int, max_dim: Optional[int], cell_cap: int) -> None:
+    """The refusals of ``build`` before any cube is enumerated."""
     if not g.is_simple():
         raise PreconditionError("build expects a normalized graph")
     if n < 0:
@@ -186,6 +181,16 @@ def build(g: Graph, n: int, max_dim: Optional[int] = None,
     if math.comb(len(g.vertices), n) > cell_cap:
         raise ResourceLimitError(
             f"{math.comb(len(g.vertices), n)} configurations exceed cap {cell_cap}")
+
+
+def build(g: Graph, n: int, max_dim: Optional[int] = None,
+          cell_cap: int = DEFAULT_CELL_CAP) -> CubeComplex:
+    """Enumerate UC_n(g) up to dimension min(n, max_dim).
+
+    The caller chooses whether to subdivide first; the complex is built
+    for the graph exactly as given.
+    """
+    _admit(g, n, max_dim, cell_cap)
     top = n if max_dim is None else min(n, max_dim)
 
     ix = BitIndex(g)
@@ -209,6 +214,31 @@ def build(g: Graph, n: int, max_dim: Optional[int] = None,
             raise ResourceLimitError(f"cell count exceeds cap {cell_cap}")
 
     return CubeComplex(g, n, top, tuple(levels), ix)
+
+
+def count_cubes(g: Graph, n: int, cell_cap: int = DEFAULT_CELL_CAP) -> tuple:
+    """The f-vector of ``build(g, n, cell_cap=cell_cap)`` without building
+    it; raises what that call raises, in the same order.
+
+    A d-cube is a d-matching plus n - d of the |V| - 2d vertices off it,
+    so f_0 = C(|V|, n) and f_d = m_d C(|V| - 2d, n - d), where m_d counts
+    the d-matchings.  The matchings are enumerated as ``build`` does and
+    the total checked against the cap after each; their stationary
+    choices are only counted.
+    """
+    _admit(g, n, None, cell_cap)
+    nv = len(g.vertices)
+    vbit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    edges = [(1 << i, vbit[e.u] | vbit[e.v]) for i, e in enumerate(g.edges)]
+    per = [math.comb(nv - 2 * d, n - d) for d in range(min(n, nv - n) + 1)]
+    matchings = [1] + [0] * n
+    total = per[0]
+    for d, _, _ in _matchings(edges, len(per) - 1):
+        matchings[d] += 1
+        total += per[d]
+        if total > cell_cap:
+            raise ResourceLimitError(f"cell count exceeds cap {cell_cap}")
+    return tuple(k * c for k, c in zip(matchings, per + [0] * n))
 
 
 def euler_characteristic(x: CubeComplex) -> int:

@@ -227,6 +227,21 @@ def swiatkowski_dims(m: Graph, n: int) -> tuple:
                  for i in range(n + 1))
 
 
+def configuration_components(m: Graph, n: int) -> int:
+    """The number of path components of UConf_n(m) in closed form.  The
+    configurations of a component with an edge are connected for any
+    number of particles, and an isolated vertex holds at most one; so
+    with i isolated vertices and c components that have an edge this is
+    Σ_t C(i, t) C(n - t + c - 1, c - 1), where t particles sit on
+    isolated vertices (only t = n when c = 0)."""
+    isolated = sum(1 for v in m.vertices if not m.degree(v))
+    c = len(m.components()) - isolated
+    if not c:
+        return comb(isolated, n)
+    return sum(comb(isolated, t) * comb(n - t + c - 1, c - 1)
+               for t in range(min(isolated, n) + 1))
+
+
 def smith_invariants(columns, shape: tuple,
                      column_cap: int = DEFAULT_COLUMN_CAP,
                      drop_cols=frozenset(), pivot_rows=None) -> list:
@@ -452,6 +467,15 @@ class HomologySummary(NamedTuple):
 
     def euler(self) -> int:
         return sum((-1) ** d * r for d, r in enumerate(self.free_ranks))
+
+
+def check_components(h: HomologySummary, components: int, model: str) -> None:
+    """Raise InvariantError unless H_0 is free of rank `components`, the
+    number of path components, with no torsion; this checks d_1 where
+    d o d reads nothing, as when the complex has no 2-cells."""
+    if h.free_ranks[0] != components or h.torsion[0]:
+        raise InvariantError(f"{model} homology has H_0 = {h.group(0)}, "
+                             f"not Z^{components}, one Z per path component")
 
 
 def homology(c: ChainComplex,

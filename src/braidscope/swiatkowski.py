@@ -120,11 +120,13 @@ def reduced_complex(g: Graph, n: int) -> homology.ChainComplex:
     return out
 
 
-def fitted(h: homology.HomologySummary, top: int,
-           euler: int) -> homology.HomologySummary:
+def fitted(h: homology.HomologySummary, top: int, euler: int,
+           components: int) -> homology.HomologySummary:
     """`h` on degrees 0..top, padded with zero groups, after checking it
-    against the cube complex it stands in for: no group above `top`, and
-    Euler characteristic `euler`."""
+    against the cube complex it stands in for: no group above `top`,
+    Euler characteristic `euler`, and H_0 free of rank `components`
+    (``homology.configuration_components``), which checks d_1 where
+    d o d reads nothing."""
     if any(h.free_ranks[top + 1:]) or any(h.torsion[top + 1:]):
         raise InvariantError(
             f"Świątkowski homology is nonzero above dimension {top}")
@@ -134,4 +136,5 @@ def fitted(h: homology.HomologySummary, top: int,
     if out.euler() != euler:
         raise InvariantError(f"Świątkowski homology has Euler characteristic "
                              f"{out.euler()}, the cube complex {euler}")
+    homology.check_components(out, components, "Świątkowski")
     return out

@@ -1,12 +1,14 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import labels as L
 from braidscope import families as F
-from braidscope.complex import build, is_surface, verify_npc
+from braidscope.complex import build, count_cubes, is_surface, verify_npc
 from braidscope.errors import PreconditionError, ResourceLimitError
-from braidscope.graph import Graph, subdivide_for
+from braidscope.graph import Graph, normalize, subdivide_for
 
 
 def test_f_vector_path():
@@ -168,3 +170,62 @@ def test_component_count_of_split_configurations():
     )
     x = build(both, 2)
     assert x.component_count() == 3  # 2+0, 1+1, 0+2
+
+
+# -- the f-vector counted without building ------------------------------------
+
+@st.composite
+def multigraphs(draw):
+    """Up to 8 vertices, loops and parallel edges allowed, normalized."""
+    nv = draw(st.integers(1, 8))
+    ends = st.integers(0, nv - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=9))
+    return normalize(Graph.make(
+        [f"v{i}" for i in range(nv)],
+        [(f"e{i}", f"v{u}", f"v{v}") for i, (u, v) in enumerate(edges)]))
+
+
+def outcome(count, g, n, cap):
+    """("counts", f-vector) or ("raised", type, message)."""
+    try:
+        return "counts", count(g, n, cap)
+    except (PreconditionError, ResourceLimitError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def built(g, n, cap):
+    return build(g, n, cell_cap=cap).f_vector()
+
+
+# cube complexes over this many cells are compared only at the caps below it
+COUNT_BUDGET = 20000
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.integers(0, 4), st.booleans())
+def test_count_cubes_refuses_and_counts_as_build_does(g, n, subdivided):
+    if subdivided:
+        try:
+            g = subdivide_for(g, n)
+        except PreconditionError:
+            return   # no room for n particles
+    first = outcome(count_cubes, g, n, COUNT_BUDGET)
+    assert first == outcome(built, g, n, COUNT_BUDGET)
+    if first[0] != "counts":
+        return
+    total = sum(first[1])
+    for cap in (0, math.comb(len(g.vertices), n) - 1, total - 1, total):
+        if cap >= 0:
+            assert outcome(count_cubes, g, n, cap) == outcome(built, g, n, cap)
+    assert outcome(count_cubes, g, n, total) == first
+
+
+def test_count_cubes_examples():
+    assert count_cubes(F.path_graph(2), 2) == (3, 2, 0)
+    assert count_cubes(F.complete_graph(5), 2) == (10, 30, 15)
+    # n = |V|: no cube moves, but the f-vector still runs to dimension n
+    assert count_cubes(F.path_graph(2), 3) == (1, 0, 0, 0)
+    with pytest.raises(ResourceLimitError, match="^cell count exceeds cap 54$"):
+        count_cubes(F.complete_graph(5), 2, cell_cap=54)
+    with pytest.raises(PreconditionError, match="normalized"):
+        count_cubes(Graph.make(["a"], [("e", "a", "a")]), 1)

@@ -342,6 +342,67 @@ def test_corrupted_facet_raises_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+# each Świątkowski-route check of `homology --subdivide` raises, so that
+# it holds under python -O: a forged rank changes χ, a forged group lies
+# above the cube complex's top dimension, and a sign flipped in d_1 (the
+# rose's complex has no 2-cells at n=4, so d o d reads nothing) leaves
+# H_0 = Z/2
+SWIATKOWSKI_MUTANT = """
+import sys
+import braidscope.homology as H
+from braidscope.cli import main
+
+if not sys.flags.optimize:
+    sys.exit(99)
+mutant, path, n = sys.argv[1:]
+real_homology, real_dd = H.homology, H.verify_dd_zero
+
+
+def forged(c, *args):
+    h = real_homology(c, *args)
+    if mutant == "euler":
+        return h._replace(free_ranks=(h.free_ranks[0], h.free_ranks[1] + 1)
+                          + h.free_ranks[2:])
+    return h._replace(free_ranks=h.free_ranks + (1,),
+                      torsion=h.torsion + ((),))
+
+
+def flipping(c):
+    col = c.columns[1][-1]
+    r = next(iter(col))
+    col[r] = -col[r]
+    return real_dd(c)
+
+
+if mutant == "h0":
+    H.verify_dd_zero = flipping
+else:
+    H.homology = forged
+sys.exit(main(["homology", "--subdivide", "--graph", path, "-n", n]))
+"""
+
+
+@pytest.mark.parametrize("mutant,g,n,err", [
+    ("euler", F.star_graph(5), 3,
+     "Świątkowski homology has Euler characteristic -26, the cube complex -25"),
+    ("above-top", F.star_graph(5), 3,
+     "Świątkowski homology is nonzero above dimension 3"),
+    ("h0", F.rose_graph(3, 3, rays=2), 4,
+     "Świątkowski homology has H_0 = Z/2, not Z^1, one Z per path component"),
+])
+def test_swiatkowski_checks_exit_4_under_optimize(tmp_path, mutant, g, n, err):
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"v {v}\n" for v in g.vertices) + "".join(
+        f"e {e.id.replace('_', 'x')} {e.u} {e.v}\n" for e in g.edges))
+    src = os.path.dirname(os.path.dirname(braidscope.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SWIATKOWSKI_MUTANT, mutant, str(path),
+         str(n)], env=env, capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        4, "", f"internal check failed: {err}\n")
+
+
 def test_homology_circle():
     h = homology(chain_complex(build(F.cycle_graph(4), 2)))
     assert h.free_ranks == (1, 1, 0)

@@ -4,13 +4,15 @@ route that `homology --subdivide` takes between them."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidscope.complex as C
 import braidscope.homology as H
 from braidscope import cli, families as F
 from braidscope.cli import main
 from braidscope.complex import build
 from braidscope.errors import InvariantError, ResourceLimitError
 from braidscope.graph import Graph, normalize, smooth, subdivide_for
-from braidscope.homology import (HomologySummary, chain_complex, homology,
+from braidscope.homology import (HomologySummary, chain_complex,
+                                 configuration_components, homology,
                                  swiatkowski_dims, verify_dd_zero)
 from braidscope.swiatkowski import fitted, reduced_complex
 from test_homology import _cancel_fixtures
@@ -76,6 +78,31 @@ def test_closed_form_sizes(g, n, dims):
     assert swiatkowski_dims(smooth(normalize(g)), n) == dims
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_isolated_vertices(), st.integers(0, 4))
+def test_component_count_matches_the_cube_complex(g, n):
+    if not g.edges and len(g.vertices) < n:
+        return   # subdivide_for refuses: no room for n particles
+    try:
+        x = build(subdivide_for(g, n), n, cell_cap=30000)
+    except ResourceLimitError:
+        return
+    assert configuration_components(smooth(g), n) == x.component_count()
+
+
+@pytest.mark.parametrize("g,n,components", [
+    # three isolated vertices hold 0, 1 or 2 of two particles, the edge the
+    # rest: 1 + 3 + 3 ways
+    (Graph.make(["a", "b", "c", "d", "e"], [("x", "a", "b")]), 2, 7),
+    # no edge: two particles on two of four vertices
+    (Graph.make(["a", "b", "c", "d"], []), 2, 6),
+    (Graph.make(["a"], []), 2, 0),
+    (F.complete_graph(4), 0, 1),
+])
+def test_component_count_examples(g, n, components):
+    assert configuration_components(smooth(normalize(g)), n) == components
+
+
 def test_loop_generators_have_zero_boundary():
     # a circle smooths to one loop: UConf_n(S^1) is a circle for n >= 1
     m = smooth(F.cycle_graph(5))
@@ -109,15 +136,20 @@ def test_dd_check_sees_one_flipped_sign_in_any_dimension():
 
 def test_fitted_pads_and_checks_against_the_cube_complex():
     h = HomologySummary((1, 3), ((), (2,)))
-    assert fitted(h, 3, -2) == HomologySummary((1, 3, 0, 0),
-                                               ((), (2,), (), ()))
+    assert fitted(h, 3, -2, 1) == HomologySummary((1, 3, 0, 0),
+                                                  ((), (2,), (), ()))
     with pytest.raises(InvariantError, match="Euler characteristic -2, "
                                              "the cube complex -1"):
-        fitted(h, 3, -1)
+        fitted(h, 3, -1, 1)
     with pytest.raises(InvariantError, match="nonzero above dimension 0"):
-        fitted(h, 0, 1)
-    assert fitted(HomologySummary((1, 0), ((), ())), 0, 1) == (
+        fitted(h, 0, 1, 1)
+    assert fitted(HomologySummary((1, 0), ((), ())), 0, 1, 1) == (
         HomologySummary((1,), ((),)))
+    # H_0 must be free of rank the number of components
+    with pytest.raises(InvariantError, match=r"H_0 = Z, not Z\^2, one Z per"):
+        fitted(h, 3, -2, 2)
+    with pytest.raises(InvariantError, match=r"H_0 = Z/2, not Z\^1, one Z"):
+        fitted(HomologySummary((0, 1), ((2,), ())), 1, -1, 1)
 
 
 # -- the route of `homology --subdivide` ----------------------------------------
@@ -143,6 +175,19 @@ def cubical_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def build_calls(monkeypatch):
+    calls = []
+    real = C.build
+
+    def counting(g, n, *args, **kwargs):
+        calls.append(n)
+        return real(g, n, *args, **kwargs)
+
+    monkeypatch.setattr(C, "build", counting)
+    return calls
+
+
 @pytest.mark.parametrize("g,n,cubical", [
     (F.rose_graph(3, 3, rays=2), 4, False),
     (F.complete_graph(4), 2, True),
@@ -150,20 +195,38 @@ def cubical_calls(monkeypatch):
     # smaller in total, but C_1 = 68,400 is over the Smith cap
     (F.complete_graph(20), 2, True),
 ], ids=("rose3+2-n4", "K4-n2", "K5-n2", "K20-n2"))
-def test_route_by_size(tmp_path, capsys, cubical_calls, g, n, cubical):
+def test_route_by_size(tmp_path, capsys, cubical_calls, build_calls, g, n,
+                       cubical):
     argv = ["homology", "--subdivide", "--graph", graph_file(tmp_path, g),
             "-n", str(n)]
     assert main(argv) == 0
-    assert cubical_calls == ([n] if cubical else [])
+    # the cube complex is counted, and built only where it answers
+    assert cubical_calls == build_calls == ([n] if cubical else [])
     assert capsys.readouterr().err == ""
 
 
 def test_route_without_subdivide_stays_cubical(tmp_path, capsys,
-                                               cubical_calls):
+                                               cubical_calls, build_calls):
     # H_* of UC_n of the graph as given: no model answers for it
     path = graph_file(tmp_path, F.star_graph(3))
     assert main(["homology", "--graph", path, "-n", "2"]) == 0
-    assert cubical_calls == [2]
+    assert cubical_calls == build_calls == [2]
+
+
+def test_built_f_vector_must_equal_the_count(tmp_path, monkeypatch, capsys):
+    real = C.CubeComplex.f_vector
+
+    def miscounted(x):
+        f = real(x)
+        return f[:-1] + (f[-1] + 1,)
+
+    monkeypatch.setattr(C.CubeComplex, "f_vector", miscounted)
+    path = graph_file(tmp_path, F.complete_graph(4))
+    assert main(["homology", "--subdivide", "--graph", path, "-n", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal check failed: cube complex has f-vector "
+                   "[6, 12, 4], its count [6, 12, 3]\n")
 
 
 def test_flipped_sign_exits_4(tmp_path, monkeypatch, capsys):
@@ -201,3 +264,34 @@ def test_forged_rank_exits_4(tmp_path, monkeypatch, capsys):
     assert err == ("internal check failed: Świątkowski homology has Euler "
                    "characteristic -26, the cube complex -25\n")
     assert cli.EXIT_INVARIANT == 4
+
+
+@pytest.mark.parametrize("g,n,subdivide,err", [
+    # the Świątkowski complex of the rose has no 2-cells at n=4
+    (F.rose_graph(3, 3, rays=2), 4, True,
+     "Świątkowski homology has H_0 = Z/2, not Z^1, one Z per path component"),
+    # cube complexes of dimension 1
+    (F.complete_graph(4), 1, True,
+     "cube complex homology has H_0 = Z/2, not Z^1, one Z per path component"),
+    # on a tree the flip is a change of basis; on a cycle it is not
+    (F.cycle_graph(3), 1, False,
+     "cube complex homology has H_0 = Z/2, not Z^1, one Z per path component"),
+], ids=("swiatkowski-rose3+2-n4", "cube-K4-n1", "cube-triangle-n1"))
+def test_flipped_sign_in_d1_exits_4(tmp_path, monkeypatch, capsys, g, n,
+                                    subdivide, err):
+    # one sign flipped in the last column of d_1 of the complex that
+    # answers; with no 2-cells, d o d reads nothing
+    real = H.verify_dd_zero
+
+    def flipping(c):
+        col = c.columns[1][-1]
+        r = next(iter(col))
+        col[r] = -col[r]
+        return real(c)
+
+    monkeypatch.setattr(H, "verify_dd_zero", flipping)
+    argv = ["homology", "--graph", graph_file(tmp_path, g), "-n", str(n)]
+    assert main(argv + ["--subdivide"] * subdivide) == 4
+    out, got = capsys.readouterr()
+    assert out == ""
+    assert got == f"internal check failed: {err}\n"
