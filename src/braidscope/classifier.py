@@ -18,7 +18,11 @@ oracle scan the cycles until the first hit, in the order of
 largest complement, so a hit, if there is one, comes early, while a
 long cycle leaves almost nothing.  The order decides only which witness
 is returned, never the verdict, since a scan with no hit reads every
-cycle in any order.
+cycle in any order.  The sequence fills as it is read, the cycles of
+length <= 4 first and the rest only when a scan reads past them, so a
+scan pays only for the prefix it reads; one with no hit drains it, and
+that is when the cycle cap can fire.  The oracle's star scans read no
+cycles.
 
 A vertex v is off some cycle iff g - v has one; on a connected graph
 with a cycle, v lies on every cycle iff g - v is a forest.  The vertex
@@ -421,13 +425,14 @@ class OracleVerdict(NamedTuple):
 class SubgraphOracle:
     """Exhaustive Λ1/Λ2 search over a doubly subdivided graph.
 
-    Witness subgraphs are enumerated once and reused for every particle
-    count; each witness's complement is analysed on the cached adjacency
-    when a scan first reaches it, and later scans reuse the flags.  The
-    cycle witnesses come shortest first, then the stars in centre and
-    arm order, so a cycle scan that hits stops at a shortest cycle that
-    gives a hit; a scan that misses reads every witness of its kind, so
-    the verdict does not depend on the order.
+    Witness subgraphs are kept by kind and reused for every particle
+    count: the graph's cycle sequence, shortest first and filled as far
+    as the scans read, and the stars in centre and arm order.  Each
+    witness's complement is analysed on the cached adjacency when a scan
+    first reaches it, and later scans reuse the flags.  A cycle scan that
+    hits stops at a shortest cycle that gives a hit; a scan that misses
+    reads every witness of its kind, so the verdict does not depend on
+    the order.
     """
 
     def __init__(self, g: Graph):
@@ -439,22 +444,18 @@ class SubgraphOracle:
                 f"smoothed graph exceeds {ORACLE_SMOOTH_VERTEX_CAP} vertices")
         self.base = g
         self.g2 = subdivide_all(g, 2)
-        self._witnesses = None
-        self._flags = {}   # witness index -> complement component flags
+        self.by_kind = {"cycle": simple_cycles(g), "star": [
+            (v, tuple(a.id for a in arms)) for v in g.essential_vertices()
+            for arms in itertools.combinations(
+                sorted(g.incidence[v], key=lambda e: idkey(e.id)), 3)]}
+        self._flags = {}   # (kind, index) -> complement component flags
 
     def witnesses(self) -> list:
         """(kind, info) pairs: ('cycle', Cycle) or ('star', (centre,
-        arm edge ids)); removed vertex sets are built by :meth:`removed`."""
-        if self._witnesses is not None:
-            return self._witnesses
-        cycles = simple_cycles(self.base)
-        outs = [("cycle", c) for c in cycles]
-        for v in self.base.essential_vertices():
-            incident = sorted(self.base.incidence[v], key=lambda e: idkey(e.id))
-            for arms in itertools.combinations(incident, 3):
-                outs.append(("star", (v, tuple(a.id for a in arms))))
-        self._witnesses = outs
-        return outs
+        arm edge ids)); removed vertex sets are built by :meth:`removed`.
+        Lists every cycle; the scans read ``by_kind`` instead."""
+        return [(kind, info) for kind, infos in self.by_kind.items()
+                for info in infos]
 
     def removed(self, kind: str, info) -> frozenset:
         """Vertices of the doubly subdivided graph that a witness takes
@@ -471,15 +472,14 @@ class SubgraphOracle:
                                 else f"{eid}#s2" for eid in arm_ids])
 
     def _scan(self, want_key: str, want_kind: str) -> Optional[tuple]:
-        for i, (kind, info) in enumerate(self.witnesses()):
-            if kind != want_kind:
-                continue
-            if i not in self._flags:   # the removed set lives only this long
-                self._flags[i] = _component_flags(self.g2,
-                                                  self.removed(kind, info))
-            for flags in self._flags[i]:
+        for i, info in enumerate(self.by_kind[want_kind]):
+            key = (want_kind, i)
+            if key not in self._flags:   # the removed set lives only this long
+                self._flags[key] = _component_flags(
+                    self.g2, self.removed(want_kind, info))
+            for flags in self._flags[key]:
                 if _oracle_flags(flags)[want_key]:
-                    return (kind, info, flags)
+                    return (want_kind, info, flags)
         return None
 
     def _first_hit(self, n: int, scans: tuple) -> OracleVerdict:

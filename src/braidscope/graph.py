@@ -19,6 +19,7 @@ build through the unchecked ``Graph._make``.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -590,8 +591,9 @@ def classify_shape(g: Graph) -> Shape:
     return shape
 
 
-def simple_cycles(g: Graph) -> tuple:
-    """All simple cycles of a normalized graph, shortest first.
+def simple_cycles(g: Graph) -> "Cycles":
+    """All simple cycles of a normalized graph, shortest first, as a lazy
+    read-only sequence (:class:`Cycles`) memoised on the graph instance.
 
     The order is by length, then by the cycle's vertex ids sorted by
     ``idkey`` (those tuples compared as strings), then by the vertex
@@ -599,28 +601,76 @@ def simple_cycles(g: Graph) -> tuple:
     second vertex below the last.  Iterative backtracking rooted at the
     least vertex of each cycle, over the 2-core left once the earlier
     roots are deleted, so trees and hanging trees are never searched
-    and long cycles need no deep recursion; every cycle is emitted once.
-    Raises ResourceLimitError beyond ``DEFAULT_CYCLE_CAP`` cycles, read
-    when the enumeration runs.  The finished tuple is cached on the
-    graph instance and returned as is by later calls on it; an
-    enumeration that raises caches nothing.
+    and long cycles need no deep recursion.  It fills in two batches, a
+    search bounded at depth 4 for the cycles of length <= 4 and one
+    unbounded search for the rest, and only as far as it is read:
+    iteration and ``[k]`` with k >= 0 stop there, while ``len``,
+    negative indices, slices and ``==`` drain it.  A fill past
+    ``DEFAULT_CYCLE_CAP`` cycles raises ResourceLimitError and evicts
+    the memo, so an enumeration that raises caches nothing.
     """
-    cached = g._memo.get("cycles")
-    if cached is None:
+    cycles = g._memo.get("cycles")
+    if cycles is None:
         if not g.is_simple():
             raise PreconditionError("simple_cycles expects a normalized graph")
-        cached = g._memo["cycles"] = _enumerate_cycles(g, DEFAULT_CYCLE_CAP)
-    return cached
+        cycles = g._memo["cycles"] = Cycles(g)
+    return cycles
 
 
-def _enumerate_cycles(g: Graph, cap: int) -> tuple:
+class Cycles(Sequence):
+    """The cycles of :func:`simple_cycles`, enumerated batch by batch as
+    they are read."""
+
+    def __init__(self, g: Graph):
+        self._g, self._found = g, []
+        self._batches = _cycle_batches(g, DEFAULT_CYCLE_CAP)
+
+    def _fill(self) -> bool:
+        """Append the next batch; False once every cycle is in."""
+        try:
+            self._found += next(self._batches)
+            return True
+        except StopIteration:
+            return False
+        except ResourceLimitError:   # evict; a later read starts afresh
+            if self._g._memo.get("cycles") is self:
+                del self._g._memo["cycles"]
+            self._found, self._batches = [], _cycle_batches(self._g, DEFAULT_CYCLE_CAP)
+            raise
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._found) or self._fill():
+            yield self._found[i]
+            i += 1
+
+    def __len__(self) -> int:
+        while self._fill():
+            pass
+        return len(self._found)
+
+    def __getitem__(self, k):
+        while not (isinstance(k, int) and 0 <= k < len(self._found)) and self._fill():
+            pass
+        return tuple(self._found[k]) if isinstance(k, slice) else self._found[k]
+
+    def __eq__(self, other):   # also makes Cycles unhashable, like a list
+        return tuple(self) == (tuple(other) if isinstance(other, Cycles) else other)
+
+    def __reduce__(self):   # a copy starts unfilled: a generator cannot be copied
+        return Cycles, (self._g,)
+
+
+def _cycle_batches(g: Graph, cap: int):
+    """The cycles of length <= 4, then the longer ones, each batch sorted
+    and left out when empty."""
     order = {v: i for i, v in enumerate(g.vertices)}
     eid = {a: {b: e.id for b, e in nb.items()}
            for a, nb in g.simple_adjacency.items()}
     # neighbour sets as dicts, which keep the canonical adjacency order
-    live = {v: dict.fromkeys(nb) for v, nb in g.adjacency.items()}
+    core = {v: dict.fromkeys(nb) for v, nb in g.adjacency.items()}
 
-    def drop(v):   # delete v, then every vertex left with < 2 neighbours
+    def drop(live, v):   # delete v, then every vertex left with < 2 neighbours
         stack = [v]
         while stack:
             x = stack.pop()
@@ -631,42 +681,46 @@ def _enumerate_cycles(g: Graph, cap: int) -> tuple:
                         stack.append(y)
 
     for v in g.vertices:
-        if v in live and len(live[v]) < 2:
-            drop(v)
-    found = []
-    for start in g.vertices:
-        if start not in live:
-            continue
-        # live holds the 2-core of g minus the earlier roots
-        path = [start]
-        on_path = {start}
-        pending = [iter(live[start])]   # unexplored neighbours per path vertex
-        while pending:
-            for y in pending[-1]:
-                if y == start:
-                    # canonical direction: second vertex below last vertex
-                    if len(path) >= 3 and order[path[1]] < order[path[-1]]:
-                        found.append(Cycle(tuple(path), tuple(
-                            [eid[a][b] for a, b in zip(path, path[1:] + path[:1])])))
-                        if len(found) > cap:
-                            raise ResourceLimitError(
-                                f"cycle count exceeds cap {cap}")
-                elif y not in on_path:
-                    path.append(y)
-                    on_path.add(y)
-                    pending.append(iter(live[y]))
-                    break
-            else:
-                pending.pop()
-                on_path.remove(path.pop())
-        drop(start)
+        if v in core and len(core[v]) < 2:
+            drop(core, v)
+    left = cap   # cycles that may still be found
     # each cycle's ids sorted by position, which is idkey order, then
     # compared as strings: the order of the key (len, sorted(ids,
     # key=idkey), vertices) with no idkey call
     at = order.__getitem__
-    found.sort(key=lambda c: (
-        len(c.vertices), tuple(sorted(c.vertices, key=at)), c.vertices))
-    return tuple(found)
+    for least, most in ((3, 4), (5, len(core))):
+        live = {v: dict(nb) for v, nb in core.items()}
+        found = []
+        for start in g.vertices:
+            if start not in live:
+                continue
+            # live holds the 2-core of g minus the earlier roots; pending
+            # holds the unexplored neighbours of each path vertex
+            path, on_path, pending = [start], {start}, [iter(live[start])]
+            while pending:
+                for y in pending[-1]:
+                    if y == start:
+                        # canonical direction: second vertex below last vertex
+                        if len(path) >= least and order[path[1]] < order[path[-1]]:
+                            found.append(Cycle(tuple(path), tuple(
+                                [eid[a][b] for a, b in zip(path, path[1:] + path[:1])])))
+                            if len(found) > left:
+                                raise ResourceLimitError(
+                                    f"cycle count exceeds cap {cap}")
+                    elif len(path) < most and y not in on_path:
+                        path.append(y)
+                        on_path.add(y)
+                        pending.append(iter(live[y]))
+                        break
+                else:
+                    pending.pop()
+                    on_path.remove(path.pop())
+            drop(live, start)
+        left -= len(found)
+        found.sort(key=lambda c: (
+            len(c.vertices), tuple(sorted(c.vertices, key=at)), c.vertices))
+        if found:
+            yield found
 
 
 def first_betti(x) -> int:

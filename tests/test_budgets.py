@@ -1,0 +1,111 @@
+"""Adversarial inputs end in a result within a time bound.
+
+Each case runs the CLI in a fresh process and must exit 0 within a
+bound in K, the wall time of one ``bench/calibrate.py`` child measured
+beside the cases (the median of three), so the bounds follow the speed
+of the machine.  The verdicts printed are checked against a networkx
+search for a vertex-disjoint pair of cycles.
+
+Cases still pending, because the program still reads every cycle on
+them: K_{3,32}, which has no disjoint pair, and ``relhyp-check`` on K_9
+with one whole-graph member.
+"""
+
+import itertools
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+import networkx as nx
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def k_seconds():
+    def once():
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, os.path.join(ROOT, "bench", "calibrate.py")],
+                       check=True)
+        return time.perf_counter() - t0
+
+    return statistics.median(once() for _ in range(3))
+
+
+def _has_disjoint_cycles(g: nx.Graph) -> bool:
+    # a chordless cycle on a subset of a cycle's vertices is disjoint
+    # from whatever that cycle is disjoint from
+    for cyc in nx.chordless_cycles(g):
+        rest = g.subgraph(set(g) - set(cyc))
+        if rest.number_of_edges() >= rest.number_of_nodes() - nx.number_connected_components(rest) + 1:
+            return True
+    return False
+
+
+def _ladder(rungs):
+    rails = [(f"{s}{i}", f"{s}{i + 1}") for s in "ab" for i in range(rungs - 1)]
+    return rails + [(f"a{i}", f"b{i}") for i in range(rungs)]
+
+
+GRID = ([(f"v{r}x{c}", f"v{r}x{c + 1}") for r in range(6) for c in range(5)]
+        + [(f"v{r}x{c}", f"v{r + 1}x{c}") for r in range(5) for c in range(6)])
+K11 = list(itertools.combinations([f"v{i}" for i in range(11)], 2))
+
+# (name, edges, particles, oracle, bound in K)
+ANALYZE_CASES = (
+    ("ladder31", _ladder(31), 2, "off", 8),
+    ("ladder60", _ladder(60), 2, "off", 8),
+    ("grid6x6", GRID, 2, "auto", 12),
+    ("k11", K11, 2, "off", 8),
+    ("k11", K11, 2, "auto", 8),
+    ("k11", K11, 3, "auto", 8),
+)
+
+
+def _run(argv, bound, k_seconds):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "braidscope.cli"] + argv,
+                          env=env, capture_output=True, timeout=100 * k_seconds)
+    wall = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    assert wall < bound * k_seconds, (wall, k_seconds)
+    return json.loads(proc.stdout)
+
+
+def _check_hyperbolic(verdict: bool, n: int, g: nx.Graph):
+    # a disjoint pair rules hyperbolicity out for n >= 2, and at n = 2
+    # nothing else does
+    if n == 2 or _has_disjoint_cycles(g):
+        assert verdict == (not _has_disjoint_cycles(g))
+
+
+@pytest.mark.parametrize("name,edges,n,oracle,bound", ANALYZE_CASES,
+                         ids=[f"{c[0]}-n{c[2]}-oracle-{c[3]}" for c in ANALYZE_CASES])
+def test_analyze_ends_in_time(tmp_path, k_seconds, name, edges, n, oracle, bound):
+    path = tmp_path / f"{name}.txt"
+    path.write_text("".join(f"e e{i} {u} {v}\n" for i, (u, v) in enumerate(edges)))
+    out = _run(["analyze", "--graph", str(path), "-n", str(n), "--oracle", oracle],
+               bound, k_seconds)
+    (row,) = out["assignments"]
+    _check_hyperbolic(row["hyperbolic"], n, nx.Graph(edges))
+    if oracle == "auto" and name == "k11":
+        assert out["oracle_agreement"] == {"hyperbolic": True, "toral_rel_hyp": True}
+
+
+@pytest.mark.parametrize("family,top,particles,rows", (
+    ("bipartite", 8, "2", 36), ("bipartite", 10, "2..3", 110),
+    ("complete", 12, "2..5", 48)))
+def test_table_ends_in_time(k_seconds, family, top, particles, rows):
+    out = _run(["table", "--family", family, "--max", str(top),
+                "--particles", particles], 8, k_seconds)
+    assert len(out["rows"]) == rows
+    for row in out["rows"]:
+        sizes = [int(x) for x in row["graph"][2:].split(",")]
+        g = (nx.complete_bipartite_graph(*sizes) if family == "bipartite"
+             else nx.complete_graph(*sizes))
+        _check_hyperbolic(row["hyperbolic"], row["n"], g)

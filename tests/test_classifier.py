@@ -179,6 +179,22 @@ def test_f2xz_witness_at_three_particles_is_the_same_under_every_hash_seed():
     assert outs == {"True ('b', '4') ['1', '10', '11', '2', '3', '5', '9']\n"}
 
 
+def test_analyze_prints_the_same_bytes_under_every_hash_seed(tmp_path):
+    # the 6x6 grid and K_11 answer from the first cycles they read
+    grid = [(f"v{r}x{c}", f"v{r}x{c + 1}") for r in range(6) for c in range(5)]
+    grid += [(f"v{r}x{c}", f"v{r + 1}x{c}") for r in range(5) for c in range(6)]
+    k11 = list(itertools.combinations([f"v{i}" for i in range(11)], 2))
+    for name, pairs in (("grid", grid), ("k11", k11)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"e e{i} {u} {v}\n" for i, (u, v) in enumerate(pairs)))
+        outs = {subprocess.run(
+            [sys.executable, "-m", "braidscope.cli", "analyze", "--graph", str(path),
+             "-n", "2"], capture_output=True, check=True, env=dict(
+                 os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                 PYTHONHASHSEED=seed)).stdout for seed in ("0", "3")}
+        assert len(outs) == 1 and b'"hyperbolic":false' in outs.pop(), name
+
+
 # -- acylindrical trichotomy ----------------------------------------------------
 
 def test_acyl_status():
@@ -481,8 +497,7 @@ def _essential_vertex_off_cycle_by_scan(g):
 def _enumeration_order_oracle(g):
     """An oracle whose cycle witnesses come in the enumeration order."""
     oracle = SubgraphOracle(g)
-    stars = [w for w in oracle.witnesses() if w[0] == "star"]
-    oracle._witnesses = [("cycle", c) for c in _enumeration_order(g)] + stars
+    oracle.by_kind["cycle"] = _enumeration_order(g)
     return oracle
 
 
@@ -660,13 +675,13 @@ def test_analyze_enumerates_the_cycles_once(tmp_path, monkeypatch, capsys):
     # enumeration of the graph's cycles
     from braidscope import cli, graph as G
     calls = []
-    enumerate_cycles = G._enumerate_cycles
+    cycle_batches = G._cycle_batches
 
-    def counting(g, cap):
+    def counting(g, cap):   # one enumerator per graph, counted when it runs
         calls.append(len(g.vertices))
-        return enumerate_cycles(g, cap)
+        yield from cycle_batches(g, cap)
 
-    monkeypatch.setattr(G, "_enumerate_cycles", counting)
+    monkeypatch.setattr(G, "_cycle_batches", counting)
     gfile = tmp_path / "k8.txt"
     gfile.write_text("".join(f"e e{u}{v} {u} {v}\n"
                              for u in range(1, 9) for v in range(u + 1, 9)))

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import cycles_reference as R
 from braidscope import families as F
 from braidscope.errors import PreconditionError, ResourceLimitError
 from braidscope.graph import (
@@ -386,7 +389,7 @@ def test_long_cycle_is_enumerated_in_linear_time():
     import braidscope.graph as G
     g = F.cycle_graph(4000)
     t0 = time.monotonic()
-    (c,) = G._enumerate_cycles(g, G.DEFAULT_CYCLE_CAP)
+    (c,) = G.simple_cycles(g)   # unpacking drains both batches
     assert time.monotonic() - t0 < 1
     assert len(c) == 4000 and c.vertices[:2] == ("1", "2")
 
@@ -442,8 +445,9 @@ def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap(monkeypatch):
     # the cap is read when an enumeration runs; a cached tuple is returned
     monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 36)
     assert simple_cycles(g) is cycles
+    # the cap fires when a fill passes it; len drains
     with pytest.raises(ResourceLimitError):
-        simple_cycles(F.complete_graph(5))
+        len(simple_cycles(F.complete_graph(5)))
     # the cache is no field: equality and hashing ignore it
     assert g == F.complete_graph(5) and hash(g) == hash(F.complete_graph(5))
 
@@ -451,21 +455,63 @@ def test_cycle_cache_returns_the_same_tuple_and_keeps_the_cap(monkeypatch):
 def test_cycle_enumeration_that_raises_caches_nothing(monkeypatch):
     import braidscope.graph as G
     calls = []
-    enumerate_cycles = G._enumerate_cycles
+    cycle_batches = G._cycle_batches
 
-    def counting(g, cap):
+    def counting(g, cap):   # records an enumeration when it starts to run
         calls.append(cap)
-        return enumerate_cycles(g, cap)
+        yield from cycle_batches(g, cap)
 
-    monkeypatch.setattr(G, "_enumerate_cycles", counting)
+    monkeypatch.setattr(G, "_cycle_batches", counting)
     monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 36)
     g = F.complete_graph(5)
+    first = simple_cycles(g)
     with pytest.raises(ResourceLimitError):
-        simple_cycles(g)
+        len(first)
     monkeypatch.setattr(G, "DEFAULT_CYCLE_CAP", 37)
     cycles = simple_cycles(g)
     assert len(cycles) == 37 and simple_cycles(g) is cycles
     assert calls == [36, 37]
+    # a sequence that raised starts afresh when read again, under its cap
+    with pytest.raises(ResourceLimitError):
+        len(first)
+    assert calls == [36, 37, 36] and simple_cycles(g) is cycles
+
+
+@st.composite
+def graphs_on_nine_vertices(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=16)) if pairs else []
+    return Graph.make([str(v) for v in range(n)],
+                      [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(chosen)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_on_nine_vertices(), st.integers(0, 12), st.integers(0, 10**4),
+       st.integers(-20, 20), st.integers(-20, 20))
+def test_lazy_cycles_match_the_eager_reference(g, stop, k, lo, hi):
+    R.check_lazy_cycles(g, stop, k, lo, hi)
+
+
+def test_lazy_cycles_match_the_eager_reference_under_python_O(tmp_path):
+    # the library's checks must not rest on assert statements
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import test_graph\n"
+            "test_graph.test_lazy_cycles_match_the_eager_reference()\n"
+            "print(__debug__)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join([here] + sys.path)))
+    assert out.stdout == "False\n"
+
+
+def test_a_graph_with_cycles_in_its_memo_copies_and_pickles():
+    g = F.complete_graph(5)
+    assert simple_cycles(g)[0].vertices == ("1", "2", "3")   # filled in part
+    for clone in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == g and simple_cycles(clone) == simple_cycles(g)
+        assert len(simple_cycles(clone)) == 37
 
 
 def test_cycles_project_under_subdivision():
