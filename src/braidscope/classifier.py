@@ -24,9 +24,10 @@ scan pays only for the prefix it reads; one with no hit drains it, and
 that is when the cycle cap can fire.  The oracle's star scans read no
 cycles.
 
-A vertex v is off some cycle iff g - v has one; on a connected graph
-with a cycle, v lies on every cycle iff g - v is a forest.  The vertex
-questions (freeness, obstruction (b)) read g - v, not the cycles.
+A vertex v is off some cycle iff b1(g - v) >= 1.  The vertex questions
+(freeness, obstructions (b) and (d)) read one table from one depth-first
+search: b1(g - v) = b1(g) - deg(v) + pieces(v), where pieces(v) counts
+the components that v's component falls into without v.
 
 Disjoint always means vertex-disjoint; degrees of original vertices are
 preserved by subdivision, which is what makes the complement trick
@@ -142,6 +143,38 @@ def _complement(g: Graph, banned) -> Iterator[tuple]:
         yield comp, edges - len(comp) + 1
 
 
+def _betti_without(g: Graph) -> dict:
+    """v -> b1(g - v) for every vertex of a simple graph, in vertex order,
+    by the low-point search of J. Hopcroft & R. Tarjan (CACM 16 (1973),
+    Algorithm 447): pieces(v) counts the DFS children c with low(c) >=
+    disc(v), plus one for the part above v when v is not a root."""
+    adj = g.adjacency
+    disc, low, pieces = {}, {}, {}
+    for root in g.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        pieces[root] = 0
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, nbrs = stack[-1]
+            for y in nbrs:
+                if y not in disc:
+                    disc[y] = low[y] = len(disc)
+                    pieces[y] = 1
+                    stack.append((y, v, iter(adj[y])))
+                    break
+                if y != parent:
+                    low[v] = min(low[v], disc[y])
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[v])
+                    pieces[parent] += low[v] >= disc[parent]
+    b1 = g.first_betti()
+    return {v: b1 - len(adj[v]) + pieces[v] for v in g.vertices}
+
+
 def _first_cycle_in(cycles, comp: frozenset) -> Cycle:
     return next(d for d in cycles if comp.issuperset(d.vertices))
 
@@ -169,10 +202,10 @@ def essential_vertex_off_cycle(g: Graph) -> Optional[tuple]:
     cycle, with the first component of g - v that has a cycle, or None."""
     if not g.is_simple():
         raise PreconditionError("expects a normalized graph")
+    without = _betti_without(g)
     for v in g.essential_vertices():
-        for comp, b1 in _complement(g, (v,)):
-            if b1 >= 1:
-                return (v, comp)
+        if without[v] >= 1:
+            return (v, next(c for c, k in _complement(g, (v,)) if k >= 1))
     return None
 
 
@@ -258,34 +291,31 @@ def _f2xz_obstruction_n3(g: Graph) -> Optional[tuple]:
     (e) a cycle disjoint from a cycle through an essential vertex.
 
     A pass over the cycles, shortest first, looks for (a), (c) and (e);
-    then the essential vertices, in vertex order, for (d) and (b), as v
-    is off some cycle iff g - v has a component with b1 >= 1.
+    then the essential vertices, in vertex order, for (d) and (b).
+
+    A component K of g - c with a cycle that is neither (a) nor (c) is
+    (e): K has one cycle c2, an edge joins K to c as g is connected, and
+    a path in K from c2 to that edge leaves c2 at a vertex of degree >= 3,
+    K's only essential vertex as K is not (c).  So a pass with no hit met
+    no disjoint cycles, g - v has at most one component with a cycle, and
+    b1(g - v) alone decides (d) and (b).
     """
     ess = g.essential_vertices()
     cycles = simple_cycles(g)
     for c in cycles:
-        on = c.vertex_set
-        for comp, b1 in _complement(g, on):
+        for comp, b1 in _complement(g, c.vertex_set):
             if b1 >= 2:
                 return ("a", c, comp)
-            held = comp.intersection(ess)
-            if len(held) >= 2:
+            if len(comp.intersection(ess)) >= 2:
                 return ("c", c, comp)
-            if b1 >= 1 and held:
-                # b1(comp) = 1 and comp holds one essential vertex v: v is
-                # on comp's one cycle iff two of its neighbours there are
-                # joined in comp - v
-                (v,) = held
-                nbrs = [y for y in g.adjacency[v] if y in comp]
-                if len(connected_components(
-                        nbrs, g.adjacency, on | {v})) < len(nbrs):
-                    return ("e", c, _first_cycle_in(cycles, comp))
+            if b1 >= 1:
+                return ("e", c, _first_cycle_in(cycles, comp))
+    without = _betti_without(g)
     for v in ess:
-        for comp, b1 in _complement(g, (v,)):
-            if b1 >= 2:
-                return ("d", v, comp)
-            if b1 >= 1 and g.degree(v) >= 4:
-                return ("b", v, comp)
+        b1 = without[v]
+        if b1 >= 2 or (b1 == 1 and g.degree(v) >= 4):
+            return ("d" if b1 >= 2 else "b", v,
+                    next(c for c, k in _complement(g, (v,)) if k >= 1))
     return None
 
 
@@ -327,18 +357,8 @@ def free_certificate(g: Graph, n: int) -> tuple:
             return ("free", "no cycles at all")
         if not g.is_simple():
             raise PreconditionError("expects a normalized graph")
-        # g - v is a forest only if v has more than b1 edges in the 2-core,
-        # which holds every cycle: one cycle, or at most two vertices
-        adj = g.adjacency
-        core = {v: len(nb) for v, nb in adj.items()}
-        leaves = [v for v, d in core.items() if d <= 1]
-        while leaves:   # strip the hanging trees, leaving them at <= 1
-            for y in adj[leaves.pop()]:
-                core[y] -= 1
-                if core[y] == 1:
-                    leaves.append(y)
-        for v in g.vertices:
-            if core[v] > b1 and all(k == 0 for _, k in _complement(g, (v,))):
+        for v, k in _betti_without(g).items():
+            if k == 0:
                 return ("free", f"vertex {v} lies on every cycle")
     return ("unknown", "no freeness criterion applies")
 

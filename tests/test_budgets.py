@@ -38,7 +38,10 @@ def k_seconds():
 
 def _has_disjoint_cycles(g: nx.Graph) -> bool:
     # a chordless cycle on a subset of a cycle's vertices is disjoint
-    # from whatever that cycle is disjoint from
+    # from whatever that cycle is disjoint from.  Integer labels fix the
+    # search order: with string labels it follows PYTHONHASHSEED, and
+    # under some seeds the first cycle of the 60-rung ladder takes minutes
+    g = nx.convert_node_labels_to_integers(g)
     for cyc in nx.chordless_cycles(g):
         rest = g.subgraph(set(g) - set(cyc))
         if rest.number_of_edges() >= rest.number_of_nodes() - nx.number_connected_components(rest) + 1:
@@ -54,6 +57,10 @@ def _ladder(rungs):
 GRID = ([(f"v{r}x{c}", f"v{r}x{c + 1}") for r in range(6) for c in range(5)]
         + [(f"v{r}x{c}", f"v{r + 1}x{c}") for r in range(5) for c in range(6)])
 K11 = list(itertools.combinations([f"v{i}" for i in range(11)], 2))
+# the 1,000-cycle with a leaf on every vertex: a sun, so at three
+# particles hyperbolic and without F2 x Z
+SUN1000 = ([(f"c{i}", f"c{(i + 1) % 1000}") for i in range(1000)]
+           + [(f"c{i}", f"x{i}") for i in range(1000)])
 
 # (name, edges, particles, oracle, bound in K)
 ANALYZE_CASES = (
@@ -63,6 +70,7 @@ ANALYZE_CASES = (
     ("k11", K11, 2, "off", 8),
     ("k11", K11, 2, "auto", 8),
     ("k11", K11, 3, "auto", 8),
+    ("sun1000", SUN1000, 3, "auto", 3),
 )
 
 
@@ -95,6 +103,9 @@ def test_analyze_ends_in_time(tmp_path, k_seconds, name, edges, n, oracle, bound
     _check_hyperbolic(row["hyperbolic"], n, nx.Graph(edges))
     if oracle == "auto" and name == "k11":
         assert out["oracle_agreement"] == {"hyperbolic": True, "toral_rel_hyp": True}
+    if name == "sun1000":
+        assert row["shapes"] == ["sun"]
+        assert row["hyperbolic"] and row["toral_rel_hyp"]
 
 
 @pytest.mark.parametrize("family,top,particles,rows", (

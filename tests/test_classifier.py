@@ -617,7 +617,8 @@ def test_free_certificate_matches_the_full_intersection_on_the_atlas(
 
 def test_free_certificate_tries_only_vertices_of_the_two_core():
     # a 300-cycle with two 1,000-vertex rays that come first in vertex
-    # order: a component search from every ray vertex took about 4 s
+    # order: one depth-first search answers every vertex, where a
+    # component search per vertex would be quadratic
     rays = [[str(r * 1000 + i) for i in range(1, 1001)] for r in (0, 1)]
     cycle = [str(v) for v in range(2001, 2301)]
     edges = list(zip(cycle, cycle[1:] + cycle[:1]))
@@ -638,6 +639,46 @@ def test_vertex_questions_match_the_cycle_scans_without_enumerating(g):
         got = free_certificate(g, 2), essential_vertex_off_cycle(g)
     assert got == (_free_certificate_by_full_intersection(g, 2),
                    _essential_vertex_off_cycle_by_scan(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_betti_without_each_vertex_matches_the_component_scan(data):
+    # disconnected graphs and isolated vertices included
+    n = data.draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                max_size=24)) if pairs else []
+    g = Graph.make([str(v) for v in range(n)],
+                   [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(chosen)])
+    got = C._betti_without(g)
+    assert list(got) == list(g.vertices)
+    for v in g.vertices:
+        assert got[v] == sum(_betti_by_edge_scan(g, comp)
+                             for comp in _components_without(g, {v})), v
+
+
+def _check_three_particle_witness(g):
+    """The n=3 witness is the reference scan's over the same cycle order,
+    and a disjoint cycle pair gives it from the cycle scan."""
+    ref = _obstruction_n3_scan(g, list(simple_cycles(g)))
+    assert contains_f2xz(g, 3) == (ref is not None, ref)
+    if disjoint_cycle_pair(g) is not None:
+        assert ref[0] in ("a", "c", "e")
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(max_vertices=10))
+def test_three_particle_witness_matches_the_reference_scan(g):
+    _check_three_particle_witness(g)
+
+
+def test_three_particle_witness_matches_the_reference_scan_on_the_atlas():
+    for G in nx.graph_atlas_g():
+        if 1 <= G.number_of_nodes() <= 6 and nx.is_connected(G):
+            _check_three_particle_witness(Graph.make(
+                [str(v) for v in G.nodes],
+                [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(G.edges)]))
 
 
 @settings(max_examples=200, deadline=None)
