@@ -33,18 +33,17 @@ _SUBMODULE_NAMES = {
     "graph": ("Cycle Graph Shape Subgraph classify_shape first_betti "
               "normalize simple_cycles smooth subdivide_for"),
     "complex": "CubeComplex build euler_characteristic is_surface verify_npc",
-    "hyperplanes": ("Hyperplane coloring_graph hyperplanes_by_bfs "
-                    "hyperplanes_by_components verify_special_coloring"),
+    "hyperplanes": ("Hyperplane hyperplanes_by_bfs hyperplanes_by_components "
+                    "verify_special_coloring"),
     "diagrams": ("CoverBall Diagram LegalWord SupportData ball_oracle "
                  "check_legal concat cyclic_centralizer_witness "
                  "cyclically_reduce diagram equal inverse make_rotation "
                  "make_tripod_swap reduce_word"),
     "homology": "ChainComplex HomologySummary chain_complex",
-    "classifier": ("ClassificationReport ParticleAssignment PeripheralReport "
-                   "acyl_hyp_status check_peripheral_collection contains_f2xz "
+    "classifier": ("ClassificationReport PeripheralReport acyl_hyp_status "
+                   "check_peripheral_collection contains_f2xz "
                    "contains_free_nonabelian free_certificate full_report "
-                   "is_hyperbolic is_infinite_cyclic is_toral_rel_hyp "
-                   "is_trivial oracle_f2xz oracle_nonhyperbolic"),
+                   "is_hyperbolic is_infinite_cyclic is_toral_rel_hyp is_trivial"),
 }
 _LAZY = {name: module for module, names in _SUBMODULE_NAMES.items()
          for name in names.split()}

@@ -29,6 +29,12 @@ A vertex v is off some cycle iff b1(g - v) >= 1.  The vertex questions
 search: b1(g - v) = b1(g) - deg(v) + pieces(v), where pieces(v) counts
 the components that v's component falls into without v.
 
+The predicates take one connected graph and a particle count; the
+product over components lives in ``_combine``.  A connected graph's
+braid group is trivial, infinite cyclic or acylindrically hyperbolic
+(arXiv:1912.10674), and an acylindrically hyperbolic group contains F2,
+so F2 is read off the first two verdicts.
+
 Disjoint always means vertex-disjoint; degrees of original vertices are
 preserved by subdivision, which is what makes the complement trick
 sound.
@@ -43,7 +49,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
     CYCLE, CYCLE_TWO_RAYS, HGRAPH, PULSAR, ROSE, SEGMENT, STAR, SUN, THETA,
-    TREE, Cycle, Graph, Shape, Subgraph, classify_shape,
+    TREE, Cycle, Graph, Subgraph, classify_shape,
     connected_components, idkey, normalize, simple_cycles, smooth,
     subdivide_all,
 )
@@ -63,28 +69,18 @@ def _component_graphs(g: Graph) -> tuple:
     return tuple(g.induced(comp).as_graph() for comp in comps)
 
 
-def _is_star3(shape: Shape) -> bool:
-    return shape.is_a(STAR) and shape.detail["arms"] == 3
-
-
-class ParticleAssignment(NamedTuple):
-    """Particle counts per connected component, in component order."""
-
-    counts: tuple
-
-
 def assignments(g: Graph, n: int) -> tuple:
-    """Every way to spread n particles over the components, in
-    lexicographic order of the counts.
+    """Every way to spread n particles over the components, as tuples of
+    counts in component order, in lexicographic order.
 
     Stars and bars: each choice of k-1 bar positions among n+k-1 slots
     is one composition of n into k parts.
     """
     k = len(g.components())
     if n < 0 or k == 0:
-        return (ParticleAssignment(()),) if n == k == 0 else ()
+        return ((),) if n == k == 0 else ()
     if k == 1:   # combinations() would first copy all n slots
-        return (ParticleAssignment((n,)),)
+        return ((n,),)
     total = math.comb(n + k - 1, k - 1)
     if total > ASSIGNMENT_CAP:
         raise ResourceLimitError(
@@ -92,44 +88,36 @@ def assignments(g: Graph, n: int) -> tuple:
     outs = []
     for bars in itertools.combinations(range(n + k - 1), k - 1):
         ends = (-1,) + bars + (n + k - 1,)
-        outs.append(ParticleAssignment(
-            tuple(b - a - 1 for a, b in zip(ends, ends[1:]))))
+        outs.append(tuple(b - a - 1 for a, b in zip(ends, ends[1:])))
     return tuple(outs)
 
 
-def is_trivial(g: Graph, assignment: ParticleAssignment) -> tuple:
-    """(verdict, witness component) for triviality of the braid group.
+def _require_component(g: Graph, n: int) -> None:
+    """The precondition of every per-component predicate below."""
+    if not g.is_connected():
+        raise PreconditionError("expects a connected graph")
+    if n < 0:
+        raise PreconditionError("particle count must be >= 0")
 
-    Components with one particle must be trees, components with two or
-    more must be segments (a lone vertex counts as one); empty
-    components are unconstrained.
-    """
-    comps = _component_graphs(g)
-    if len(comps) != len(assignment.counts):
-        raise PreconditionError("assignment does not match component count")
-    for comp, k in zip(comps, assignment.counts):
-        if k == 0:
-            continue
-        if k == 1:
-            if comp.first_betti() != 0:
-                return (False, comp)
-        elif not classify_shape(comp).is_a(SEGMENT):
-            return (False, comp)
-    return (True, None)
+
+def is_trivial(g: Graph, n: int) -> bool:
+    """No particles, one particle on a tree, or two or more on a segment
+    (a lone vertex counts as one)."""
+    _require_component(g, n)
+    if n <= 1:
+        return n == 0 or g.first_betti() == 0
+    return classify_shape(g).is_a(SEGMENT)
 
 
 def is_infinite_cyclic(g: Graph, n: int) -> bool:
-    """Connected graphs: Z for one particle on a single cycle class,
-    for two particles on a cycle or a three-arm star, and for three or
-    more only on a cycle."""
-    if not g.is_connected():
-        raise PreconditionError("cyclicity test expects a connected graph")
-    if n == 1:
-        return g.first_betti() == 1
+    """Z for one particle on a single cycle class, for two particles on a
+    cycle or a three-arm star, and for three or more only on a cycle."""
+    _require_component(g, n)
+    if n <= 1:
+        return n == 1 and g.first_betti() == 1
     shape = classify_shape(g)
-    if n == 2:
-        return shape.is_a(CYCLE) or _is_star3(shape)
-    return shape.is_a(CYCLE)
+    return shape.is_a(CYCLE) or (
+        n == 2 and shape.is_a(STAR) and shape.detail["arms"] == 3)
 
 
 # -- disjoint-cycle machinery -------------------------------------------
@@ -212,12 +200,11 @@ def essential_vertex_off_cycle(g: Graph) -> Optional[tuple]:
 def is_hyperbolic(g: Graph, n: int) -> tuple:
     """(verdict, witness) following the per-n characterisation.
 
-    One particle is always free; two exclude a disjoint cycle pair;
-    three demand a tree, sun, rose or pulsar; four or more a rose.
+    No particle or one is always free; two exclude a disjoint cycle
+    pair; three demand a tree, sun, rose or pulsar; four or more a rose.
     """
-    if not g.is_connected():
-        raise PreconditionError("hyperbolicity test expects a connected graph")
-    if n == 1:
+    _require_component(g, n)
+    if n <= 1:
         return (True, "free fundamental group")
     if n == 2:
         pair = disjoint_cycle_pair(g)
@@ -249,17 +236,17 @@ def is_hyperbolic_by_obstructions(g: Graph, n: int) -> bool:
 def contains_f2xz(g: Graph, n: int) -> tuple:
     """(verdict, witness) for an F2 x Z subgroup, connected graphs.
 
-    Two particles: a cycle whose complement keeps a component of first
-    Betti number two.  Three: the five obstruction patterns.  Four:
-    anything but rose / H / cycle-with-two-rays / theta.  Five and up:
-    anything but a rose.  The two- and three-particle scans read the
-    cycles shortest first and stop at the first hit, so a cycle in the
-    witness is a shortest one that gives a hit; a negative scan reads
-    every cycle, so the verdict does not depend on the order.
+    None for at most one particle.  Two particles: a cycle whose
+    complement keeps a component of first Betti number two.  Three: the
+    five obstruction patterns.  Four: anything but rose / H /
+    cycle-with-two-rays / theta.  Five and up: anything but a rose.  The
+    two- and three-particle scans read the cycles shortest first and stop
+    at the first hit, so a cycle in the witness is a shortest one that
+    gives a hit; a negative scan reads every cycle, so the verdict does
+    not depend on the order.
     """
-    if not g.is_connected():
-        raise PreconditionError("expects a connected graph")
-    if n == 1:
+    _require_component(g, n)
+    if n <= 1:
         return (False, None)
     if n == 2:
         for c in simple_cycles(g):
@@ -328,10 +315,7 @@ def is_toral_rel_hyp(g: Graph, n: int) -> tuple:
 
 def acyl_hyp_status(g: Graph, n: int) -> str:
     """'trivial', 'infinite_cyclic' or 'acylindrically_hyperbolic'."""
-    if not g.is_connected():
-        raise PreconditionError("expects a connected graph")
-    trivial, _ = is_trivial(g, ParticleAssignment((n,)))
-    if trivial:
+    if is_trivial(g, n):
         return "trivial"
     if is_infinite_cyclic(g, n):
         return "infinite_cyclic"
@@ -345,10 +329,9 @@ def free_certificate(g: Graph, n: int) -> tuple:
     a connected graph with a cycle means that g - v is a forest.  The
     vertex named is the first such in vertex order; no cycle is listed.
     """
-    if not g.is_connected():
-        raise PreconditionError("expects a connected graph")
-    if n == 1:
-        return ("free", "one-particle groups are graph fundamental groups")
+    _require_component(g, n)
+    if n <= 1:
+        return ("free", "at most one particle: a point or the graph")
     if classify_shape(g).is_a(ROSE):
         return ("free", "rose graph")
     if n == 2:
@@ -363,28 +346,15 @@ def free_certificate(g: Graph, n: int) -> tuple:
     return ("unknown", "no freeness criterion applies")
 
 
-def contains_free_nonabelian(g: Graph, assignment: ParticleAssignment) -> bool:
-    """Free nonabelian subgroup test, componentwise.
+def contains_free_nonabelian(g: Graph, n: int) -> bool:
+    """An acylindrically hyperbolic group contains F2, so by the
+    trichotomy F2 holds exactly when the group is neither trivial nor Z.
 
-    One particle needs two independent cycles; two particles anything
-    beyond segment/cycle/three-arm star; three or more anything beyond
-    segment/cycle.
+    For one particle that leaves b1 >= 2 (b1 = 0 trivial, b1 = 1 Z); for
+    two, anything but a segment (trivial), a cycle or a three-arm star
+    (Z); for three or more, anything but a segment or a cycle.
     """
-    comps = _component_graphs(g)
-    if len(comps) != len(assignment.counts):
-        raise PreconditionError("assignment does not match component count")
-    for comp, k in zip(comps, assignment.counts):
-        if k == 0:
-            continue
-        if k == 1:
-            if comp.first_betti() >= 2:
-                return True
-            continue
-        shape = classify_shape(comp)
-        if not (shape.is_a(SEGMENT) or shape.is_a(CYCLE)
-                or (k == 2 and _is_star3(shape))):
-            return True
-    return False
+    return not (is_trivial(g, n) or is_infinite_cyclic(g, n))
 
 
 # -- proof-derived oracles ----------------------------------------------
@@ -518,14 +488,6 @@ class SubgraphOracle:
     def f2xz(self, n: int) -> OracleVerdict:
         """A free-containing subgraph disjoint from a nontrivial one."""
         return self._first_hit(n, _F2XZ_SCANS)
-
-
-def oracle_nonhyperbolic(g: Graph, n: int) -> OracleVerdict:
-    return SubgraphOracle(g).nonhyperbolic(n)
-
-
-def oracle_f2xz(g: Graph, n: int) -> OracleVerdict:
-    return SubgraphOracle(g).f2xz(n)
 
 
 # -- peripheral collections for relative hyperbolicity -------------------
@@ -688,20 +650,16 @@ class ClassificationReport(NamedTuple):
 
 
 def _classify_component(comp: Graph, k: int) -> ComponentVerdict:
-    shape = classify_shape(comp)
-    if k == 0:
-        return ComponentVerdict(0, True, False, True, True, "trivial",
-                                "free", False, False, shape.tag)
-    trivial, _ = is_trivial(comp, ParticleAssignment((k,)))
+    trivial = is_trivial(comp, k)
     cyclic = is_infinite_cyclic(comp, k)
     hyp, _ = is_hyperbolic(comp, k)
     trh, _ = is_toral_rel_hyp(comp, k)
-    f2 = contains_free_nonabelian(comp, ParticleAssignment((k,)))
+    f2 = contains_free_nonabelian(comp, k)
     f2z, _ = contains_f2xz(comp, k)
     status = acyl_hyp_status(comp, k)
     free, _ = free_certificate(comp, k)
     return ComponentVerdict(k, trivial, cyclic, hyp, trh, status,
-                            free, f2, f2z, shape.tag)
+                            free, f2, f2z, classify_shape(comp).tag)
 
 
 def _combine(per: tuple) -> dict:
@@ -759,13 +717,12 @@ def full_report(g: Graph, n: int, run_oracles: str = "auto") -> ClassificationRe
     reports = []
     comps = _component_graphs(g)
     verdicts = {}   # (component index, particles) -> ComponentVerdict
-    for assignment in assignments(g, n):
-        for i, k in enumerate(assignment.counts):
+    for counts in assignments(g, n):
+        for i, k in enumerate(counts):
             if (i, k) not in verdicts:
                 verdicts[i, k] = _classify_component(comps[i], k)
-        per = tuple(verdicts[i, k] for i, k in enumerate(assignment.counts))
-        combined = _combine(per)
-        rep = AssignmentReport(assignment.counts, per, **combined)
+        per = tuple(verdicts[i, k] for i, k in enumerate(counts))
+        rep = AssignmentReport(counts, per, **_combine(per))
         _check_consistency(rep)
         reports.append(rep)
 

@@ -112,16 +112,6 @@ def hyperplanes_by_components(g: Graph, n: int) -> tuple:
     return tuple(out)
 
 
-def coloring_graph(g: Graph) -> dict:
-    """The graph on edge ids with adjacency = vertex-disjointness."""
-    adj = {e.id: set() for e in g.edges}
-    for a, b in itertools.combinations(g.edges, 2):
-        if not a.touches(b):
-            adj[a.id].add(b.id)
-            adj[b.id].add(a.id)
-    return adj
-
-
 class ColoringReport(NamedTuple):
     ok: bool
     axiom_failures: tuple   # (axiom number, description tuple)

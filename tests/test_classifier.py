@@ -12,15 +12,15 @@ from hypothesis import given, settings, strategies as st
 from braidscope import classifier as C
 from braidscope import families as F
 from braidscope.classifier import (
-    AssignmentReport, ParticleAssignment, SubgraphOracle, acyl_hyp_status,
+    AssignmentReport, SubgraphOracle, acyl_hyp_status,
     assignments, check_peripheral_collection, contains_f2xz,
     contains_free_nonabelian, disjoint_cycle_pair, essential_vertex_off_cycle,
     free_certificate, full_report, is_hyperbolic,
     is_hyperbolic_by_obstructions, is_infinite_cyclic, is_toral_rel_hyp,
-    is_trivial, oracle_f2xz, oracle_nonhyperbolic,
+    is_trivial,
 )
 from braidscope.complex import build
-from braidscope.errors import InvariantError, ResourceLimitError
+from braidscope.errors import InvariantError, PreconditionError, ResourceLimitError
 from braidscope.graph import (
     ROSE, Graph, Subgraph, classify_shape, connected_components, idkey,
     simple_cycles, subdivide_for,
@@ -28,17 +28,12 @@ from braidscope.graph import (
 from braidscope.homology import chain_complex, homology
 
 
-def one(n):
-    return ParticleAssignment((n,))
-
-
 # -- trivial / cyclic -----------------------------------------------------
 
 def test_trivial_examples():
-    assert is_trivial(F.path_graph(6), one(5))[0]
-    ok, witness = is_trivial(F.star_graph(3), one(2))
-    assert not ok and witness is not None
-    assert not is_trivial(F.cycle_graph(4), one(1))[0]
+    assert is_trivial(F.path_graph(6), 5)
+    assert not is_trivial(F.star_graph(3), 2)
+    assert not is_trivial(F.cycle_graph(4), 1)
 
 
 def test_trivial_componentwise():
@@ -48,8 +43,9 @@ def test_trivial_componentwise():
         [(f"a{e.id}", f"a{e.u}", f"a{e.v}") for e in g1.edges]
         + [(f"b{e.id}", f"b{e.u}", f"b{e.v}") for e in g2.edges],
     )
-    assert is_trivial(both, ParticleAssignment((3, 1)))[0]
-    assert not is_trivial(both, ParticleAssignment((2, 2)))[0]
+    split = {a.assignment: a for a in full_report(both, 4, "off").assignments}
+    assert split[(3, 1)].trivial
+    assert not split[(2, 2)].trivial
 
 
 def test_infinite_cyclic_examples():
@@ -62,6 +58,46 @@ def test_infinite_cyclic_examples():
 
 
 # -- hyperbolicity ----------------------------------------------------------
+
+PREDICATES = (is_trivial, is_infinite_cyclic, is_hyperbolic, contains_f2xz,
+              is_toral_rel_hyp, acyl_hyp_status, free_certificate,
+              contains_free_nonabelian)
+
+
+def test_no_particles_give_the_trivial_row_on_the_atlas():
+    # the row of B_0 = 1: trivial, hyperbolic, toral relatively
+    # hyperbolic and free, with no Z, F2 or F2 x Z
+    assert is_hyperbolic(F.complete_graph(5), 0)[0]
+    assert not contains_f2xz(F.complete_graph(5), 0)[0]
+    assert not is_infinite_cyclic(F.cycle_graph(5), 0)
+    checked = 0
+    for G in nx.graph_atlas_g():
+        if G.number_of_nodes() and nx.is_connected(G):
+            g = Graph.make([str(v) for v in G.nodes],
+                           [(f"e{i}", str(u), str(v))
+                            for i, (u, v) in enumerate(G.edges)])
+            row = (is_trivial(g, 0), is_infinite_cyclic(g, 0),
+                   is_hyperbolic(g, 0)[0], is_toral_rel_hyp(g, 0)[0],
+                   acyl_hyp_status(g, 0), free_certificate(g, 0)[0],
+                   contains_free_nonabelian(g, 0), contains_f2xz(g, 0)[0])
+            assert row == (True, False, True, True, "trivial", "free",
+                           False, False), sorted(G.edges)
+            checked += 1
+    assert checked == 996
+
+
+@pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
+def test_a_negative_particle_count_is_refused(predicate):
+    with pytest.raises(PreconditionError, match="particle count must be >= 0"):
+        predicate(F.complete_graph(5), -1)
+
+
+@pytest.mark.parametrize("predicate", PREDICATES, ids=lambda p: p.__name__)
+def test_a_disconnected_graph_is_refused(predicate):
+    two_edges = Graph.make("1234", [("a", "1", "2"), ("b", "3", "4")])
+    with pytest.raises(PreconditionError, match="expects a connected graph"):
+        predicate(two_edges, 2)
+
 
 def test_hyperbolic_complete_graphs():
     assert is_hyperbolic(F.complete_graph(5), 2)[0]
@@ -255,11 +291,11 @@ def test_free_certificate_matches_the_homology_of_a_graph_on_the_atlas():
 
 
 def test_contains_free_nonabelian():
-    assert contains_free_nonabelian(F.theta_graph(2, 2, 2), one(1))
-    assert not contains_free_nonabelian(F.star_graph(3), one(2))
-    assert contains_free_nonabelian(F.star_graph(3), one(3))
-    assert not contains_free_nonabelian(F.cycle_graph(6), one(4))
-    assert contains_free_nonabelian(F.star_graph(4), one(2))
+    assert contains_free_nonabelian(F.theta_graph(2, 2, 2), 1)
+    assert not contains_free_nonabelian(F.star_graph(3), 2)
+    assert contains_free_nonabelian(F.star_graph(3), 3)
+    assert not contains_free_nonabelian(F.cycle_graph(6), 4)
+    assert contains_free_nonabelian(F.star_graph(4), 2)
 
 
 def test_braidembed_monotonicity():
@@ -273,9 +309,9 @@ def test_braidembed_monotonicity():
     for g, sub_vertices in pairs:
         sub = g.induced(sub_vertices).as_graph()
         for m in (1, 2, 3):
-            if contains_free_nonabelian(sub, one(m)):
+            if contains_free_nonabelian(sub, m):
                 for n in range(m, 5):
-                    assert contains_free_nonabelian(g, one(n))
+                    assert contains_free_nonabelian(g, n)
 
 
 # -- implication chain --------------------------------------------------------------
@@ -291,7 +327,7 @@ def test_implication_chain():
             hyp, _ = is_hyperbolic(g, n)
             trh, _ = is_toral_rel_hyp(g, n)
             cyclic = is_infinite_cyclic(g, n)
-            f2 = contains_free_nonabelian(g, one(n))
+            f2 = contains_free_nonabelian(g, n)
             f2xz, _ = contains_f2xz(g, n)
             if hyp:
                 assert trh
@@ -323,11 +359,19 @@ def connected_graphs(draw, max_vertices=8):
 def test_shape_predicates_match_the_oracle_lemma_flags(g):
     # the lemma flags read degrees and b1 straight off the graph; the
     # predicates read the memoised shape of its smoothed form
-    flags = C._oracle_flags(C._component_flags(g, ())[0])
-    for k, nt, free in ((1, "nt1", "free1"), (2, "nt2", "free2"),
-                        (3, "nt2", "free3")):
-        assert is_trivial(g, one(k))[0] == (not flags[nt]), k
-        assert contains_free_nonabelian(g, one(k)) == flags[free], k
+    component = C._component_flags(g, ())[0]
+    flags = C._oracle_flags(component)
+    b1, maxdeg, deg3plus, _ = component
+    cycle = b1 == 1 and maxdeg == 2 and deg3plus == 0
+    star3 = b1 == 0 and deg3plus == 1 and maxdeg == 3
+    for k in range(1, 6):
+        trivial = is_trivial(g, k)
+        cyclic = is_infinite_cyclic(g, k)
+        f2 = contains_free_nonabelian(g, k)
+        assert trivial == (not flags["nt1" if k == 1 else "nt2"]), k
+        assert cyclic == (b1 == 1 if k == 1 else cycle or (k == 2 and star3)), k
+        assert f2 == flags[("free1", "free2", "free3")[min(k, 3) - 1]], k
+        assert [trivial, cyclic, f2].count(True) == 1, k
 
 
 def test_shape_is_memoised_and_ignored_by_eq_and_hash():
@@ -350,13 +394,13 @@ def test_shape_is_memoised_and_ignored_by_eq_and_hash():
 # -- oracles ---------------------------------------------------------------------
 
 def test_oracle_witnesses():
-    v = oracle_nonhyperbolic(F.complete_graph(6), 2)
+    v = SubgraphOracle(F.complete_graph(6)).nonhyperbolic(2)
     assert v.verdict and v.witness[0] == "1+1" and v.witness[1] == "cycle"
-    assert not oracle_nonhyperbolic(F.complete_graph(5), 2).verdict
-    v = oracle_f2xz(F.complete_graph(8), 2)
+    assert not SubgraphOracle(F.complete_graph(5)).nonhyperbolic(2).verdict
+    v = SubgraphOracle(F.complete_graph(8)).f2xz(2)
     assert v.verdict and v.witness[0] == "1+1"
-    assert oracle_f2xz(F.complete_graph(7), 2).verdict
-    assert not oracle_f2xz(F.complete_graph(6), 2).verdict
+    assert SubgraphOracle(F.complete_graph(7)).f2xz(2).verdict
+    assert not SubgraphOracle(F.complete_graph(6)).f2xz(2).verdict
 
 
 def test_oracle_resource_cap():
@@ -984,7 +1028,7 @@ def test_assignments_keep_the_product_order():
         for n in range(6):
             filtered = tuple(split for split in itertools.product(range(n + 1), repeat=k)
                              if sum(split) == n)
-            assert tuple(a.counts for a in assignments(isolated(k), n)) == filtered
+            assert assignments(isolated(k), n) == filtered
     assert assignments(isolated(3), -1) == ()
 
 

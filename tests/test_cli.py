@@ -950,7 +950,7 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
 
 
 def test_dot_coloring_of_a_long_path_is_refused_before_the_work(tmp_path):
-    # coloring_graph compares every pair of edges: C(5000, 2) = 12,497,500
+    # the coloring graph compares every pair of edges: C(5000, 2) = 12,497,500
     # pairs exceed the default cell cap of 10^7
     gfile = tmp_path / "path.txt"
     gfile.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(1, 5001)))

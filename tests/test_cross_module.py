@@ -12,8 +12,7 @@ import networkx as nx
 
 from braidscope import families as F
 from braidscope.classifier import (
-    ParticleAssignment, acyl_hyp_status, contains_free_nonabelian,
-    is_infinite_cyclic, is_trivial,
+    acyl_hyp_status, contains_free_nonabelian, is_infinite_cyclic, is_trivial,
 )
 from braidscope.complex import build
 from braidscope.diagrams import ball_oracle
@@ -41,7 +40,7 @@ def test_trivial_and_cyclic_verdicts_match_homology():
                 sub = subdivide_for(sub, n + 1)
             x = build(sub, n)
             h = homology(chain_complex(x))
-            trivial = is_trivial(g, ParticleAssignment((n,)))[0]
+            trivial = is_trivial(g, n)
             cyclic = is_infinite_cyclic(g, n)
             if x.component_count() == 1:
                 if trivial:
@@ -55,12 +54,14 @@ def test_trivial_and_cyclic_verdicts_match_homology():
 
 def test_free_subgroup_matches_trichotomy():
     # for connected graphs: a free nonabelian subgroup exists exactly
-    # when the group is neither trivial nor infinite cyclic
+    # when the group is neither trivial nor infinite cyclic; the library
+    # defines F2 so, and test_shape_predicates_match_the_oracle_lemma_flags
+    # checks all three verdicts against the lemma flags
     for g in atlas_graphs(6):
         for n in (1, 2, 3, 4, 5):
-            trivial = is_trivial(g, ParticleAssignment((n,)))[0]
+            trivial = is_trivial(g, n)
             cyclic = is_infinite_cyclic(g, n)
-            f2 = contains_free_nonabelian(g, ParticleAssignment((n,)))
+            f2 = contains_free_nonabelian(g, n)
             assert f2 == (not trivial and not cyclic), (g.fingerprint(), n)
             status = acyl_hyp_status(g, n)
             assert (status == "trivial") == trivial

@@ -15,7 +15,6 @@ from braidscope.diagrams import (
 )
 from braidscope.errors import IllegalMoveError, PreconditionError
 from braidscope.graph import Graph, simple_cycles
-from braidscope.hyperplanes import coloring_graph
 
 
 # independent referee: trace equality of reduced words by the projection
@@ -25,9 +24,9 @@ def trace_equal(g, w1, w2):
     if sorted(w1) != sorted(w2):
         return False
     eids = sorted({e for (e, _) in w1} | {e for (e, _) in w2})
-    adj = coloring_graph(g)
+    by_id = g.edge_by_id
     for a, b in itertools.combinations_with_replacement(eids, 2):
-        if a != b and b in adj[a]:
+        if a != b and not by_id[a].touches(by_id[b]):
             continue  # commuting pair never constrains
         p1 = [x for x in w1 if x[0] in (a, b)]
         p2 = [x for x in w2 if x[0] in (a, b)]

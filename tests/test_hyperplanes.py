@@ -13,7 +13,7 @@ from braidscope import families as F
 from braidscope.complex import build
 from braidscope.graph import Graph, normalize, subdivide_for
 from braidscope.hyperplanes import (
-    _parallel_classes, coloring_graph, hyperplanes_by_bfs,
+    _parallel_classes, hyperplanes_by_bfs,
     hyperplanes_by_components, verify_special_coloring,
 )
 
@@ -83,12 +83,6 @@ def test_member_counts_sum_to_edge_count():
         x = build(g, n)
         hps = hyperplanes_by_bfs(x)
         assert sum(h.member_count() for h in hps) == len(x.level(1))
-
-
-def test_coloring_graph_is_disjointness():
-    adj = coloring_graph(F.complete_graph(4))
-    # in K4 each edge is disjoint from exactly its opposite edge
-    assert all(len(nbrs) == 1 for nbrs in adj.values())
 
 
 def test_special_coloring_passes_on_builds():

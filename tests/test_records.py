@@ -13,7 +13,7 @@ import pytest
 
 from braidscope.classifier import (
     AssignmentReport, ClassificationReport, ComponentVerdict, OracleVerdict,
-    ParticleAssignment, PeripheralReport,
+    PeripheralReport,
 )
 from braidscope.complex import BitIndex, CubeComplex, NpcReport, SurfaceReport, build
 from braidscope.diagrams import Diagram, LegalWord, SupportData
@@ -39,7 +39,6 @@ FIELDS = {
     Shape: {"tag": ("rose", "star"),
             "memberships": (frozenset({"rose"}), frozenset({"star"})),
             "detail": ({"arms": 3}, {"arms": 4})},
-    ParticleAssignment: {"counts": ((2, 1), (1, 2))},
     OracleVerdict: {"verdict": (True, False), "witness": (("1+1",), None)},
     PeripheralReport: {
         "cycle_pairs_covered": (True, False), "uncovered_pair": (None, (1, 2)),
@@ -95,7 +94,7 @@ def make(cls, **changed):
 
 
 def test_every_record_class_is_covered():
-    assert len(FIELDS) == 21
+    assert len(FIELDS) == 20
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
