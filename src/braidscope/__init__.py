@@ -40,10 +40,10 @@ _SUBMODULE_NAMES = {
                  "cyclically_reduce diagram equal inverse make_rotation "
                  "make_tripod_swap reduce_word"),
     "homology": "ChainComplex HomologySummary chain_complex",
-    "classifier": ("ClassificationReport PeripheralReport acyl_hyp_status "
-                   "check_peripheral_collection contains_f2xz "
+    "classifier": ("ClassificationReport acyl_hyp_status contains_f2xz "
                    "contains_free_nonabelian free_certificate full_report "
                    "is_hyperbolic is_infinite_cyclic is_toral_rel_hyp is_trivial"),
+    "peripheral": "PeripheralReport check_peripheral_collection",
 }
 _LAZY = {name: module for module, names in _SUBMODULE_NAMES.items()
          for name in names.split()}

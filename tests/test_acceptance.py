@@ -21,8 +21,7 @@ import networkx as nx
 import labels as L
 from braidscope import families as F
 from braidscope.classifier import (
-    SubgraphOracle, check_peripheral_collection, contains_f2xz,
-    full_report, is_hyperbolic,
+    SubgraphOracle, contains_f2xz, full_report, is_hyperbolic,
 )
 from braidscope.complex import build, is_surface, verify_npc
 from braidscope.diagrams import (
@@ -34,6 +33,7 @@ from braidscope.homology import chain_complex, homology
 from braidscope.hyperplanes import (
     hyperplanes_by_bfs, hyperplanes_by_components, verify_special_coloring,
 )
+from braidscope.peripheral import check_peripheral_collection
 
 
 def _sorted_conf(conf):

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from braidscope import classifier as C
 from braidscope import families as F
+from braidscope import peripheral as P
 from braidscope.classifier import (
     AssignmentReport, SubgraphOracle, acyl_hyp_status,
-    assignments, check_peripheral_collection, contains_f2xz,
+    assignments, contains_f2xz,
     contains_free_nonabelian, disjoint_cycle_pair, essential_vertex_off_cycle,
     free_certificate, full_report, is_hyperbolic,
     is_hyperbolic_by_obstructions, is_infinite_cyclic, is_toral_rel_hyp,
@@ -26,6 +27,7 @@ from braidscope.graph import (
     simple_cycles, subdivide_for,
 )
 from braidscope.homology import chain_complex, homology
+from braidscope.peripheral import check_peripheral_collection
 
 
 # -- trivial / cyclic -----------------------------------------------------
@@ -61,13 +63,14 @@ def test_infinite_cyclic_examples():
 
 PREDICATES = (is_trivial, is_infinite_cyclic, is_hyperbolic, contains_f2xz,
               is_toral_rel_hyp, acyl_hyp_status, free_certificate,
-              contains_free_nonabelian)
+              contains_free_nonabelian, is_hyperbolic_by_obstructions)
 
 
 def test_no_particles_give_the_trivial_row_on_the_atlas():
     # the row of B_0 = 1: trivial, hyperbolic, toral relatively
     # hyperbolic and free, with no Z, F2 or F2 x Z
     assert is_hyperbolic(F.complete_graph(5), 0)[0]
+    assert is_hyperbolic_by_obstructions(F.complete_graph(5), 0)
     assert not contains_f2xz(F.complete_graph(5), 0)[0]
     assert not is_infinite_cyclic(F.cycle_graph(5), 0)
     checked = 0
@@ -79,9 +82,10 @@ def test_no_particles_give_the_trivial_row_on_the_atlas():
             row = (is_trivial(g, 0), is_infinite_cyclic(g, 0),
                    is_hyperbolic(g, 0)[0], is_toral_rel_hyp(g, 0)[0],
                    acyl_hyp_status(g, 0), free_certificate(g, 0)[0],
-                   contains_free_nonabelian(g, 0), contains_f2xz(g, 0)[0])
+                   contains_free_nonabelian(g, 0), contains_f2xz(g, 0)[0],
+                   is_hyperbolic_by_obstructions(g, 0))
             assert row == (True, False, True, True, "trivial", "free",
-                           False, False), sorted(G.edges)
+                           False, False, True), sorted(G.edges)
             checked += 1
     assert checked == 996
 
@@ -901,8 +905,8 @@ def _uncovered_pair_by_pairs(cycles, collection):
     for a, b in itertools.combinations(cycles, 2):
         if not a.vertex_set.isdisjoint(b.vertex_set):
             continue
-        if not any(C._subgraph_contains_cycle(s, a)
-                   and C._subgraph_contains_cycle(s, b) for s in collection):
+        if not any(P._subgraph_contains_cycle(s, a)
+                   and P._subgraph_contains_cycle(s, b) for s in collection):
             return a, b
     return None
 
@@ -921,7 +925,7 @@ def test_peripheral_report_matches_the_pairwise_reference(data):
             frozenset().union(*(p.edge_ids for p in parts))))
     fast = check_peripheral_collection(g, collection)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_uncovered_cycle_pair", _uncovered_pair_by_pairs)
+        mp.setattr(P, "_uncovered_cycle_pair", _uncovered_pair_by_pairs)
         assert check_peripheral_collection(g, collection) == fast
 
 
@@ -939,7 +943,7 @@ def _path_missing_a_cycle_by_enumeration(g, cycles, collection):
     member vertices, with its interior off the member, that is not made
     of member edges is tested against every member cycle."""
     for sub in collection:
-        sub_cycles = [c for c in cycles if C._subgraph_contains_cycle(sub, c)]
+        sub_cycles = [c for c in cycles if P._subgraph_contains_cycle(sub, c)]
         if not sub_cycles:
             continue
         for a, b in itertools.combinations(sorted(sub.vertices, key=idkey), 2):
@@ -971,7 +975,7 @@ def test_peripheral_report_matches_the_path_enumeration(data):
                                    member.edge_ids - dropped))
     fast = check_peripheral_collection(g, collection)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(C, "_path_missing_a_cycle",
+        mp.setattr(P, "_path_missing_a_cycle",
                    _path_missing_a_cycle_by_enumeration)
         assert check_peripheral_collection(g, collection) == fast
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from braidscope import classifier, cli
-from braidscope.cli import main, parse_collection_text, parse_graph_text
+from braidscope.cli import main, parse_graph_text
+from braidscope.commands import table as table_command
+from braidscope.commands.relhyp import parse_collection_text
 from braidscope.errors import InvariantError, ParseError
 
 P3 = "e e1 1 2\ne e2 2 3\n"
@@ -144,6 +147,26 @@ def test_collection_parse_errors(tmp_path):
     g = load_graph(str(gfile))
     with pytest.raises(ParseError):
         parse_collection_text(g, "1,2,99\n")
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, p3):
+    # a graph file, a collection file and a collection on stdin; the byte
+    # 0xff is never UTF-8, not even in a comment
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"e a 1 2\xff\n")
+    assert run_cli(["analyze", "--graph", str(bad), "-n", "2"]) == (
+        1, "", f"parse error: {bad} is not UTF-8 text\n")
+    collection = tmp_path / "c.txt"
+    collection.write_bytes(b"1,2 # \xff\n")
+    assert run_cli(["relhyp-check", "--graph", p3, "--collection",
+                    str(collection)]) == (
+        1, "", f"parse error: {collection} is not UTF-8 text\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidscope.cli", "relhyp-check", "--graph", p3,
+         "--collection", "-"],
+        input=b"1,2 # \xff\n", capture_output=True, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"parse error: stdin is not UTF-8 text\n")
 
 
 def test_exit_codes(p3, k5):
@@ -534,7 +557,8 @@ def test_text_format_renders_the_json_of_the_same_argv(tmp_path, capsys, name,
     assert argv[at + 1] == "table"
     assert main(argv[:at] + argv[at + 2:]) == 0
     data = json.loads(capsys.readouterr().out)
-    render = cli.make_parser(argv).parse_args(argv).render
+    args = cli.make_parser(argv).parse_args(argv)
+    render = importlib.import_module(f"braidscope.commands.{args.handler}").render
     assert (render(data) + "\n").encode() == expected
 
 
@@ -904,11 +928,11 @@ def test_unbounded_sizes_are_refused_before_the_work(p3, argv):
 
 def test_table_max_cap_is_inclusive(capsys):
     assert main(["table", "--family", "complete", "--max",
-                 str(cli.MAX_FAMILY_SIZE), "--min", str(cli.MAX_FAMILY_SIZE),
+                 str(table_command.MAX_FAMILY_SIZE), "--min", str(table_command.MAX_FAMILY_SIZE),
                  "--particles", "1"]) == 0
     assert len(json.loads(capsys.readouterr().out)["rows"]) == 1
     assert main(["table", "--family", "complete", "--max",
-                 str(cli.MAX_FAMILY_SIZE + 1), "--particles", "1"]) == 3
+                 str(table_command.MAX_FAMILY_SIZE + 1), "--particles", "1"]) == 3
 
 
 def test_analyze_has_no_cell_cap_flag(k5):
@@ -1157,7 +1181,7 @@ def test_table_particle_ranges_end_in_a_documented_code(text):
     assert "internal error" not in err and "Traceback" not in err, (text, err)
     if rc == 0:
         assert len(json.loads(out)["rows"]) == 3 * len(
-            cli.parse_particle_range(text))
+            table_command.parse_particle_range(text))
 
 
 def test_table_particle_range_errors():

@@ -17,7 +17,7 @@ SRC = pathlib.Path(braidscope.__file__).parent
 def _absolute_imports():
     """(file name, module) of every absolute import in the package, at
     module level or inside a function."""
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 yield from ((path.name, alias.name) for alias in node.names)
@@ -53,10 +53,10 @@ EXPORTS = {
                  "cyclically_reduce diagram equal inverse make_rotation "
                  "make_tripod_swap reduce_word"),
     "homology": "ChainComplex HomologySummary chain_complex",
-    "classifier": ("ClassificationReport PeripheralReport acyl_hyp_status "
-                   "check_peripheral_collection contains_f2xz "
+    "classifier": ("ClassificationReport acyl_hyp_status contains_f2xz "
                    "contains_free_nonabelian free_certificate full_report "
                    "is_hyperbolic is_infinite_cyclic is_toral_rel_hyp is_trivial"),
+    "peripheral": "PeripheralReport check_peripheral_collection",
 }
 
 
@@ -108,24 +108,33 @@ print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
 BASE = "cli errors graph"
 
 
+def _command(name):
+    """The modules of a run of one subcommand, before the library's."""
+    return f"{BASE} commands commands.{name}"
+
+
 @pytest.mark.parametrize("argv, loaded", [
     ([], "errors"),
     (["cli"], BASE),
-    (["homology", "--graph", "G", "-n", "2"], BASE + " complex homology"),
+    (["homology", "--graph", "G", "-n", "2"],
+     _command("homology") + " complex homology"),
     # K_4 at n=2: the cube complex is the smaller, and answers
     (["homology", "--graph", "K", "-n", "2", "--subdivide"],
-     BASE + " complex homology"),
+     _command("homology") + " complex homology"),
     # the triangle with a tail at n=2: 7 Świątkowski cells against 15 cubes
     (["homology", "--graph", "G", "-n", "2", "--subdivide"],
-     BASE + " complex homology swiatkowski"),
-    (["build", "--graph", "G", "-n", "2"], BASE + " complex hyperplanes"),
+     _command("homology") + " complex homology swiatkowski"),
+    (["build", "--graph", "G", "-n", "2"],
+     _command("build") + " complex hyperplanes"),
     (["build", "--graph", "G", "-n", "2", "--format", "dot",
-      "--dot-what", "coloring"], BASE + " complex"),
-    (["analyze", "--graph", "G", "-n", "2"], BASE + " classifier"),
-    (["relhyp-check", "--graph", "G", "--collection", "C"], BASE + " classifier"),
+      "--dot-what", "coloring"], _command("build") + " complex"),
+    (["analyze", "--graph", "G", "-n", "2"], _command("analyze") + " classifier"),
+    (["relhyp-check", "--graph", "G", "--collection", "C"],
+     _command("relhyp") + " peripheral"),
     (["table", "--family", "complete", "--max", "3", "--particles", "2"],
-     BASE + " classifier families"),
-    (["word", "--graph", "G", "--base", "1,3", "+d"], BASE + " complex diagrams"),
+     _command("table") + " classifier families"),
+    (["word", "--graph", "G", "--base", "1,3", "+d"],
+     _command("word") + " complex diagrams"),
 ], ids=("import", "cli-import", "homology", "homology-subdivide-cubical",
         "homology-subdivide-swiatkowski", "build", "build-dot-coloring",
         "analyze", "relhyp-check", "table", "word"))
@@ -145,6 +154,47 @@ def test_each_subcommand_imports_only_what_it_uses(tmp_path, argv, loaded):
     ours, stdlib = proc.stdout.split("\n")[:2]
     assert ours.split() == sorted(f"braidscope.{m}" for m in loaded.split())
     assert stdlib == ""   # neither dataclasses nor inspect
+    if not argv:
+        return
+    # the same run as a process, as the console script and the benchmark
+    # start it: cli.py runs as __main__, so no module may import
+    # braidscope.cli, or it would compile a second time; with no
+    # subcommand, argparse exits 2 before any subcommand loads
+    argv = [] if argv == ["cli"] else argv
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "braidscope.cli", *argv],
+        env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == (0 if argv else 2), proc.stderr
+    reported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "braidscope.cli" not in reported
+    assert sorted(m for m in reported if m.startswith("braidscope.")) == sorted(
+        f"braidscope.{m}" for m in loaded.split() if m != "cli")
+
+
+def _imported_names(path):
+    """The absolute name of every module or name an import of `path`
+    reads, relative imports resolved."""
+    package = ["braidscope", *path.relative_to(SRC).parent.parts]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_cli():
+    # under `python -m braidscope.cli`, cli.py runs as __main__; a module
+    # that imported braidscope.cli would compile and run it a second time
+    importers = [path.relative_to(SRC).as_posix()
+                 for path in sorted(SRC.rglob("*.py"))
+                 if any(name == "braidscope.cli" or name.startswith("braidscope.cli.")
+                        for name in _imported_names(path))]
+    assert importers == []
 
 
 def _module_level_imports(body):
@@ -182,7 +232,7 @@ def test_cli_imports_at_start_up_only_errors_and_graph():
 def test_every_module_level_import_is_used():
     # __init__.py imports names to re-export them, so it is left out
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

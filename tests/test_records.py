@@ -13,7 +13,6 @@ import pytest
 
 from braidscope.classifier import (
     AssignmentReport, ClassificationReport, ComponentVerdict, OracleVerdict,
-    PeripheralReport,
 )
 from braidscope.complex import BitIndex, CubeComplex, NpcReport, SurfaceReport, build
 from braidscope.diagrams import Diagram, LegalWord, SupportData
@@ -21,6 +20,7 @@ from braidscope.errors import PreconditionError
 from braidscope.graph import Cycle, Edge, Graph, Shape, Subgraph
 from braidscope.homology import ChainComplex, HomologySummary, chain_complex
 from braidscope.hyperplanes import ColoringReport, Hyperplane
+from braidscope.peripheral import PeripheralReport
 
 G = Graph.make("123", [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")])
 H = Graph.make("12", [("a", "1", "2")])
