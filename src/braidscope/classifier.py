@@ -50,7 +50,7 @@ from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
     CYCLE, CYCLE_TWO_RAYS, HGRAPH, PULSAR, ROSE, SEGMENT, STAR, SUN, THETA,
     TREE, Cycle, Graph, classify_shape, connected_components, idkey,
-    normalize, simple_cycles, smooth, subdivide_all,
+    normalize, simple_cycles, subdivide_all,
 )
 
 ORACLE_SMOOTH_VERTEX_CAP = 15
@@ -231,7 +231,7 @@ def is_hyperbolic_by_obstructions(g: Graph, n: int) -> bool:
         return False
     if n == 3:
         return True
-    return len(smooth(g).essential_vertices()) <= 1
+    return len(g.essential_vertices()) <= 1
 
 
 def contains_f2xz(g: Graph, n: int) -> tuple:

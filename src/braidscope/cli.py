@@ -64,7 +64,7 @@ from .errors import (
     BraidscopeError, InvariantError, ParseError, PreconditionError,
     ResourceLimitError,
 )
-from .graph import Graph, normalize, subdivide_for
+from .graph import DEFAULT_CELL_CAP, Graph, normalize, subdivide_for
 
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
@@ -127,7 +127,6 @@ def emit_json(obj) -> None:
 
 
 def cell_cap(args) -> int:
-    from .complex import DEFAULT_CELL_CAP
     cap = args.max_cells
     if cap is None:
         env = os.environ.get("BRAIDSCOPE_MAX_CELLS")

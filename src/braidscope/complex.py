@@ -25,9 +25,8 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, ResourceLimitError
-from .graph import Edge, Frozen, Graph, connected_components, idkey
-
-DEFAULT_CELL_CAP = 10**7
+from .graph import (DEFAULT_CELL_CAP, Edge, Frozen, Graph,
+                    connected_components, idkey)
 
 
 def config_key(vertices) -> tuple:

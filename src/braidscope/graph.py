@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import PreconditionError, ResourceLimitError
 
+DEFAULT_CELL_CAP = 10**7   # read by complex and, without loading it, by cli
 DEFAULT_CYCLE_CAP = 10**6
 SUBDIVIDE_PASS_CAP = 10**4   # subdivide_for refuses to add this many vertices
 
@@ -422,17 +423,19 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     group is free of rank three, and arm length n-1 is exactly where
     the homology stabilises.  Compliant graphs come back unchanged.
 
-    A component with too few vertices first has its least edge in id
-    order split until it has n.  Then each branch (:func:`_branches`)
-    has its least edge split until it has its quota: n+1 edges if it
-    closes on itself (a circle, or a loop branch at an essential
-    vertex), n-1 if an end is essential, none otherwise.  A too-short
-    path between two such ends runs along branches with an essential
-    end, and once those have n-1 edges, a cycle through two essential
-    vertices has 2n-2 >= n+1 of them when n >= 3 (every simple cycle
-    has 3 >= n+1 when n <= 2).  So the result is the graph that
-    splitting the least edge of one too-short path or cycle per pass
-    would give, and the cap counts the vertices those passes add.
+    Each branch (:func:`_branches`) has its least edge in id order split
+    until it has its quota: n+1 edges if it closes on itself (a circle,
+    or a loop branch at an essential vertex), n-1 otherwise.  An open
+    branch then has n vertices and a closed one n+1, so a component
+    with fewer than n vertices needs no pass of its own; in a simple
+    graph the only open branch with no essential end is a path
+    component.  A too-short path from an essential vertex to a leaf or
+    another runs along branches with an essential end, and once those
+    have n-1 edges, a cycle through two essential vertices has 2n-2 >=
+    n+1 of them when n >= 3 (every simple cycle has 3 >= n+1 when
+    n <= 2).  So the result is the graph that splitting the least edge
+    of one too-short path or cycle per pass would give, and the cap
+    counts the vertices those passes add, checked before any split.
     """
     if not g.is_simple():
         raise PreconditionError("subdivide_for expects a normalized graph")
@@ -441,34 +444,11 @@ def subdivide_for(g: Graph, n: int) -> Graph:
     if not g.edges and len(g.vertices) < n:
         raise PreconditionError(
             f"cannot host {n} particles on an edgeless graph")
-    # in a simple graph a component has an edge iff it has 2+ vertices;
-    # each vertex a small one lacks counts against the cap, so refuse
-    # before any split if they alone reach it
-    small = [c for c in g.components() if 1 < len(c) < n]
-    lacking = sum(n - len(c) for c in small)
-    if lacking >= SUBDIVIDE_PASS_CAP:
-        raise ResourceLimitError("subdivide_for did not converge")
-    if small:
-        where = {v: i for i, c in enumerate(small) for v in c}
-        grouped = [[] for _ in small]
-        vertices, edges = list(g.vertices), []
-        for e in g.edges:
-            i = where.get(e.u)
-            if i is None:
-                edges.append((e.id, e.u, e.v))
-            else:
-                grouped[i].append(e)
-        for c, es in zip(small, grouped):
-            _split_least(es, n - len(c), vertices, edges)
-        g = Graph._make(vertices, edges)
-    inc = g.incidence
     branches = _branches(g)[1]
     # the splits each branch lacks to reach its quota
-    splits = [max(0, (n + 1 if start == end else
-                      n - 1 if len(inc[start]) >= 3 or len(inc[end]) >= 3
-                      else 0) - len(walk))
+    splits = [max(0, (n + 1 if start == end else n - 1) - len(walk))
               for start, end, walk in branches]
-    if lacking + sum(splits) >= SUBDIVIDE_PASS_CAP:
+    if sum(splits) >= SUBDIVIDE_PASS_CAP:
         raise ResourceLimitError("subdivide_for did not converge")
     if not any(splits):
         return g

@@ -12,7 +12,7 @@ import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .graph import SEGMENT, Cycle, Graph, Subgraph, connected_components, idkey
+from .graph import Cycle, Graph, Subgraph, connected_components, idkey
 
 
 class PeripheralReport(NamedTuple):
@@ -65,7 +65,7 @@ def check_peripheral_collection(
        member's cycles stays inside the member.
     """
     # looked up at call time, so that a name rebound in `graph` is seen
-    from .graph import classify_shape, simple_cycles
+    from .graph import simple_cycles
     if not g.is_simple():
         raise PreconditionError("expects a normalized graph")
     cycles = simple_cycles(g)
@@ -75,8 +75,8 @@ def check_peripheral_collection(
     for s1, s2 in itertools.combinations(collection, 2):
         part = Subgraph(g, s1.vertices & s2.vertices,
                         s1.edge_ids & s2.edge_ids).as_graph()
-        if not all(classify_shape(part.induced(comp).as_graph()).is_a(SEGMENT)
-                   for comp in part.components()):   # vacuous for an empty part
+        # disjoint segments: no cycle and no vertex of degree 3 or more
+        if part.first_betti() or part.essential_vertices():
             bad_inter = s1, s2
             break
 

@@ -23,8 +23,8 @@ from braidscope.classifier import (
 from braidscope.complex import build
 from braidscope.errors import InvariantError, PreconditionError, ResourceLimitError
 from braidscope.graph import (
-    ROSE, Graph, Subgraph, classify_shape, connected_components, idkey,
-    simple_cycles, subdivide_for,
+    ROSE, SEGMENT, Graph, Subgraph, classify_shape, connected_components,
+    idkey, simple_cycles, subdivide_for,
 )
 from braidscope.homology import chain_complex, homology
 from braidscope.peripheral import check_peripheral_collection
@@ -927,6 +927,35 @@ def test_peripheral_report_matches_the_pairwise_reference(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "_uncovered_cycle_pair", _uncovered_pair_by_pairs)
         assert check_peripheral_collection(g, collection) == fast
+
+
+def _intersection_is_segments_by_shape(s1, s2):
+    """Condition 2 as it was first written: every component of the
+    intersection, as a graph of its own, has the shape of a segment."""
+    part = Subgraph(s1.parent, s1.vertices & s2.vertices,
+                    s1.edge_ids & s2.edge_ids).as_graph()
+    return all(classify_shape(part.induced(comp).as_graph()).is_a(SEGMENT)
+               for comp in part.components())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_intersection_test_matches_the_per_component_shapes(data):
+    # two members, each some vertices of g and any of the edges among
+    # them, so that intersections hold cycles, branch points, paths and
+    # points
+    g = data.draw(connected_graphs())
+    vertices = st.sets(st.sampled_from(g.vertices), min_size=1)
+    pair = []
+    for _ in range(2):
+        member = g.induced(data.draw(vertices))
+        kept = data.draw(st.sets(st.sampled_from(sorted(member.edge_ids)))
+                         if member.edge_ids else st.just(set()))
+        pair.append(Subgraph(g, member.vertices, frozenset(kept)))
+    rep = check_peripheral_collection(g, pair)
+    assert rep.intersections_ok == _intersection_is_segments_by_shape(*pair)
+    assert rep.bad_intersection == (None if rep.intersections_ok
+                                    else tuple(pair))
 
 
 def _nx_paths_avoiding(g, a, b, banned):

@@ -653,9 +653,11 @@ def graphs_with_small_components(draw):
 @settings(max_examples=150, deadline=None)
 @given(graphs_with_small_components(), st.integers(2, 9))
 def test_small_components_grown_as_one_vertex_per_pass(g, n):
-    # every vertex a small component lacks goes in with one Graph._make,
-    # in the same places and under the same ids as one pass per vertex
+    # the branch quotas give a small component the vertices it lacks, in
+    # the same places and under the same ids as one pass per vertex and
+    # as the per-pass search that grew small components first
     assert subdivide_for(g, n) == subdivide_for(grow_one_vertex_per_pass(g, n), n)
+    assert subdivide_for(g, n) == subdivide_one_pass_at_a_time(g, n)
 
 
 def _shortest_path(g, a, b, direct=True):

@@ -127,7 +127,7 @@ def _command(name):
     (["build", "--graph", "G", "-n", "2"],
      _command("build") + " complex hyperplanes"),
     (["build", "--graph", "G", "-n", "2", "--format", "dot",
-      "--dot-what", "coloring"], _command("build") + " complex"),
+      "--dot-what", "coloring"], _command("build")),
     (["analyze", "--graph", "G", "-n", "2"], _command("analyze") + " classifier"),
     (["relhyp-check", "--graph", "G", "--collection", "C"],
      _command("relhyp") + " peripheral"),
@@ -195,6 +195,16 @@ def test_no_module_imports_cli():
                  if any(name == "braidscope.cli" or name.startswith("braidscope.cli.")
                         for name in _imported_names(path))]
     assert importers == []
+
+
+def test_no_module_asserts():
+    # `python -O` strips assert statements, and a check that guards a
+    # verdict must still run there; such checks raise InvariantError
+    found = [(path.relative_to(SRC).as_posix(), node.lineno)
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _module_level_imports(body):
