@@ -15,13 +15,13 @@ def run(args, g):
     The coloring graph is the graph's alone, so no complex is built for it."""
     cap = args.max_cells
     if args.format == "dot" and args.dot_what == "coloring":
-        pairs = math.comb(len(g.edges), 2)
-        if pairs > cap:
-            raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
         if args.particles < 0:
             raise PreconditionError("particle count must be >= 0")
         if args.max_dim is not None and args.max_dim < 0:
             raise PreconditionError("max_dim must be >= 0")
+        pairs = math.comb(len(g.edges), 2)
+        if pairs > cap:
+            raise ResourceLimitError(f"{pairs} edge pairs exceed cap {cap}")
         dot_coloring(g)
         return None
     from ..complex import build

@@ -85,8 +85,8 @@ class BitIndex:
 class CubeComplex(Frozen):
     """UC_n of ``graph`` up to dimension ``max_dim``.  ``levels`` holds,
     per dimension, a dict from cube key to None; ``index`` is the graph's
-    BitIndex and is left out of eq and hash.  Views: ``level``,
-    ``adjacency`` and ``components`` on the keys, the counts ``f_vector``,
+    BitIndex and is left out of eq and hash.  Views: ``level`` on the
+    keys, the positional 1-skeleton ``skeleton``, the counts ``f_vector``,
     ``dim``, ``component_count`` and ``euler_characteristic``, and
     ``moves_at`` and ``apply_move`` on id tuples, for :mod:`.diagrams`."""
 
@@ -106,21 +106,23 @@ class CubeComplex(Frozen):
         return self.levels[d] if d < len(self.levels) else {}
 
     @cached_property
-    def adjacency(self) -> dict:
-        """1-skeleton: config mask -> list of (edge bit, other config mask)."""
-        adj = {s: [] for (_, s) in self.levels[0]}
+    def skeleton(self) -> tuple:
+        """The 1-skeleton by position in ``levels[0]``: (neighbours, moves),
+        where neighbours[i] lists the positions of the other ends of the
+        1-cubes at 0-cube i, in ``levels[1]`` order, and moves[i] their edge
+        bits.  A 1-cube with an end that is no 0-cube raises KeyError."""
+        # positions, not masks: a |V|-bit mask hashes in time linear in |V|
+        pos = {s: i for i, (_, s) in enumerate(self.levels[0])}
+        nbrs, moves = [[] for _ in pos], [[] for _ in pos]
+        ends = self.index.ends
         for (m, s) in self.level(1):
-            u, v = self.index.ends[m]
-            adj[s | u].append((m, s | v))
-            adj[s | v].append((m, s | u))
-        return adj
-
-    @cached_property
-    def components(self) -> tuple:
-        """1-skeleton components as frozensets of config masks, in the
-        order of their first configuration."""
-        nbrs = {a: [b for _, b in around] for a, around in self.adjacency.items()}
-        return connected_components(nbrs, nbrs)
+            u, v = ends[m]
+            i, j = pos[s | u], pos[s | v]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+            moves[i].append(m)
+            moves[j].append(m)
+        return nbrs, moves
 
     def f_vector(self) -> tuple:
         return tuple(len(level) for level in self.levels)
@@ -129,7 +131,9 @@ class CubeComplex(Frozen):
         return len(self.levels) - 1
 
     def component_count(self) -> int:
-        return len(self.components)
+        """The number of components of the 1-skeleton."""
+        nbrs = self.skeleton[0]
+        return len(connected_components(range(len(nbrs)), nbrs))
 
     def moves_at(self, conf) -> tuple:
         """Edges of the graph with exactly one endpoint occupied."""

@@ -334,7 +334,7 @@ def make_tripod_swap(g: Graph, spine: Sequence[str], spike: str) -> Diagram:
 
     def slide(path):
         for a, b in zip(path, path[1:]):
-            e = g.simple_adjacency[a].get(b)
+            e = g.adjacency[a].get(b)
             if e is None:
                 raise PreconditionError(f"no edge between {a} and {b}")
             letters.append((e.id, 1 if (e.u, e.v) == (a, b) else -1))

@@ -7,7 +7,9 @@ Loops and parallel edges are permitted on input; :func:`normalize`
 subdivides them away, and :func:`smooth` goes the other way, suppressing
 degree-2 vertices down to the minimal multigraph of the same
 homeomorphism type.  Shape detection and the first Betti number feed the
-braid-group classification layer.
+braid-group classification layer.  ``Graph.adjacency`` is the one
+neighbour map: vertex -> {neighbour: edge}, neighbours in idkey order,
+loops left out.
 
 Generated ids (subdivision points, smoothing merges) contain ``#`` or
 ``~``.  :meth:`Graph.make` refuses those characters in the ids it is
@@ -167,16 +169,15 @@ class Graph(Frozen):
 
     @cached_property
     def adjacency(self) -> dict:
-        """vertex -> sorted tuple of distinct neighbours (loops left out)."""
-        outs = {v: set() for v in self.vertices}
+        """vertex -> {neighbour: edge}, neighbours in idkey order and loops
+        left out.  Of parallel edges the last in id order is kept, so the
+        edge names the pair only on a simple graph."""
+        outs = {v: {} for v in self.vertices}
         for e in self.edges:
             if not e.is_loop():
-                outs[e.u].add(e.v)
-                outs[e.v].add(e.u)
-        return {v: tuple(sorted(nb, key=idkey)) for v, nb in outs.items()}
-
-    def neighbors(self, v: str) -> tuple:
-        return self.adjacency[v]
+                outs[e.u][e.v] = outs[e.v][e.u] = e
+        return {v: {y: nb[y] for y in sorted(nb, key=idkey)}
+                for v, nb in outs.items()}
 
     @cached_property
     def _memo(self) -> dict:
@@ -196,15 +197,6 @@ class Graph(Frozen):
                 return False
             seen.add(key)
         return True
-
-    @cached_property
-    def simple_adjacency(self) -> dict:
-        """vertex -> neighbor -> edge, valid on simple graphs only."""
-        adj = {v: {} for v in self.vertices}
-        for e in self.edges:
-            adj[e.u][e.v] = e
-            adj[e.v][e.u] = e
-        return adj
 
     def components(self) -> tuple:
         """Connected components as sorted tuples of vertices."""
@@ -645,10 +637,8 @@ def _cycle_batches(g: Graph, cap: int):
     """The cycles of length <= 4, then the longer ones, each batch sorted
     and left out when empty."""
     order = {v: i for i, v in enumerate(g.vertices)}
-    eid = {a: {b: e.id for b, e in nb.items()}
-           for a, nb in g.simple_adjacency.items()}
-    # neighbour sets as dicts, which keep the canonical adjacency order
-    core = {v: dict.fromkeys(nb) for v, nb in g.adjacency.items()}
+    adj = g.adjacency
+    core = {v: dict(nb) for v, nb in adj.items()}
 
     def drop(live, v):   # delete v, then every vertex left with < 2 neighbours
         stack = [v]
@@ -683,7 +673,7 @@ def _cycle_batches(g: Graph, cap: int):
                         # canonical direction: second vertex below last vertex
                         if len(path) >= least and order[path[1]] < order[path[-1]]:
                             found.append(Cycle(tuple(path), tuple(
-                                [eid[a][b] for a, b in zip(path, path[1:] + path[:1])])))
+                                [adj[a][b].id for a, b in zip(path, path[1:] + path[:1])])))
                             if len(found) > left:
                                 raise ResourceLimitError(
                                     f"cycle count exceeds cap {cap}")

@@ -243,7 +243,6 @@ def configuration_components(m: Graph, n: int) -> int:
 
 
 def smith_invariants(columns, shape: tuple,
-                     column_cap: int = DEFAULT_COLUMN_CAP,
                      drop_cols=frozenset(), pivot_rows=None) -> list:
     """Invariant factors of a sparse integer matrix, divisibility-ordered.
 
@@ -269,7 +268,6 @@ def smith_invariants(columns, shape: tuple,
     # would add its start-up time and memory to every CLI run
     import heapq
 
-    check_column_cap(shape, column_cap)   # (rows, cols): f-vector of one map
     # transpose: a working row is a column of the matrix, a working
     # column (a key of `col`) is one of its rows, with the list of working
     # rows that hold it (short lists: a row goes in only where it is
@@ -489,7 +487,7 @@ def homology(c: ChainComplex,
     for d in range(top, 0, -1):
         shape = (dims[d - 1], dims[d])
         pivots = set()
-        invariants[d] = smith_invariants(c.columns[d], shape, column_cap,
+        invariants[d] = smith_invariants(c.columns[d], shape,
                                          drop_cols=cancelled, pivot_rows=pivots)
         cancelled = pivots
     ranks = []

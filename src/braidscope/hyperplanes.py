@@ -96,11 +96,8 @@ def hyperplanes_by_components(g: Graph, n: int) -> tuple:
     if n == 0:
         return ()   # UC_0 is one point: no complex edges, no hyperplanes
     x = build(g, n - 1, max_dim=1)
-    # the searches hash positions: a |V|-bit configuration mask hashes in
-    # time linear in |V|, once per search and edge
-    confs = list(x.adjacency)
-    pos = {c: i for i, c in enumerate(confs)}
-    nbrs = [[pos[b] for _, b in x.adjacency[c]] for c in confs]
+    confs = [s for _, s in x.levels[0]]
+    nbrs = x.skeleton[0]
     out = []
     for m, (u, v) in x.index.ends.items():
         color, emask = x.index.edge[m].id, u | v
@@ -167,11 +164,11 @@ def verify_special_coloring(x: CubeComplex) -> ColoringReport:
             in_u += 1
 
     # axiom 3: incident edges at a vertex have pairwise distinct colors
-    adjacency = x.adjacency   # a 1-cube with a missing end raises here
+    nbrs, moves = x.skeleton   # a 1-cube with a missing end raises here
     if any(s & ix.emask[m] for m, s in x.level(1)):
-        for conf, around in adjacency.items():
+        for (_, conf), around, ms in zip(x.levels[0], nbrs, moves):
             seen = {}
-            for (m, other) in around:
+            for m, other in zip(ms, around):
                 if seen.get(m, other) != other:
                     failures.append((3, (ix.ids(conf), ix.edge[m].id)))
                 seen[m] = other

@@ -99,7 +99,7 @@ def _path_missing_a_cycle(g: Graph, cycles, collection) -> Optional[tuple]:
         where = {v: i for i, comp in enumerate(connected_components(
             g.vertices, g.adjacency, sub.vertices)) for v in comp}
         # what joins v to other member vertices: components, non-member edges
-        joins = {v: {where.get(y, e.id) for y, e in g.simple_adjacency[v].items()
+        joins = {v: {where.get(y, e.id) for y, e in g.adjacency[v].items()
                      if y in where or e.id not in sub.edge_ids}
                  for v in sub.vertices}
         for a, b in itertools.combinations(sorted(sub.vertices, key=idkey), 2):
@@ -116,17 +116,17 @@ def _first_path(g: Graph, sub: Subgraph, a: str, b: str) -> tuple:
     vertex that failed to reach b fails from any later prefix too (g is
     undirected), so one visited set finds the enumeration's first path."""
     path, seen = [a], {a}
-    pending = [iter(g.neighbors(a))]   # unexplored neighbours per path vertex
+    adj = g.adjacency
+    pending = [iter(adj[a])]   # unexplored neighbours per path vertex
     while pending:
         y = next(pending[-1], None)
         if y is None:
             pending.pop()
             path.pop()
-        elif y == b and (len(path) > 1 or g.simple_adjacency[a][b].id
-                         not in sub.edge_ids):
+        elif y == b and (len(path) > 1 or adj[a][b].id not in sub.edge_ids):
             return tuple(path + [b])
         elif y not in seen and y not in sub.vertices:
             seen.add(y)
             path.append(y)
-            pending.append(iter(g.neighbors(y)))
+            pending.append(iter(adj[y]))
     raise InvariantError("no path between a joined pair")

@@ -79,7 +79,13 @@ def reference_special_coloring(x):
         if ix.emask[a] & ix.emask[m ^ a]:
             failures.append((2, (ix.edge[a].id, ix.edge[m ^ a].id, ix.ids(s))))
 
-    for conf, around in x.adjacency.items():
+    # a mask-keyed 1-skeleton of its own; a missing end raises KeyError
+    adjacency = {s: [] for (_, s) in x.levels[0]}
+    for (m, s) in x.level(1):
+        u, v = ix.ends[m]
+        adjacency[s | u].append((m, s | v))
+        adjacency[s | v].append((m, s | u))
+    for conf, around in adjacency.items():
         seen = {}
         for (m, other) in around:
             if seen.get(m, other) != other:

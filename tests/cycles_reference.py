@@ -12,10 +12,13 @@ from braidscope.graph import Cycle
 
 def reference_cycles(g, cap: int) -> tuple:
     order = {v: i for i, v in enumerate(g.vertices)}
-    eid = {a: {b: e.id for b, e in nb.items()}
-           for a, nb in g.simple_adjacency.items()}
-    # neighbour sets as dicts, which keep the canonical adjacency order
-    live = {v: dict.fromkeys(nb) for v, nb in g.adjacency.items()}
+    # read from the edges, not from the graph's neighbour map
+    eid = {v: {} for v in g.vertices}
+    for e in g.edges:
+        eid[e.u][e.v] = eid[e.v][e.u] = e.id
+    # neighbour sets as dicts, in vertex order (idkey order)
+    live = {v: dict.fromkeys(sorted(nb, key=order.__getitem__))
+            for v, nb in eid.items()}
 
     def drop(v):   # delete v, then every vertex left with < 2 neighbours
         stack = [v]

@@ -8,6 +8,7 @@ stationary vertex ids).
 """
 
 from braidscope.complex import CubeComplex
+from braidscope.graph import connected_components
 
 
 def ids(g, conf: int) -> tuple:
@@ -52,10 +53,32 @@ def facets(g, lab: tuple) -> list:
     return out
 
 
+def skeleton(x) -> dict:
+    """The positional ``x.skeleton`` decoded by mask: configuration mask
+    -> list of (edge bit, other configuration mask), in 1-cube order."""
+    confs = [s for (_, s) in x.level(0)]
+    nbrs, moves = x.skeleton
+    return {conf: [(m, confs[j]) for m, j in zip(ms, around)]
+            for conf, around, ms in zip(confs, nbrs, moves)}
+
+
 def component_numbers(x) -> dict:
-    """Configuration ids -> number of its 1-skeleton component."""
+    """Configuration ids -> number of its 1-skeleton component, the
+    components numbered in the order of their first configuration."""
+    adj = {conf: [b for _, b in around] for conf, around in skeleton(x).items()}
     return {ids(x.graph, conf): i
-            for i, comp in enumerate(x.components) for conf in comp}
+            for i, comp in enumerate(connected_components(adj, adj))
+            for conf in comp}
+
+
+def neighbours(g, v) -> tuple:
+    """The neighbour ids of v, in the order of ``g.adjacency``."""
+    return tuple(g.adjacency[v])
+
+
+def edge_between(g, a, b) -> str:
+    """The id of the edge that ``g.adjacency`` gives for a and b."""
+    return g.adjacency[a][b].id
 
 
 def without(x, gone: tuple) -> CubeComplex:

@@ -120,3 +120,17 @@ def test_table_ends_in_time(k_seconds, family, top, particles, rows):
         g = (nx.complete_bipartite_graph(*sizes) if family == "bipartite"
              else nx.complete_graph(*sizes))
         _check_hyperbolic(row["hyperbolic"], row["n"], g)
+
+
+def test_long_sparse_build_ends_in_time(tmp_path, k_seconds):
+    # the 5,001-edge path at one particle: one configuration per vertex,
+    # one 1-cube and one hyperplane per edge, a contractible tree
+    path = tmp_path / "path5001.txt"
+    path.write_text("".join(f"e e{i} {i} {i + 1}\n" for i in range(5001)))
+    out = _run(["build", "--graph", str(path), "-n", "1"], 8, k_seconds)
+    assert out["f_vector"] == [5002, 5001]
+    assert out["components"] == 1
+    assert out["hyperplanes"] == 5001
+    assert out["hyperplanes_per_color"] == {f"e{i}": 1 for i in range(5001)}
+    assert out["euler_characteristic"] == 1
+    assert out["npc"] is True

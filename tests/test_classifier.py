@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import labels as L
 from braidscope import classifier as C
 from braidscope import families as F
 from braidscope import peripheral as P
@@ -963,7 +964,7 @@ def _nx_paths_avoiding(g, a, b, banned):
     h = nx.Graph()
     h.add_nodes_from(keep)
     for v in keep:   # sorted insertion gives networkx sorted adjacency
-        h.add_edges_from((v, y) for y in g.neighbors(v) if y in h)
+        h.add_edges_from((v, y) for y in L.neighbours(g, v) if y in h)
     return [list(p) for p in nx.all_simple_paths(h, a, b)]
 
 
@@ -977,7 +978,7 @@ def _path_missing_a_cycle_by_enumeration(g, cycles, collection):
             continue
         for a, b in itertools.combinations(sorted(sub.vertices, key=idkey), 2):
             for path in _nx_paths_avoiding(g, a, b, sub.vertices - {a, b}):
-                edges = {g.simple_adjacency[x][y].id
+                edges = {L.edge_between(g, x, y)
                          for x, y in zip(path, path[1:])}
                 if edges <= sub.edge_ids:
                     continue

@@ -645,6 +645,14 @@ EXITS = {
     "dot-coloring-negative-max-dim": (["build", "--graph", "P3", "-n", "1",
                                        "--max-dim", "-1", "--format", "dot",
                                        "--dot-what", "coloring"], None, 2),
+    # a cap below the one edge pair: the counts are refused first
+    "dot-coloring-negative-particles-over-cap": (
+        ["build", "--graph", "P3", "-n", "-1", "--max-cells", "0",
+         "--format", "dot", "--dot-what", "coloring"], None, 2),
+    "dot-coloring-negative-max-dim-over-cap": (
+        ["build", "--graph", "P3", "-n", "1", "--max-dim", "-1",
+         "--max-cells", "0", "--format", "dot", "--dot-what", "coloring"],
+        None, 2),
     "homology-negative-max-cells": (["homology", "--graph", "P3", "-n", "1",
                                      "--max-cells", "-5"], None, 2),
     "build-negative-max-cells": (["build", "--graph", "P3", "-n", "1",
@@ -664,6 +672,8 @@ REFUSALS = {
     "subdivide-negative-particles": "particle count must be >= 0",
     "dot-coloring-negative-particles": "particle count must be >= 0",
     "dot-coloring-negative-max-dim": "max_dim must be >= 0",
+    "dot-coloring-negative-particles-over-cap": "particle count must be >= 0",
+    "dot-coloring-negative-max-dim-over-cap": "max_dim must be >= 0",
     "homology-negative-max-cells": "cell cap must be >= 0",
     "build-negative-max-cells": "cell cap must be >= 0",
     "dot-coloring-negative-max-cells": "cell cap must be >= 0",

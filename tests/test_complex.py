@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from braidscope import families as F
 from braidscope.complex import build, count_cubes, is_surface, verify_npc
 from braidscope.errors import PreconditionError, ResourceLimitError
 from braidscope.graph import Graph, normalize, subdivide_for
+from braidscope.hyperplanes import verify_special_coloring
 
 
 def test_f_vector_path():
@@ -141,7 +143,7 @@ def test_product_f_vector_multiplicativity():
 
 def test_dimension_zero_complex_has_one_component_per_configuration():
     x = build(F.path_graph(3), 1, max_dim=0)
-    assert {L.ids(x.graph, a): around for a, around in x.adjacency.items()} \
+    assert {L.ids(x.graph, a): around for a, around in L.skeleton(x).items()} \
         == {("1",): [], ("2",): [], ("3",): [], ("4",): []}
     assert x.component_count() == 4
     assert sorted(L.component_numbers(x).values()) == [0, 1, 2, 3]
@@ -151,13 +153,50 @@ def test_dimension_zero_complex_has_one_component_per_configuration():
 
 def test_edge_ends_follow_the_edge_orientation():
     x = build(F.path_graph(2), 2)
-    g = x.graph
+    g, skeleton = x.graph, L.skeleton(x)
     for (m, s) in x.level(1):
         u, v = x.index.ends[m]
         (e,), a, b = L.moving(g, m), L.ids(g, s | u), L.ids(g, s | v)
         assert (set(a) ^ set(b)) == {e.u, e.v}
         assert e.u in a and e.v in b
-        assert (m, s | v) in x.adjacency[s | u] and (m, s | u) in x.adjacency[s | v]
+        assert (m, s | v) in skeleton[s | u] and (m, s | u) in skeleton[s | v]
+
+
+@st.composite
+def small_simple_graphs(draw):
+    """Up to 7 vertices, simple, isolated vertices and several components
+    allowed."""
+    nv = draw(st.integers(1, 7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, nv - 1),
+                                   st.integers(0, nv - 1)), max_size=12))
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    return Graph.make([str(i) for i in range(nv)],
+                      [(f"e{i}", str(u), str(v)) for i, (u, v) in enumerate(pairs)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_simple_graphs(), st.integers(0, 4), st.sampled_from([0, 1, None]))
+def test_component_count_matches_networkx(g, n, max_dim):
+    x = build(g, min(n, len(g.vertices)), max_dim=max_dim)
+    # the 1-skeleton decoded from labels: a 1-cube joins its stationary
+    # ids plus either end of its moving edge
+    h = nx.Graph()
+    h.add_nodes_from(L.configuration_ids(x))
+    for key in x.level(1):
+        (e,), s = L.moving(g, key[0]), key[1]
+        h.add_edge(L.ids(g, s | L.mask(g, [e.u])), L.ids(g, s | L.mask(g, [e.v])))
+    assert x.component_count() == nx.number_connected_components(h)
+
+
+def test_a_one_cube_off_the_zero_cubes_raises_key_error():
+    x = build(F.cycle_graph(4), 2)
+    m, s = next(iter(x.level(1)))
+    # drop an end of a 1-cube: the 1-cube is left with no 0-cube there
+    mutant = L.without(x, (0, s | x.index.ends[m][0]))
+    with pytest.raises(KeyError):
+        mutant.component_count()
+    with pytest.raises(KeyError):
+        verify_special_coloring(mutant)
 
 
 def test_component_count_of_split_configurations():

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cycles_reference as R
+import labels as L
 from braidscope import families as F
 from braidscope.errors import PreconditionError, ResourceLimitError
 from braidscope.graph import (
     CYCLE, CYCLE_TWO_RAYS, GENERAL, HGRAPH, PULSAR, ROSE, SEGMENT, STAR,
     SUN, THETA, TREE,
-    Graph, classify_shape, connected_components, first_betti,
+    Graph, classify_shape, connected_components, first_betti, idkey,
     _subdivided, normalize, simple_cycles, smooth, subdivide_all, subdivide_for,
 )
 
@@ -154,7 +155,7 @@ def _distance(g, a, b):
     while frontier:
         nxt = []
         for x in frontier:
-            for y in g.neighbors(x):
+            for y in L.neighbours(g, x):
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     nxt.append(y)
@@ -590,9 +591,32 @@ def test_connected_components_match_networkx(case):
 def test_adjacency_is_cached_sorted_and_loop_free():
     g = Graph.make(["1", "2", "10"], [("a", "1", "1"), ("b", "1", "10"),
                                       ("c", "1", "2"), ("d", "2", "1")])
-    assert g.adjacency == {"1": ("2", "10"), "2": ("1",), "10": ("1",)}
-    assert g.neighbors("1") is g.neighbors("1")
+    assert {v: L.neighbours(g, v) for v in g.vertices} \
+        == {"1": ("2", "10"), "2": ("1",), "10": ("1",)}
+    assert g.adjacency is g.adjacency
     assert g.components() == (("1", "2", "10"),)
+
+
+@st.composite
+def multigraphs_with_mixed_ids(draw):
+    # numeric ids, so that idkey order and string order differ; loops and
+    # parallel edges allowed
+    ids = draw(st.lists(st.integers(0, 120), min_size=1, max_size=8, unique=True))
+    end = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(end, end), max_size=14))
+    return Graph.make(map(str, ids), [(f"e{i}", str(u), str(v))
+                                      for i, (u, v) in enumerate(pairs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs_with_mixed_ids())
+def test_adjacency_matches_networkx_on_multigraphs(g):
+    m = to_nx_multigraph(g)
+    assert list(g.adjacency) == list(g.vertices)
+    for v, nb in g.adjacency.items():
+        assert list(nb) == sorted(set(m[v]) - {v}, key=idkey)
+        for y, e in nb.items():
+            assert e in g.edges and {e.u, e.v} == {v, y}
 
 
 def test_components_are_searched_once_per_graph(monkeypatch):
@@ -668,7 +692,7 @@ def _shortest_path(g, a, b, direct=True):
     while frontier and b not in prev:
         nxt = []
         for x in frontier:
-            for y in g.neighbors(x):
+            for y in L.neighbours(g, x):
                 if y not in prev and (direct or x != a or y != b):
                     prev[y] = x
                     nxt.append(y)
@@ -721,7 +745,7 @@ def subdivide_one_pass_at_a_time(g, n):
                 return out
             short = cyc + cyc[:1]
         out = subdivide_edge(out, min(
-            (out.simple_adjacency[x][y].id for x, y in zip(short, short[1:])),
+            (L.edge_between(out, x, y) for x, y in zip(short, short[1:])),
             key=lambda eid: (len(eid), eid)))
     raise ResourceLimitError("subdivide_for did not converge")
 

@@ -523,9 +523,8 @@ def test_dropping_a_non_pivot_column_is_caught(monkeypatch):
     # some fixture, or that test could not see a wrong cancellation
     real = H.smith_invariants
 
-    def leaky(columns, shape, column_cap=H.DEFAULT_COLUMN_CAP,
-              drop_cols=frozenset(), pivot_rows=None):
-        out = real(columns, shape, column_cap, drop_cols, pivot_rows)
+    def leaky(columns, shape, drop_cols=frozenset(), pivot_rows=None):
+        out = real(columns, shape, drop_cols, pivot_rows)
         if pivot_rows is not None:
             spare = [r for r in range(shape[0]) if r not in pivot_rows]
             if spare:
