@@ -49,8 +49,8 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import InvariantError, PreconditionError, ResourceLimitError
 from .graph import (
     CYCLE, CYCLE_TWO_RAYS, HGRAPH, PULSAR, ROSE, SEGMENT, STAR, SUN, THETA,
-    TREE, Cycle, Graph, classify_shape, connected_components, idkey,
-    normalize, simple_cycles, subdivide_all,
+    TREE, Cycle, Graph, classify_shape, connected_components, normalize,
+    simple_cycles, subdivide_all, subdivision_points,
 )
 
 ORACLE_SMOOTH_VERTEX_CAP = 15
@@ -437,8 +437,7 @@ class SubgraphOracle:
         self.g2 = subdivide_all(g, 2)
         self.by_kind = {"cycle": simple_cycles(g), "star": [
             (v, tuple(a.id for a in arms)) for v in g.essential_vertices()
-            for arms in itertools.combinations(
-                sorted(g.incidence[v], key=lambda e: idkey(e.id)), 3)]}
+            for arms in itertools.combinations(g.incidence[v], 3)]}
         self._flags = {}   # (kind, index) -> complement component flags
 
     def witnesses(self) -> list:
@@ -452,15 +451,15 @@ class SubgraphOracle:
         """Vertices of the doubly subdivided graph that a witness takes
         away: a cycle with both midpoints of each of its edges, or a star
         centre with the midpoint next to it on each arm."""
-        # subdivide_all names interior vertices {eid}#s1, {eid}#s2 from e.u
         if kind == "cycle":
             return frozenset(itertools.chain(
-                info.vertices, (f"{eid}#s{i}" for eid in info.edge_ids
-                                for i in (1, 2))))
+                info.vertices, *(subdivision_points(eid, 2)
+                                 for eid in info.edge_ids)))
         v, arm_ids = info
         by_id = self.base.edge_by_id
-        return frozenset([v] + [f"{eid}#s1" if by_id[eid].u == v
-                                else f"{eid}#s2" for eid in arm_ids])
+        return frozenset([v] + [
+            subdivision_points(eid, 2)[0 if by_id[eid].u == v else 1]
+            for eid in arm_ids])
 
     def _scan(self, want_key: str, want_kind: str) -> Optional[tuple]:
         for i, info in enumerate(self.by_kind[want_kind]):

@@ -6,11 +6,11 @@ caps come from ``complex.count_cubes``, which refuses exactly as
 ``complex.build`` would.  Under ``--subdivide`` the reduced Świątkowski
 complex of the smoothed graph (``braidscope.swiatkowski``) answers when
 it has fewer cells than the cube complex of the subdivided graph and no
-dimension over the Smith cap; its groups must fit the cube complex's
-dimensions and χ.  Otherwise the cube complex is built, its f-vector
-must equal the count, and it answers.  Whichever complex answers, H_0
-must be free of rank its number of path components, which checks d_1
-where d∘d reads nothing.
+dimension over the Smith cap.  Otherwise the cube complex is built, its
+f-vector must equal the count, and it answers.  Whichever complex
+answers, ``homology.checked`` holds its groups to the count: none above
+the cube complex's top dimension, its χ, and H_0 free of rank the number
+of path components, which checks d_1 where d∘d reads nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def run(args, g) -> dict:
     from ..complex import build, count_cubes
     from ..graph import smooth
     from ..homology import (DEFAULT_COLUMN_CAP, chain_complex,
-                            check_column_cap, check_components,
+                            check_column_cap, checked,
                             configuration_components, homology,
                             swiatkowski_dims)
     n, nv, cap = args.particles, len(g.vertices), args.max_cells
@@ -40,16 +40,17 @@ def run(args, g) -> dict:
         m = smooth(g)
         dims = swiatkowski_dims(m, n)
         if sum(dims) < sum(f) and max(dims) <= DEFAULT_COLUMN_CAP:
-            from ..swiatkowski import fitted, reduced_complex
-            h = fitted(homology(reduced_complex(m, n)), len(f) - 1, euler,
-                       configuration_components(m, n))
+            from ..swiatkowski import reduced_complex
+            h = homology(reduced_complex(m, n))
+            components, model = configuration_components(m, n), "Świątkowski"
     if h is None:
         x = build(g, n, cell_cap=cap)
         if x.f_vector() != f:
             raise InvariantError(f"cube complex has f-vector {list(x.f_vector())}, "
                                  f"its count {list(f)}")
         h = homology(chain_complex(x))
-        check_components(h, x.component_count(), "cube complex")
+        components, model = x.component_count(), "cube complex"
+    h = checked(h, len(f) - 1, euler, components, model)
     return {
         "free_ranks": list(h.free_ranks),
         "torsion": [list(t) for t in h.torsion],

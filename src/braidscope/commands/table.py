@@ -47,8 +47,6 @@ def _family_graphs(args):
         for p in range(lo, args.max + 1):
             for q in range(p, args.max + 1):
                 yield f"K_{p},{q}", families.complete_bipartite(p, q)
-    else:
-        raise ParseError(f"unknown family {args.family!r}")
 
 
 def parse_particle_range(text: str) -> tuple:

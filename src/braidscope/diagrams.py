@@ -329,7 +329,6 @@ def make_tripod_swap(g: Graph, spine: Sequence[str], spike: str) -> Diagram:
     center = spine[n - 1]
     base = config_key(spine[:n])
 
-    occupied = set(base)
     letters = []
 
     def slide(path):
@@ -338,10 +337,6 @@ def make_tripod_swap(g: Graph, spine: Sequence[str], spike: str) -> Diagram:
             if e is None:
                 raise PreconditionError(f"no edge between {a} and {b}")
             letters.append((e.id, 1 if (e.u, e.v) == (a, b) else -1))
-            if a not in occupied or b in occupied:
-                raise IllegalMoveError(len(letters) - 1, "tripod phase broke")
-            occupied.remove(a)
-            occupied.add(b)
 
     slide([center, spike])
     for k in range(1, n):                       # particle at -k goes to n-k
@@ -350,9 +345,9 @@ def make_tripod_swap(g: Graph, spine: Sequence[str], spike: str) -> Diagram:
     for k in range(1, n):                       # particle at +k goes back
         slide(spine[(n - 1) + k:k - 1:-1])
 
-    if config_key(occupied) != base:
+    out = diagram(g, base, letters)   # replay raises on an illegal move
+    if not out.is_spherical():
         raise InvariantError("tripod swap did not return to base")
-    out = diagram(g, base, letters)
     if len(out) != len(letters):
         raise InvariantError("tripod word unexpectedly reducible")
     return out

@@ -347,14 +347,32 @@ def normalize(g: Graph) -> Graph:
         return g
     # every member of a parallel family counts as "a parallel edge"
     ends = Counter(e.endpoints() for e in g.edges)
-    parallels = {e for e in g.edges if ends[e.endpoints()] > 1}
+    return _subdivide_each(g, lambda e: 2 if e.is_loop()
+                           else int(ends[e.endpoints()] > 1))
 
-    vertices = list(g.vertices)
-    edges = []
+
+def subdivision_points(eid: str, times: int) -> list:
+    """Ids of the interior vertices, from its u end to its v end, that
+    subdividing edge `eid` `times` times adds."""
+    return [f"{eid}#s{i}" for i in range(1, times + 1)]
+
+
+def _subdivided(e: Edge, times: int) -> tuple:
+    """Interior vertex ids and edge triples of the path replacing e."""
+    chain = [e.u] + subdivision_points(e.id, times) + [e.v]
+    return chain[1:-1], [(f"{e.id}#p{i}", chain[i], chain[i + 1])
+                         for i in range(len(chain) - 1)]
+
+
+def _subdivide_each(g: Graph, times) -> Graph:
+    """Subdivide each edge e `times(e)` times, in one Graph._make; an
+    edge with 0 keeps its id.  New edges end at fresh vertices named
+    after them, so one pass will do."""
+    vertices, edges = list(g.vertices), []
     for e in g.edges:
-        if e.is_loop() or e in parallels:
-            # new edges end at fresh vertices named after them: one pass will do
-            inner, path = _subdivided(e, 2 if e.is_loop() else 1)
+        k = times(e)
+        if k:
+            inner, path = _subdivided(e, k)
             vertices += inner
             edges += path
         else:
@@ -362,23 +380,11 @@ def normalize(g: Graph) -> Graph:
     return Graph._make(vertices, edges)
 
 
-def _subdivided(e: Edge, times: int) -> tuple:
-    """Interior vertex ids and edge triples of the path replacing e."""
-    chain = [e.u] + [f"{e.id}#s{i}" for i in range(1, times + 1)] + [e.v]
-    return chain[1:-1], [(f"{e.id}#p{i}", chain[i], chain[i + 1])
-                         for i in range(len(chain) - 1)]
-
-
 def subdivide_all(g: Graph, times: int) -> Graph:
     """Subdivide every edge the same number of times, in one Graph._make."""
     if times < 1:
         return g
-    vertices, edges = list(g.vertices), []
-    for e in g.edges:
-        inner, path = _subdivided(e, times)
-        vertices += inner
-        edges += path
-    return Graph._make(vertices, edges)
+    return _subdivide_each(g, lambda e: times)
 
 
 def _split_least(edges, times: int, vertices: list, out: list):

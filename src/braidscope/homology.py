@@ -467,13 +467,27 @@ class HomologySummary(NamedTuple):
         return sum((-1) ** d * r for d, r in enumerate(self.free_ranks))
 
 
-def check_components(h: HomologySummary, components: int, model: str) -> None:
-    """Raise InvariantError unless H_0 is free of rank `components`, the
-    number of path components, with no torsion; this checks d_1 where
-    d o d reads nothing, as when the complex has no 2-cells."""
-    if h.free_ranks[0] != components or h.torsion[0]:
-        raise InvariantError(f"{model} homology has H_0 = {h.group(0)}, "
+def checked(h: HomologySummary, top: int, euler: int, components: int,
+            model: str) -> HomologySummary:
+    """`h` on degrees 0..top, padded with zero groups, after checking it
+    against the counted cube complex: no group above its top dimension
+    `top`, its Euler characteristic `euler`, and H_0 free of rank
+    `components`, the number of path components, which checks d_1 where
+    d o d reads nothing.  `model` names the answering complex in the
+    messages."""
+    if any(h.free_ranks[top + 1:]) or any(h.torsion[top + 1:]):
+        raise InvariantError(
+            f"{model} homology is nonzero above dimension {top}")
+    pad = max(0, top + 1 - len(h.free_ranks))
+    out = HomologySummary(h.free_ranks[:top + 1] + (0,) * pad,
+                          h.torsion[:top + 1] + ((),) * pad)
+    if out.euler() != euler:
+        raise InvariantError(f"{model} homology has Euler characteristic "
+                             f"{out.euler()}, the cube complex {euler}")
+    if out.free_ranks[0] != components or out.torsion[0]:
+        raise InvariantError(f"{model} homology has H_0 = {out.group(0)}, "
                              f"not Z^{components}, one Z per path component")
+    return out
 
 
 def homology(c: ChainComplex,
@@ -481,7 +495,8 @@ def homology(c: ChainComplex,
     dims = c.dims()
     check_column_cap(dims, column_cap)
     top = len(dims) - 1
-    invariants = [None] * (top + 2)
+    # d_0 and d_{top+1} are zero maps, with no invariants
+    invariants = [()] * (top + 2)
     # top down: each sweep's unit-pivot rows are columns the next can drop
     cancelled = frozenset()
     for d in range(top, 0, -1):
@@ -493,11 +508,6 @@ def homology(c: ChainComplex,
     ranks = []
     torsion = []
     for d in range(top + 1):
-        rank_in = len(invariants[d]) if d >= 1 else 0
-        rank_out = len(invariants[d + 1]) if d + 1 <= top else 0
-        free = dims[d] - rank_in - rank_out
-        tor = tuple(f for f in (invariants[d + 1] or ())
-                    if f > 1) if d + 1 <= top else ()
-        ranks.append(free)
-        torsion.append(tor)
+        ranks.append(dims[d] - len(invariants[d]) - len(invariants[d + 1]))
+        torsion.append(tuple(f for f in invariants[d + 1] if f > 1))
     return HomologySummary(tuple(ranks), tuple(torsion))

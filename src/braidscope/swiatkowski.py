@@ -118,23 +118,3 @@ def reduced_complex(g: Graph, n: int) -> homology.ChainComplex:
         raise InvariantError("boundary of a boundary is nonzero "
                              "in the Świątkowski complex")
     return out
-
-
-def fitted(h: homology.HomologySummary, top: int, euler: int,
-           components: int) -> homology.HomologySummary:
-    """`h` on degrees 0..top, padded with zero groups, after checking it
-    against the cube complex it stands in for: no group above `top`,
-    Euler characteristic `euler`, and H_0 free of rank `components`
-    (``homology.configuration_components``), which checks d_1 where
-    d o d reads nothing."""
-    if any(h.free_ranks[top + 1:]) or any(h.torsion[top + 1:]):
-        raise InvariantError(
-            f"Świątkowski homology is nonzero above dimension {top}")
-    pad = max(0, top + 1 - len(h.free_ranks))
-    out = homology.HomologySummary(h.free_ranks[:top + 1] + (0,) * pad,
-                                   h.torsion[:top + 1] + ((),) * pad)
-    if out.euler() != euler:
-        raise InvariantError(f"Świątkowski homology has Euler characteristic "
-                             f"{out.euler()}, the cube complex {euler}")
-    homology.check_components(out, components, "Świątkowski")
-    return out

@@ -75,10 +75,9 @@ ANALYZE_CASES = (
 
 
 def _run(argv, bound, k_seconds):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "braidscope.cli"] + argv,
-                          env=env, capture_output=True, timeout=100 * k_seconds)
+                          capture_output=True, timeout=100 * k_seconds)
     wall = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     assert wall < bound * k_seconds, (wall, k_seconds)

@@ -624,6 +624,8 @@ EXITS = {
                ("braidscope.complex.build", _raise(KeyError("e7"))), 4),
     "help": (["--help"], None, SystemExit),
     "usage-error": (["build", "--graph", "P3"], None, SystemExit),
+    "table-unknown-family": (["table", "--family", "wheel", "--max", "3"],
+                             None, SystemExit),
     "closed-stdout": (["build", "--graph", "P3", "-n", "1"], "stdout", 0),
     "interrupt": (["build", "--graph", "P3", "-n", "1"],
                   ("braidscope.complex.build", _raise(KeyboardInterrupt)),
@@ -738,7 +740,7 @@ def test_run_freezes_on_every_exit(p3, tmp_path, monkeypatch, case):
 
 
 # the exit code of a process whose main raises SystemExit
-SYSTEM_EXIT_CODES = {"help": 0, "usage-error": 2}
+SYSTEM_EXIT_CODES = {"help": 0, "usage-error": 2, "table-unknown-family": 2}
 
 
 @pytest.mark.parametrize("case", sorted(case for case, (_, patch, _) in

@@ -450,6 +450,15 @@ def test_tripod_swap_lengths_and_witness():
         assert d.letters[0] == ("spike", 1)
 
 
+def test_tripod_swap_onto_an_occupied_spike_is_illegal():
+    # a "spike" at the occupied left end: the first move, the middle
+    # particle onto it, is refused by the replay of the word
+    g, spine, _ = F.tripod_graph(2)
+    with pytest.raises(IllegalMoveError) as exc:
+        make_tripod_swap(g, spine, spine[0])
+    assert (exc.value.index, exc.value.reason) == (0, "target occupied")
+
+
 # -- ball oracle and universal cover ----------------------------------------------
 
 def test_ball_radius_zero():

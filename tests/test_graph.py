@@ -617,6 +617,9 @@ def test_adjacency_matches_networkx_on_multigraphs(g):
         assert list(nb) == sorted(set(m[v]) - {v}, key=idkey)
         for y, e in nb.items():
             assert e in g.edges and {e.u, e.v} == {v, y}
+    # incident edges come in id order, as in g.edges
+    for v, es in g.incidence.items():
+        assert list(es) == sorted(es, key=lambda e: idkey(e.id))
 
 
 def test_components_are_searched_once_per_graph(monkeypatch):

@@ -12,12 +12,13 @@ import labels as L
 import mod2_ranks
 from braidscope import families as F
 from braidscope.complex import build
-from braidscope.errors import PreconditionError, ResourceLimitError
+from braidscope.errors import (InvariantError, PreconditionError,
+                               ResourceLimitError)
 from braidscope.graph import Graph, normalize, subdivide_for
 import braidscope.homology as H
 from braidscope.homology import (
-    ChainComplex, check_column_cap, chain_complex, homology, smith_invariants,
-    verify_dd_zero,
+    ChainComplex, HomologySummary, check_column_cap, chain_complex, checked,
+    homology, smith_invariants, verify_dd_zero,
 )
 
 
@@ -401,6 +402,28 @@ def test_swiatkowski_checks_exit_4_under_optimize(tmp_path, mutant, g, n, err):
          str(n)], env=env, capture_output=True, text=True, check=False)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         4, "", f"internal check failed: {err}\n")
+
+
+def test_checked_pads_and_checks_against_the_cube_complex():
+    h = HomologySummary((1, 3), ((), (2,)))
+    assert checked(h, 3, -2, 1, "Świątkowski") == HomologySummary(
+        (1, 3, 0, 0), ((), (2,), (), ()))
+    with pytest.raises(InvariantError, match="Euler characteristic -2, "
+                                             "the cube complex -1"):
+        checked(h, 3, -1, 1, "Świątkowski")
+    with pytest.raises(InvariantError, match="nonzero above dimension 0"):
+        checked(h, 0, 1, 1, "Świątkowski")
+    assert checked(HomologySummary((1, 0), ((), ())), 0, 1, 1,
+                   "Świątkowski") == HomologySummary((1,), ((),))
+    # H_0 must be free of rank the number of components
+    with pytest.raises(InvariantError, match=r"H_0 = Z, not Z\^2, one Z per"):
+        checked(h, 3, -2, 2, "Świątkowski")
+    with pytest.raises(InvariantError, match=r"H_0 = Z/2, not Z\^1, one Z"):
+        checked(HomologySummary((0, 1), ((2,), ())), 1, -1, 1, "Świątkowski")
+    # the cube route: same checks, its own name in the message
+    with pytest.raises(InvariantError, match=r"^cube complex homology has "
+                                             r"H_0 = Z, not Z\^2, one Z per"):
+        checked(h, 1, -2, 2, "cube complex")
 
 
 def test_homology_circle():

@@ -9,12 +9,11 @@ import braidscope.homology as H
 from braidscope import cli, families as F
 from braidscope.cli import main
 from braidscope.complex import build
-from braidscope.errors import InvariantError, ResourceLimitError
+from braidscope.errors import ResourceLimitError
 from braidscope.graph import Graph, normalize, smooth, subdivide_for
-from braidscope.homology import (HomologySummary, chain_complex,
-                                 configuration_components, homology,
-                                 swiatkowski_dims, verify_dd_zero)
-from braidscope.swiatkowski import fitted, reduced_complex
+from braidscope.homology import (chain_complex, configuration_components,
+                                 homology, swiatkowski_dims, verify_dd_zero)
+from braidscope.swiatkowski import reduced_complex
 from test_homology import _cancel_fixtures
 
 
@@ -132,24 +131,6 @@ def test_dd_check_sees_one_flipped_sign_in_any_dimension():
             finally:
                 col[r] = -col[r]
     assert verify_dd_zero(c)
-
-
-def test_fitted_pads_and_checks_against_the_cube_complex():
-    h = HomologySummary((1, 3), ((), (2,)))
-    assert fitted(h, 3, -2, 1) == HomologySummary((1, 3, 0, 0),
-                                                  ((), (2,), (), ()))
-    with pytest.raises(InvariantError, match="Euler characteristic -2, "
-                                             "the cube complex -1"):
-        fitted(h, 3, -1, 1)
-    with pytest.raises(InvariantError, match="nonzero above dimension 0"):
-        fitted(h, 0, 1, 1)
-    assert fitted(HomologySummary((1, 0), ((), ())), 0, 1, 1) == (
-        HomologySummary((1,), ((),)))
-    # H_0 must be free of rank the number of components
-    with pytest.raises(InvariantError, match=r"H_0 = Z, not Z\^2, one Z per"):
-        fitted(h, 3, -2, 2)
-    with pytest.raises(InvariantError, match=r"H_0 = Z/2, not Z\^1, one Z"):
-        fitted(HomologySummary((0, 1), ((2,), ())), 1, -1, 1)
 
 
 # -- the route of `homology --subdivide` ----------------------------------------
